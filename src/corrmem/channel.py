@@ -291,19 +291,142 @@ def exact_error_distribution(model: HiddenErrorModel) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------------------
+# transfer-matrix backend: the forward algorithm over read-out windows
+
+
+def _lift(model: HiddenErrorModel):
+    """The model as a Markov chain over the windows its channel reads.
+
+    The window of site ``i`` holds the symbols at sites ``i - r .. i + r``
+    (``r = 0`` for per-site and threshold channels), big-endian, with sites
+    outside the chain fixed at symbol 0, so a window's index is its column
+    in a window table.  Returns the law of the window at site 0, the
+    ``n - 1`` symbol kernels that slide the window one site to the right,
+    and the ``(n, S**(2r+1))`` table of ``P(Y_i = 1 | window)``; a threshold
+    channel reads its latent bit, ``q = x``.
+    """
+    f, c = model.field, model.channel
+    s, n = f.alphabet_size, f.n
+    r = c.radius if isinstance(c, WindowChannel) else 0
+    pad = np.zeros((s, s))
+    pad[:, 0] = 1.0
+    first = np.tile(f.initial, (s, 1))
+
+    def into(j):
+        """Kernel from the symbol at site ``j - 1`` to the one at site ``j``."""
+        if 0 < j < n:
+            return f.kernels[j - 1]
+        return first if j == 0 else pad
+
+    start = np.ones(1)
+    for j in range(-r, r + 1):
+        start = (start[:, None] * into(j)[np.arange(start.size) % s]).ravel()
+    steps = [into(i + r + 1) for i in range(n - 1)]
+    if isinstance(c, GlobalThresholdChannel):
+        table = np.tile([0.0, 1.0], (n, 1))
+    else:
+        table = c.table
+    return start, steps, table
+
+
+def _advance(alpha: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Slide window-indexed mass (axis 0) one site to the right."""
+    s = kernel.shape[0]
+    if alpha.shape[0] == s:
+        return kernel.T @ alpha
+    # Drop the leftmost symbol, then append the next one; the new symbol
+    # depends on the last symbol of the window, ``suffix % s``.
+    tail = alpha.reshape(s, -1, *alpha.shape[1:]).sum(axis=0)
+    rows = kernel[np.arange(tail.shape[0]) % s]
+    moved = tail[:, None] * rows.reshape(rows.shape + (1,) * (alpha.ndim - 1))
+    return moved.reshape(alpha.shape)
+
+
+def _pull(col: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Conditional expectation one site back: ``(T col)(w)`` for (W, m) ``col``."""
+    s = kernel.shape[0]
+    if col.shape[0] == s:
+        return kernel @ col
+    nxt = col.reshape(-1, s, col.shape[1])
+    rows = kernel[np.arange(nxt.shape[0]) % s]
+    return np.tile(np.einsum("kb,kbm->km", rows, nxt), (s, 1))
+
+
+def _window_marginals(start: np.ndarray, steps) -> np.ndarray:
+    """Law of the window at every site, shape (n, W)."""
+    out = [start]
+    for kernel in steps:
+        out.append(_advance(out[-1], kernel))
+    return np.array(out)
+
+
+def _add_bit(law: np.ndarray, q: np.ndarray) -> None:
+    """Fold one independent error bit of rate ``q[b]`` into weight law row ``b``."""
+    qc = q[:, None]
+    law[:, 1:] = law[:, 1:] * (1.0 - qc) + law[:, :-1] * qc
+    law[:, 0] *= 1.0 - q
+
+
+def _weight_pass(start: np.ndarray, steps, table: np.ndarray) -> np.ndarray:
+    """Law of ``sum_i Y_i`` carried forward as (window, weight so far)."""
+    n = table.shape[0]
+    alpha = np.zeros((start.size, n + 1))
+    alpha[:, 0] = start
+    for i in range(n):
+        head = alpha[:, : i + 2]
+        _add_bit(head, table[i])
+        if i + 1 < n:
+            alpha[:, : i + 2] = _advance(head, steps[i])
+    return alpha.sum(axis=0)
+
+
+def _threshold_cut(model: HiddenErrorModel) -> int:
+    """``floor(threshold)`` clipped to ``[-1, n]``: latent weights above it trigger."""
+    return min(max(math.floor(model.channel.threshold), -1), model.n)
+
+
+def _threshold_site_rates(model: HiddenErrorModel) -> np.ndarray:
+    """``P(Y_i = 1) = P(sum X > B) + P(X_i = 1, sum X <= B)`` by forward-backward."""
+    start, steps, table = _lift(model)
+    n, b = model.n, _threshold_cut(model)
+    # right[i, m] = P(X_{i+1} + ... + X_{n-1} <= m | X_i = 1)
+    right = np.empty((n, n + 1))
+    beta = np.zeros((2, n + 1))
+    beta[:, 0] = 1.0
+    for i in range(n - 1, -1, -1):
+        right[i] = np.cumsum(beta[1])
+        if i:
+            _add_bit(beta, table[i])
+            beta = _pull(beta, steps[i - 1])
+    rates = np.zeros(n)
+    alpha = np.zeros((2, n + 1))
+    alpha[:, 0] = start
+    for i in range(n):
+        if b >= 1:
+            rates[i] = alpha[1, :b] @ right[i, b - 1 :: -1]
+        _add_bit(alpha, table[i])
+        if i + 1 < n:
+            alpha = _advance(alpha, steps[i])
+    return rates + alpha.sum(axis=0)[b + 1 :].sum()
+
+
 def site_error_rates(model: HiddenErrorModel) -> np.ndarray:
     """Exact per-site error probabilities ``E[Y_i]``, shape (n,).
 
-    Per-site channels are resolved through the site marginals of the chain
-    in O(n * alphabet_size^2); other channels enumerate the latent space.
+    Per-site channels read the site marginals of the chain, window channels
+    the window marginals of the lifted chain, both in O(n * S**(2r+2)).
+    Threshold channels combine a forward and a backward pass over
+    (symbol, partial weight) in O(n**2).
     """
-    if isinstance(model.channel, PerSiteChannel):
+    c = model.channel
+    if isinstance(c, PerSiteChannel):
         marginals = site_marginals(model.field)
-        return (marginals * model.channel.table).sum(axis=1)
-    acc = np.zeros(model.n)
-    for p_chunk, q_chunk in _enumerate_chunks(model):
-        acc += p_chunk @ q_chunk
-    return acc
+        return (marginals * c.table).sum(axis=1)
+    if isinstance(c, WindowChannel):
+        start, steps, table = _lift(model)
+        return (_window_marginals(start, steps) * table).sum(axis=1)
+    return _threshold_site_rates(model)
 
 
 def error_rate(model: HiddenErrorModel, mode: str = "exact", trials: int | None = None, seed: int | None = None):
@@ -333,10 +456,34 @@ def error_rate(model: HiddenErrorModel, mode: str = "exact", trials: int | None 
     )
 
 
-def _psi_table(model: HiddenErrorModel) -> np.ndarray:
-    """Conditional mean error count for every latent configuration."""
-    parts = [q_chunk.sum(axis=1) for _, q_chunk in _enumerate_chunks(model)]
-    return np.concatenate(parts)
+def _window_lipschitz(model: HiddenErrorModel) -> float:
+    """Largest one-flip change of ``sum_i q_i(1 | x)`` for a window channel.
+
+    A flip at site ``k`` moves only the windows of sites ``k - r .. k + r``,
+    which read sites ``k - 2r .. k + 2r``, so each flip is resolved on that
+    neighbourhood alone: ``S**min(n, 4r + 1)`` configurations per site.
+    """
+    c = model.channel
+    s, n, r = model.field.alphabet_size, model.n, c.radius
+    count = s ** min(n, 4 * r + 1)
+    if count > ENUM_LIMIT:
+        raise EnumerationLimitError(
+            f"{count} configurations per flip neighbourhood exceed the "
+            f"enumeration limit {ENUM_LIMIT}"
+        )
+    best = 0.0
+    for k in range(n):
+        lo, hi = max(0, k - 2 * r), min(n - 1, k + 2 * r)
+        x = np.indices((s,) * (hi - lo + 1)).reshape(hi - lo + 1, -1)
+        psi = np.zeros(x.shape[1])
+        for i in range(max(0, k - r), min(n - 1, k + r) + 1):
+            idx = np.zeros(x.shape[1], dtype=np.int64)
+            for site in range(i - r, i + r + 1):
+                idx = idx * s + (x[site - lo] if 0 <= site < n else 0)
+            psi += c.table[i, idx]
+        view = psi.reshape(s ** (k - lo), s, s ** (hi - k))
+        best = max(best, float((view.max(axis=1) - view.min(axis=1)).max()))
+    return best
 
 
 def lipschitz_constant(model: HiddenErrorModel, method: str = "auto") -> float:
@@ -344,37 +491,81 @@ def lipschitz_constant(model: HiddenErrorModel, method: str = "auto") -> float:
 
     ``method="closed_form"`` (per-site channels only) returns the largest
     per-site oscillation of the error probability.  ``method="brute_force"``
-    enumerates all single-site flips.  ``method="auto"`` uses the closed
-    form when available and brute force otherwise.
+    enumerates all single-site flips of all ``S**n`` configurations.
+    ``method="auto"`` uses the closed form for per-site channels,
+    ``n - floor(threshold)`` for threshold channels (1 when the threshold is
+    at least ``n``, 0 when it is negative), and for window channels
+    enumerates only the ``S**min(n, 4r + 1)`` neighbourhood of each flip.
     """
     if method not in ("auto", "closed_form", "brute_force"):
         raise ValidationError(f"unknown method {method!r}")
-    if method in ("auto", "closed_form") and isinstance(model.channel, PerSiteChannel):
-        table = model.channel.table
+    c = model.channel
+    if method == "brute_force":
+        psi = np.concatenate([q_chunk.sum(axis=1) for _, q_chunk in _enumerate_chunks(model)])
+        s, n = model.field.alphabet_size, model.n
+        best = 0.0
+        for axis in range(n):
+            view = psi.reshape(s**axis, s, s ** (n - 1 - axis))
+            gap = (view.max(axis=1) - view.min(axis=1)).max(initial=0.0)
+            best = max(best, float(gap))
+        return best
+    if isinstance(c, PerSiteChannel):
+        table = c.table
         return float((table.max(axis=1) - table.min(axis=1)).max())
     if method == "closed_form":
         raise ValidationError("closed form is only available for per-site channels")
-    psi = _psi_table(model)
-    s, n = model.field.alphabet_size, model.n
-    best = 0.0
-    for axis in range(n):
-        view = psi.reshape(s**axis, s, s ** (n - 1 - axis))
-        gap = (view.max(axis=1) - view.min(axis=1)).max(initial=0.0)
-        best = max(best, float(gap))
-    return best
+    if isinstance(c, WindowChannel):
+        return _window_lipschitz(model)
+    b = _threshold_cut(model)
+    if b < 0:
+        return 0.0
+    return 1.0 if b == model.n else float(model.n - b)
+
+
+def _lifted_covariance(model: HiddenErrorModel) -> np.ndarray:
+    """Exact covariance through products of centred window kernels.
+
+    ``Cov(Y_i, Y_j) = sum_w p_i(w) qc_i(w) [(T_i - 1 p_{i+1}^T) ...
+    (T_{j-1} - 1 p_j^T) qc_j](w)``, with ``qc`` the read-out centred under
+    the window marginals ``p``.  A centred kernel maps a vector centred
+    under ``p_{i+1}`` to ``T_i`` times that vector, so the pass applies the
+    plain kernels to centred read-outs.  No ``E[Y_i Y_j] - E[Y_i] E[Y_j]``
+    difference is ever formed: rounding stays at the scale of the centred
+    terms, not of ``E[Y_i Y_j]``, and a constant rounding drift in the
+    pulled vector is cancelled by the centred left factor.
+    """
+    start, steps, table = _lift(model)
+    p = _window_marginals(start, steps)
+    mean = (p * table).sum(axis=1)
+    centred = table - mean[:, None]
+    n = model.n
+    cov = np.zeros((n, n))
+    # Column j of ``ahead`` holds E[qc_j(window j) | window i = w].
+    ahead = np.zeros((table.shape[1], n))
+    for i in range(n - 2, -1, -1):
+        ahead[:, i + 1] = centred[i + 1]
+        ahead[:, i + 1 :] = _pull(ahead[:, i + 1 :], steps[i])
+        cov[i, i + 1 :] = (p[i] * centred[i]) @ ahead[:, i + 1 :]
+    cov += cov.T
+    np.fill_diagonal(cov, mean * (1.0 - mean))
+    return cov
 
 
 def covariance_matrix(model: HiddenErrorModel, mode: str = "exact", trials: int | None = None, seed: int | None = None):
     """Covariance matrix of the error bits.
 
-    ``mode="exact"`` enumerates the latent space and returns an (n, n)
-    array; the diagonal holds ``Var(Y_i)``.  ``mode="mc"`` pools exact
-    integer counts over ``trials`` sampled vectors and returns a
-    :class:`CovarianceEstimate` whose ``stderr`` is the asymptotic standard
-    error of each entry.
+    ``mode="exact"`` returns an (n, n) array whose diagonal holds
+    ``Var(Y_i)``.  Per-site and window channels use products of centred
+    window kernels in O(n**2 * S**(2r+2)), which never subtract
+    ``E[Y_i] E[Y_j]`` from ``E[Y_i Y_j]``; threshold channels enumerate
+    the latent space.  ``mode="mc"`` pools exact integer counts over
+    ``trials`` sampled vectors and returns a :class:`CovarianceEstimate`
+    whose ``stderr`` is the asymptotic standard error of each entry.
     """
     n = model.n
     if mode == "exact":
+        if not isinstance(model.channel, GlobalThresholdChannel):
+            return _lifted_covariance(model)
         mean = np.zeros(n)
         second = np.zeros((n, n))
         for p_chunk, q_chunk in _enumerate_chunks(model):
@@ -415,9 +606,7 @@ def _weight_dp(q_rows: np.ndarray) -> np.ndarray:
     dp = np.zeros((block, n + 1))
     dp[:, 0] = 1.0
     for i in range(n):
-        qi = q_rows[:, i][:, None]
-        dp[:, 1:] = dp[:, 1:] * (1.0 - qi) + dp[:, :-1] * qi
-        dp[:, 0] *= 1.0 - q_rows[:, i]
+        _add_bit(dp, q_rows[:, i])
     return dp
 
 
@@ -439,21 +628,15 @@ def conditional_weight_table(model: HiddenErrorModel) -> np.ndarray:
 def weight_distribution(model: HiddenErrorModel) -> np.ndarray:
     """Exact law of the total error weight ``sum_i Y_i``, shape (n + 1,).
 
-    A model whose sites are genuinely independent (every kernel row equal
-    within each kernel, per-site channel) is resolved through a single
-    sum-of-independent-bits recursion on the marginal rates, with no
-    enumeration limit; all other models enumerate the latent space.
+    One forward pass over (window, partial weight) in O(n**2 * S**(2r+2)),
+    with no enumeration limit; per-site channels are the ``r = 0`` case.  A
+    threshold channel runs its latent weight law through the same pass and
+    moves all mass above ``floor(threshold)`` onto weight ``n``.
     """
-    if isinstance(model.channel, PerSiteChannel) and _memoryless(model.field):
-        return _weight_dp(site_error_rates(model)[None, :])[0]
-    acc = np.zeros(model.n + 1)
-    for p_chunk, q_chunk in _enumerate_chunks(model):
-        acc += p_chunk @ _weight_dp(q_chunk)
-    return acc
-
-
-def _memoryless(spec: MarkovFieldSpec) -> bool:
-    """True when every kernel's rows are identical, i.e. sites independent."""
-    if spec.kernels.shape[0] == 0:
-        return True
-    return bool(np.all(spec.kernels == spec.kernels[:, :1, :]))
+    law = _weight_pass(*_lift(model))
+    if isinstance(model.channel, GlobalThresholdChannel):
+        cut = _threshold_cut(model) + 1
+        if cut < model.n:
+            law[model.n] = law[cut:].sum()
+            law[cut : model.n] = 0.0
+    return law

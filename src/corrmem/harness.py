@@ -523,13 +523,14 @@ def _run_tails(cfg, seed_tree, threads):
     trials = int(cfg.budget.get("trials", 20_000))
     model_id = str(cfg.params.get("model_id", "model-0"))
 
+    seeds = [derive_seed(cfg.master_seed, "tails-delta", idx) for idx in range(len(deltas))]
+    seed_tree.update({f"tails-delta-{idx}": seed for idx, seed in enumerate(seeds)})
+
     def one(item):
-        idx, delta = item
-        seed = derive_seed(cfg.master_seed, "tails-delta", idx)
-        seed_tree[f"tails-delta-{idx}"] = seed
+        delta, seed = item
         return verify_bound(model, delta, trials=trials, seed=seed, method=method)
 
-    reports = _parallel_map(one, list(enumerate(deltas)), threads)
+    reports = _parallel_map(one, list(zip(deltas, seeds)), threads)
     rows = [_tail_row(model_id, r) for r in reports]
     verdicts = [r.verdict for r in reports]
     summary = {

@@ -201,8 +201,8 @@ def per_epoch_failure_prob(model, code: CodeModel, mode: str = "exact", trials: 
     """Probability that one epoch's error weight exceeds the threshold.
 
     ``mode="exact"`` resolves the weight law exactly (closed binomial form
-    for threshold models, independent-bit recursion or enumeration for
-    hidden models) and returns a float.  ``mode="mc"`` samples epochs and
+    for threshold models, a forward pass over the latent chain for hidden
+    models) and returns a float.  ``mode="mc"`` samples epochs and
     returns a :class:`FailureEstimate` with a Clopper-Pearson interval.
     """
     if _model_size(model) != code.n:

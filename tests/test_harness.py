@@ -397,10 +397,11 @@ def test_cli_resource_limit_exit_3(tmp_path, capsys):
             "model": {
                 "type": "hidden",
                 "field": {"theta": 0.5, "n": 25},
-                "channel": {"type": "per_site", "rates": [0.1, 0.1]},
+                "channel": {"type": "global_threshold", "threshold": 12.0},
             }
         },
     )
+    # the exact covariance of a threshold read-out still enumerates 2**25 states
     code = main(["covariance", "--config", path, "--out", str(tmp_path)])
     assert code == 3
     assert "resource limit" in capsys.readouterr().err
