@@ -31,7 +31,7 @@ from .adversarial import (
 from .channel import HiddenErrorModel, error_rate, lipschitz_constant
 from .errors import ValidationError
 from .field import mixing_bound, mixing_coefficients
-from .memory import _sample_weights, weight_law
+from .memory import count_exceedances, weight_law
 from .rng import make_generator
 
 __all__ = [
@@ -179,13 +179,7 @@ def empirical_tail(model, threshold: float, trials: int, seed: int) -> TailEstim
     """Monte Carlo ``P(sum Y > threshold)`` with a Clopper-Pearson interval."""
     if trials < _MIN_MC_TRIALS:
         raise ValidationError(f"empirical_tail requires trials >= {_MIN_MC_TRIALS}")
-    gen = make_generator(seed)
-    exceedances = 0
-    done = 0
-    while done < trials:
-        block = min(100_000, trials - done)
-        exceedances += int((_sample_weights(model, gen, block) > threshold).sum())
-        done += block
+    exceedances = count_exceedances(model, make_generator(seed), trials, threshold)
     lo, hi = clopper_pearson(exceedances, trials)
     return TailEstimate(
         value=exceedances / trials,

@@ -229,16 +229,23 @@ def site_marginals(spec: MarkovFieldSpec) -> np.ndarray:
 
 
 def _inverse_cdf_walk(spec: MarkovFieldSpec, u: np.ndarray) -> np.ndarray:
-    """Map a (trials, n) uniform block to chain samples by inverse CDF."""
+    """Map a (trials, n) uniform block to chain samples by inverse CDF.
+
+    Site ``i + 1`` takes the number of CDF columns ``c < S - 1`` of the row
+    picked by site ``i`` that lie at or below its uniform.  Cumulative sums
+    never decrease, so this equals counting all ``S`` columns and clipping
+    at ``S - 1``, even when a row's last column falls just short of 1.
+    """
     s = spec.alphabet_size
-    trials = u.shape[0]
-    x = np.empty((trials, spec.n), dtype=np.uint8)
+    x = np.empty((u.shape[0], spec.n), dtype=np.uint8)
     cdf0 = np.cumsum(spec.initial)
     x[:, 0] = np.minimum((cdf0[None, :] <= u[:, 0, None]).sum(axis=1), s - 1)
+    cdf = np.cumsum(spec.kernels, axis=2)
     for i in range(spec.n - 1):
-        cdf = np.cumsum(spec.kernels[i], axis=1)
-        rows = cdf[x[:, i]]
-        x[:, i + 1] = np.minimum((rows <= u[:, i + 1, None]).sum(axis=1), s - 1)
+        prev, nxt, col = x[:, i], x[:, i + 1], u[:, i + 1]
+        nxt[:] = cdf[i, :, 0][prev] <= col
+        for c in range(1, s - 1):
+            nxt += cdf[i, :, c][prev] <= col
     return x
 
 

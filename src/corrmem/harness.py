@@ -448,7 +448,7 @@ def _run_adversarial_scan(cfg, seed_tree, threads):
             spec.threshold,
             p,
             exact_covariance(spec) if n >= 2 else 0.0,
-            retention_upper_bound(spec),
+            math.inf if p == 0.0 else 1.0 / p,
         )
 
     points = [(n, a) for n in sizes for a in rates]

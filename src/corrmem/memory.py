@@ -36,6 +36,7 @@ __all__ = [
     "RetentionEstimate",
     "ScalingPoint",
     "ScalingResult",
+    "count_exceedances",
     "epoch_step",
     "geometric_ks_statistic",
     "ks_critical_value",
@@ -47,7 +48,10 @@ __all__ = [
 ]
 
 _MIN_MC_TRIALS = 1000
+_MC_BLOCK = 100_000
 _EPOCH_BLOCK = 64
+# Rows walked together; retention stacks live trials' blocks up to this many.
+_STACK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -187,14 +191,41 @@ def weight_law(model) -> np.ndarray:
     raise ValidationError(f"unsupported model type {type(model).__name__}")
 
 
-def _sample_weights(model, gen: np.random.Generator, count: int) -> np.ndarray:
-    """Draw ``count`` epoch weights from an open generator."""
+def _draw(model, gen: np.random.Generator, count: int) -> np.ndarray:
+    """Raw draws for ``count`` epochs from one open generator, epochs on axis 0.
+
+    A threshold model takes one binomial latent weight per epoch.  A hidden
+    model takes a ``(count, n)`` block of uniforms for the chain walk and
+    then one for the error bits, returned as a ``(count, 2, n)`` view.
+    """
     if isinstance(model, ThresholdModelSpec):
-        s = gen.binomial(model.n, model.eps, size=count)
-        return np.where(s <= model.threshold, s, model.n)
-    x = _inverse_cdf_walk(model.field, gen.random((count, model.n)))
-    q = _site_probabilities(model, x)
-    return (gen.random((count, model.n)) < q).sum(axis=1)
+        return gen.binomial(model.n, model.eps, size=count)
+    return gen.random((2, count, model.n)).transpose(1, 0, 2)
+
+
+def _weights(model, draws: np.ndarray) -> np.ndarray:
+    """Epoch weights of stacked :func:`_draw` output, one per row.
+
+    Hidden-model rows are walked and read out ``_STACK_ROWS`` at a time, so
+    the temporaries stay small and in cache whatever the block size.
+    """
+    if isinstance(model, ThresholdModelSpec):
+        return np.where(draws <= model.threshold, draws, model.n)
+    out = np.empty(len(draws), dtype=np.intp)
+    for lo in range(0, len(draws), _STACK_ROWS):
+        u = draws[lo : lo + _STACK_ROWS]
+        x = _inverse_cdf_walk(model.field, u[:, 0])
+        out[lo : lo + _STACK_ROWS] = np.count_nonzero(u[:, 1] < _site_probabilities(model, x), axis=1)
+    return out
+
+
+def count_exceedances(model, gen: np.random.Generator, trials: int, threshold: float) -> int:
+    """How many of ``trials`` epochs drawn from ``gen`` weigh more than ``threshold``."""
+    count = 0
+    for done in range(0, trials, _MC_BLOCK):
+        weights = _weights(model, _draw(model, gen, min(_MC_BLOCK, trials - done)))
+        count += int(np.count_nonzero(weights > threshold))
+    return count
 
 
 def per_epoch_failure_prob(model, code: CodeModel, mode: str = "exact", trials: int | None = None, seed: int | None = None):
@@ -221,13 +252,7 @@ def per_epoch_failure_prob(model, code: CodeModel, mode: str = "exact", trials: 
         raise ValidationError("Monte Carlo mode requires a seed")
     from .bounds import clopper_pearson
 
-    gen = make_generator(seed)
-    failures = 0
-    done = 0
-    while done < trials:
-        block = min(100_000, trials - done)
-        failures += int((_sample_weights(model, gen, block) > tau).sum())
-        done += block
+    failures = count_exceedances(model, make_generator(seed), trials, tau)
     lo, hi = clopper_pearson(failures, trials)
     return FailureEstimate(
         value=failures / trials, ci_lo=lo, ci_hi=hi, trials=trials, failures=failures
@@ -238,8 +263,12 @@ def simulate_retention(model, code: CodeModel, max_epochs: int, trials: int, see
     """Simulate epochs until the first uncorrectable error, per trial.
 
     Each trial runs an independent derived stream, so results do not depend
-    on how trials are scheduled.  Trials that survive ``max_epochs`` epochs
-    are censored and excluded from the mean.
+    on how trials are scheduled.  Epochs run in blocks of ``_EPOCH_BLOCK``:
+    every trial still alive draws its next block from its own stream, and
+    the blocks of up to ``_STACK_ROWS`` rows are stacked and turned into
+    weights together.  A trial stops drawing at its first failure.  Trials
+    that survive ``max_epochs`` epochs are censored and excluded from the
+    mean.
     """
     if _model_size(model) != code.n:
         raise ValidationError("model and code sizes differ")
@@ -248,18 +277,21 @@ def simulate_retention(model, code: CodeModel, max_epochs: int, trials: int, see
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     tau = code.correction_threshold
+    gens = [make_generator(derive_seed(seed, "retention-trial", t)) for t in range(trials)]
     epochs = np.zeros(trials, dtype=np.int64)
-    for t in range(trials):
-        gen = make_generator(derive_seed(seed, "retention-trial", t))
-        done = 0
-        while done < max_epochs:
-            block = min(_EPOCH_BLOCK, max_epochs - done)
-            weights = _sample_weights(model, gen, block)
-            hits = np.nonzero(weights > tau)[0]
-            if hits.size:
-                epochs[t] = done + int(hits[0]) + 1
-                break
-            done += block
+    live = np.arange(trials)
+    for done in range(0, max_epochs, _EPOCH_BLOCK):
+        block = min(_EPOCH_BLOCK, max_epochs - done)
+        per_stack = max(1, _STACK_ROWS // block)
+        for lo in range(0, live.size, per_stack):
+            group = live[lo : lo + per_stack]
+            draws = np.concatenate([_draw(model, gens[t], block) for t in group])
+            failed = (_weights(model, draws) > tau).reshape(group.size, block)
+            hit = failed.any(axis=1)
+            epochs[group[hit]] = done + failed[hit].argmax(axis=1) + 1
+        live = live[epochs[live] == 0]
+        if not live.size:
+            break
     censored = epochs == 0
     observed = epochs[~censored]
     if observed.size:
