@@ -109,6 +109,34 @@ class ThresholdModelSpec:
         """Trigger threshold ``n * eps + sqrt(n) * margin``."""
         return self.n * self.eps + math.sqrt(self.n) * self.resolved_margin
 
+    def mean_rate(self) -> float:
+        return marginal_error_rate(self).value
+
+    def lipschitz(self) -> float:
+        return threshold_lipschitz(self)
+
+    def mixing_bound(self) -> float:
+        """1: the latent bits are i.i.d."""
+        return 1.0
+
+    def weight_law(self) -> np.ndarray:
+        return weight_distribution(self)
+
+    def covariance(self) -> np.ndarray:
+        """Exact (n, n) covariance: ``Var(Y_i)`` on the diagonal, :func:`exact_covariance` off it."""
+        rate = marginal_error_rate(self).value
+        cov = np.full((self.n, self.n), exact_covariance(self) if self.n > 1 else 0.0)
+        np.fill_diagonal(cov, rate * (1.0 - rate))
+        return cov
+
+    def draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        """One binomial latent weight per epoch, shape (count,)."""
+        return gen.binomial(self.n, self.eps, size=count)
+
+    def weights(self, draws: np.ndarray) -> np.ndarray:
+        """Error weight of each :meth:`draw` latent weight: all-ones above the trigger."""
+        return np.where(draws <= self.threshold, draws, self.n)
+
 
 @dataclass(frozen=True)
 class MarginalErrorRate:

@@ -23,15 +23,9 @@ from dataclasses import dataclass
 
 from scipy import stats
 
-from .adversarial import (
-    ThresholdModelSpec,
-    marginal_error_rate,
-    threshold_lipschitz,
-)
-from .channel import HiddenErrorModel, error_rate, lipschitz_constant
+from .channel import _require_mc
 from .errors import ValidationError
-from .field import mixing_bound, mixing_coefficients
-from .memory import count_exceedances, weight_law
+from .memory import _check_model, count_exceedances, weight_law
 from .rng import make_generator
 
 __all__ = [
@@ -46,8 +40,6 @@ __all__ = [
     "hoeffding_conditional_bound",
     "verify_bound",
 ]
-
-_MIN_MC_TRIALS = 1000
 
 
 def hoeffding_conditional_bound(beta: float, n: int) -> float:
@@ -177,8 +169,7 @@ def exact_tail(model, threshold: float) -> float:
 
 def empirical_tail(model, threshold: float, trials: int, seed: int) -> TailEstimate:
     """Monte Carlo ``P(sum Y > threshold)`` with a Clopper-Pearson interval."""
-    if trials < _MIN_MC_TRIALS:
-        raise ValidationError(f"empirical_tail requires trials >= {_MIN_MC_TRIALS}")
+    _require_mc(trials, seed)
     exceedances = count_exceedances(model, make_generator(seed), trials, threshold)
     lo, hi = clopper_pearson(exceedances, trials)
     return TailEstimate(
@@ -216,24 +207,13 @@ def verify_bound(
     resolves the tail through the exact weight law (the interval collapses
     to a point); ``method="mc"`` samples it.
     """
-    if isinstance(model, HiddenErrorModel):
-        n = model.n
-        if eps is None:
-            eps = error_rate(model)
-        if c is None:
-            c = lipschitz_constant(model)
-        if m is None:
-            m = mixing_bound(mixing_coefficients(model.field))
-    elif isinstance(model, ThresholdModelSpec):
-        n = model.n
-        if eps is None:
-            eps = marginal_error_rate(model).value
-        if c is None:
-            c = threshold_lipschitz(model)
-        if m is None:
-            m = 1.0
-    else:
-        raise ValidationError(f"unsupported model type {type(model).__name__}")
+    n = _check_model(model).n
+    if eps is None:
+        eps = model.mean_rate()
+    if c is None:
+        c = model.lipschitz()
+    if m is None:
+        m = model.mixing_bound()
     threshold = n * (eps + delta)
     bound = combined_tail_bound(eps, delta, n, c, m)
     if method == "exact":

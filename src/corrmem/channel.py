@@ -36,6 +36,8 @@ from .field import (
     _inverse_cdf_walk,
     all_sequences,
     exact_field_distribution,
+    mixing_bound,
+    mixing_coefficients,
     site_marginals,
 )
 from .rng import make_generator
@@ -68,6 +70,10 @@ MAX_WINDOW_RADIUS = 3
 _MIN_MC_TRIALS = 1000
 
 _CHUNK = 4096
+
+# Rows walked and read out together, few enough to stay in cache; retention
+# stacks trials' blocks up to this many.
+_STACK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -176,6 +182,32 @@ class HiddenErrorModel:
     def n(self) -> int:
         return self.field.n
 
+    def mean_rate(self) -> float:
+        return error_rate(self)
+
+    def lipschitz(self) -> float:
+        return lipschitz_constant(self)
+
+    def mixing_bound(self) -> float:
+        return mixing_bound(mixing_coefficients(self.field))
+
+    def weight_law(self) -> np.ndarray:
+        return weight_distribution(self)
+
+    def covariance(self) -> np.ndarray:
+        return covariance_matrix(self)
+
+    def draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        """A walk block and then an error-bit block of uniforms, viewed as (count, 2, n)."""
+        return gen.random((2, count, self.n)).transpose(1, 0, 2)
+
+    def weights(self, draws: np.ndarray) -> np.ndarray:
+        """Error weight of each row of stacked :meth:`draw` output."""
+        out = np.empty(len(draws), dtype=np.intp)
+        for lo, bits in _error_slices(self, draws):
+            out[lo : lo + len(bits)] = np.count_nonzero(bits, axis=1)
+        return out
+
 
 @dataclass(frozen=True)
 class MonteCarloScalar:
@@ -195,6 +227,14 @@ class CovarianceEstimate:
     values: np.ndarray
     stderr: np.ndarray
     trials: int
+
+
+def _require_mc(trials: int | None, seed: int | None) -> None:
+    """Reject a Monte Carlo request with too few trials or no seed."""
+    if trials is None or trials < _MIN_MC_TRIALS:
+        raise ValidationError(f"Monte Carlo mode requires trials >= {_MIN_MC_TRIALS}")
+    if seed is None:
+        raise ValidationError("Monte Carlo mode requires a seed")
 
 
 def _site_probabilities(model: HiddenErrorModel, x: np.ndarray) -> np.ndarray:
@@ -226,6 +266,13 @@ def expected_errors(model: HiddenErrorModel, x) -> float:
     return float(_site_probabilities(model, x[None, :])[0].sum())
 
 
+def _error_slices(model: HiddenErrorModel, u: np.ndarray):
+    """``(first row, error bits)`` per ``_STACK_ROWS``-row slice of (rows, 2, n) uniforms."""
+    for lo in range(0, len(u), _STACK_ROWS):
+        rows = u[lo : lo + _STACK_ROWS]
+        yield lo, rows[:, 1] < _site_probabilities(model, _inverse_cdf_walk(model.field, rows[:, 0]))
+
+
 def sample_errors_batch(model: HiddenErrorModel, seed: int, trials: int) -> np.ndarray:
     """Draw ``trials`` error vectors; shape (trials, n), dtype uint8.
 
@@ -238,9 +285,10 @@ def sample_errors_batch(model: HiddenErrorModel, seed: int, trials: int) -> np.n
         raise ValidationError("trials must be >= 1")
     gen = make_generator(seed)
     u = gen.random((trials, 2, model.n))
-    x = _inverse_cdf_walk(model.field, u[:, 0, :])
-    q = _site_probabilities(model, x)
-    return (u[:, 1, :] < q).astype(np.uint8)
+    out = np.empty((trials, model.n), dtype=np.uint8)
+    for lo, bits in _error_slices(model, u):
+        out[lo : lo + len(bits)] = bits
+    return out
 
 
 def sample_errors(model: HiddenErrorModel, seed: int) -> np.ndarray:
@@ -439,10 +487,7 @@ def error_rate(model: HiddenErrorModel, mode: str = "exact", trials: int | None 
         return float(site_error_rates(model).mean())
     if mode != "mc":
         raise ValidationError(f"unknown mode {mode!r}")
-    if trials is None or trials < _MIN_MC_TRIALS:
-        raise ValidationError(f"Monte Carlo mode requires trials >= {_MIN_MC_TRIALS}")
-    if seed is None:
-        raise ValidationError("Monte Carlo mode requires a seed")
+    _require_mc(trials, seed)
     y = sample_errors_batch(model, seed, trials)
     per_trial = y.mean(axis=1)
     value = float(per_trial.mean())
@@ -576,10 +621,7 @@ def covariance_matrix(model: HiddenErrorModel, mode: str = "exact", trials: int 
         return cov
     if mode != "mc":
         raise ValidationError(f"unknown mode {mode!r}")
-    if trials is None or trials < _MIN_MC_TRIALS:
-        raise ValidationError(f"Monte Carlo mode requires trials >= {_MIN_MC_TRIALS}")
-    if seed is None:
-        raise ValidationError("Monte Carlo mode requires a seed")
+    _require_mc(trials, seed)
     y = sample_errors_batch(model, seed, trials).astype(np.int64)
     counts = y.sum(axis=0)
     joint = y.T @ y

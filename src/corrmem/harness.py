@@ -29,8 +29,6 @@ from .adversarial import (
     ThresholdModelSpec,
     as_hidden_model,
     exact_covariance,
-    marginal_error_rate,
-    retention_upper_bound,
     trigger_probability,
 )
 from .bounds import verify_bound
@@ -391,32 +389,19 @@ def _run_mixing(cfg, seed_tree, threads):
     return ["n", "theta_max", "m_bound"], rows, summary, 0
 
 
-def _threshold_covariance_rows(spec: ThresholdModelSpec):
-    rate = marginal_error_rate(spec)
-    variance = rate.value * (1.0 - rate.value)
-    off = exact_covariance(spec)
-    rows = []
-    for i in range(spec.n):
-        for j in range(i, spec.n):
-            rows.append((i, j, variance if i == j else off, 0.0))
-    return rows
-
-
 def _run_covariance(cfg, seed_tree, threads):
     model = _build_model(cfg.model)
     method = cfg.params.get("method", "exact")
     if method not in ("exact", "mc"):
         raise ConfigError("covariance params.method must be 'exact' or 'mc'")
-    if isinstance(model, ThresholdModelSpec):
-        if method == "exact":
-            rows = _threshold_covariance_rows(model)
-            return ["i", "j", "cov", "stderr"], rows, {"method": "exact"}, 0
-        model = as_hidden_model(model)
     if method == "exact":
-        cov = covariance_matrix(model)
+        cov = model.covariance()
         err = np.zeros_like(cov)
         trials = None
     else:
+        if isinstance(model, ThresholdModelSpec):
+            # sampled through its hidden-model embedding
+            model = as_hidden_model(model)
         seed = derive_seed(cfg.master_seed, "covariance")
         seed_tree["covariance"] = seed
         trials = int(cfg.budget.get("trials", 100_000))
@@ -480,8 +465,9 @@ def _run_retention(cfg, seed_tree, threads):
         "trials": est.trials,
     }
     if isinstance(model, ThresholdModelSpec):
-        summary["trigger_prob"] = trigger_probability(model)
-        summary["retention_upper_bound"] = retention_upper_bound(model)
+        p = trigger_probability(model)
+        summary["trigger_prob"] = p
+        summary["retention_upper_bound"] = math.inf if p == 0.0 else 1.0 / p
     return ["trial", "failure_epoch", "censored"], rows, summary, 0
 
 
@@ -525,10 +511,11 @@ def _run_tails(cfg, seed_tree, threads):
 
     seeds = [derive_seed(cfg.master_seed, "tails-delta", idx) for idx in range(len(deltas))]
     seed_tree.update({f"tails-delta-{idx}": seed for idx, seed in enumerate(seeds)})
+    eps, c, m = model.mean_rate(), model.lipschitz(), model.mixing_bound()
 
     def one(item):
         delta, seed = item
-        return verify_bound(model, delta, trials=trials, seed=seed, method=method)
+        return verify_bound(model, delta, eps, c, m, trials=trials, seed=seed, method=method)
 
     reports = _parallel_map(one, list(zip(deltas, seeds)), threads)
     rows = [_tail_row(model_id, r) for r in reports]
@@ -615,15 +602,14 @@ def bundled_verification_suite() -> list:
 
 def _run_verify_all(cfg, seed_tree, threads):
     suite = bundled_verification_suite()
-    jobs = [
-        (model_id, model, delta)
-        for model_id, model, deltas in suite
-        for delta in deltas
-    ]
+    jobs = []
+    for model_id, model, deltas in suite:
+        inputs = (model.mean_rate(), model.lipschitz(), model.mixing_bound())
+        jobs += [(model_id, model, delta, inputs) for delta in deltas]
 
     def one(job):
-        model_id, model, delta = job
-        return model_id, verify_bound(model, delta, method="exact")
+        model_id, model, delta, (eps, c, m) = job
+        return model_id, verify_bound(model, delta, eps, c, m, method="exact")
 
     results = _parallel_map(one, jobs, threads)
     rows = [_tail_row(model_id, report) for model_id, report in results]

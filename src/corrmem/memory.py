@@ -13,6 +13,11 @@ be checked against a closed-form mean and a Kolmogorov-Smirnov comparison.
 The module also carries the union-bound lifetime guarantee: if every epoch
 fails with probability at most ``exp(-b n)``, then
 ``exp(b n - log n)`` epochs survive together with probability ``1 - 1/n``.
+
+Every function here takes a model of either family and uses only the
+methods both answer: ``n``, ``mean_rate()``, ``lipschitz()``,
+``mixing_bound()``, ``weight_law()``, ``covariance()`` (exact, n x n),
+``draw(gen, count)`` and ``weights(draws)``.
 """
 
 import math
@@ -21,12 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from . import adversarial as _adv
+from . import channel as _channel
 from .adversarial import ThresholdModelSpec
-from .channel import HiddenErrorModel, _site_probabilities
+from .channel import HiddenErrorModel, _require_mc
+# Unused here, but kept bound: the benchmark's tracer tests read this name.
 from .channel import weight_distribution as _hidden_weight_distribution
 from .errors import ValidationError
-from .field import _inverse_cdf_walk, mixing_coefficients, mixing_bound
 from .rng import derive_seed, make_generator
 
 __all__ = [
@@ -47,11 +52,8 @@ __all__ = [
     "weight_law",
 ]
 
-_MIN_MC_TRIALS = 1000
 _MC_BLOCK = 100_000
 _EPOCH_BLOCK = 64
-# Rows walked together; retention stacks live trials' blocks up to this many.
-_STACK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -174,56 +176,24 @@ class ScalingResult:
     status: str
 
 
-def _model_size(model) -> int:
-    if isinstance(model, HiddenErrorModel):
-        return model.n
-    if isinstance(model, ThresholdModelSpec):
-        return model.n
-    raise ValidationError(f"unsupported model type {type(model).__name__}")
+def _check_model(model):
+    """``model`` itself if it is a model of either family; else ValidationError."""
+    if not isinstance(model, (HiddenErrorModel, ThresholdModelSpec)):
+        raise ValidationError(f"unsupported model type {type(model).__name__}")
+    return model
 
 
 def weight_law(model) -> np.ndarray:
     """Exact epoch weight law for either model family; shape (n + 1,)."""
-    if isinstance(model, HiddenErrorModel):
-        return _hidden_weight_distribution(model)
-    if isinstance(model, ThresholdModelSpec):
-        return _adv.weight_distribution(model)
-    raise ValidationError(f"unsupported model type {type(model).__name__}")
-
-
-def _draw(model, gen: np.random.Generator, count: int) -> np.ndarray:
-    """Raw draws for ``count`` epochs from one open generator, epochs on axis 0.
-
-    A threshold model takes one binomial latent weight per epoch.  A hidden
-    model takes a ``(count, n)`` block of uniforms for the chain walk and
-    then one for the error bits, returned as a ``(count, 2, n)`` view.
-    """
-    if isinstance(model, ThresholdModelSpec):
-        return gen.binomial(model.n, model.eps, size=count)
-    return gen.random((2, count, model.n)).transpose(1, 0, 2)
-
-
-def _weights(model, draws: np.ndarray) -> np.ndarray:
-    """Epoch weights of stacked :func:`_draw` output, one per row.
-
-    Hidden-model rows are walked and read out ``_STACK_ROWS`` at a time, so
-    the temporaries stay small and in cache whatever the block size.
-    """
-    if isinstance(model, ThresholdModelSpec):
-        return np.where(draws <= model.threshold, draws, model.n)
-    out = np.empty(len(draws), dtype=np.intp)
-    for lo in range(0, len(draws), _STACK_ROWS):
-        u = draws[lo : lo + _STACK_ROWS]
-        x = _inverse_cdf_walk(model.field, u[:, 0])
-        out[lo : lo + _STACK_ROWS] = np.count_nonzero(u[:, 1] < _site_probabilities(model, x), axis=1)
-    return out
+    return _check_model(model).weight_law()
 
 
 def count_exceedances(model, gen: np.random.Generator, trials: int, threshold: float) -> int:
     """How many of ``trials`` epochs drawn from ``gen`` weigh more than ``threshold``."""
+    _check_model(model)
     count = 0
     for done in range(0, trials, _MC_BLOCK):
-        weights = _weights(model, _draw(model, gen, min(_MC_BLOCK, trials - done)))
+        weights = model.weights(model.draw(gen, min(_MC_BLOCK, trials - done)))
         count += int(np.count_nonzero(weights > threshold))
     return count
 
@@ -236,7 +206,7 @@ def per_epoch_failure_prob(model, code: CodeModel, mode: str = "exact", trials: 
     models) and returns a float.  ``mode="mc"`` samples epochs and
     returns a :class:`FailureEstimate` with a Clopper-Pearson interval.
     """
-    if _model_size(model) != code.n:
+    if _check_model(model).n != code.n:
         raise ValidationError("model and code sizes differ")
     tau = code.correction_threshold
     if mode == "exact":
@@ -246,10 +216,7 @@ def per_epoch_failure_prob(model, code: CodeModel, mode: str = "exact", trials: 
         return min(1.0, math.fsum(law[tau + 1 :].tolist()))
     if mode != "mc":
         raise ValidationError(f"unknown mode {mode!r}")
-    if trials is None or trials < _MIN_MC_TRIALS:
-        raise ValidationError(f"Monte Carlo mode requires trials >= {_MIN_MC_TRIALS}")
-    if seed is None:
-        raise ValidationError("Monte Carlo mode requires a seed")
+    _require_mc(trials, seed)
     from .bounds import clopper_pearson
 
     failures = count_exceedances(model, make_generator(seed), trials, tau)
@@ -270,7 +237,7 @@ def simulate_retention(model, code: CodeModel, max_epochs: int, trials: int, see
     that survive ``max_epochs`` epochs are censored and excluded from the
     mean.
     """
-    if _model_size(model) != code.n:
+    if _check_model(model).n != code.n:
         raise ValidationError("model and code sizes differ")
     if max_epochs < 1:
         raise ValidationError("max_epochs must be >= 1")
@@ -282,11 +249,11 @@ def simulate_retention(model, code: CodeModel, max_epochs: int, trials: int, see
     live = np.arange(trials)
     for done in range(0, max_epochs, _EPOCH_BLOCK):
         block = min(_EPOCH_BLOCK, max_epochs - done)
-        per_stack = max(1, _STACK_ROWS // block)
+        per_stack = max(1, _channel._STACK_ROWS // block)
         for lo in range(0, live.size, per_stack):
             group = live[lo : lo + per_stack]
-            draws = np.concatenate([_draw(model, gens[t], block) for t in group])
-            failed = (_weights(model, draws) > tau).reshape(group.size, block)
+            draws = np.concatenate([model.draw(gens[t], block) for t in group])
+            failed = (model.weights(draws) > tau).reshape(group.size, block)
             hit = failed.any(axis=1)
             epochs[group[hit]] = done + failed[hit].argmax(axis=1) + 1
         live = live[epochs[live] == 0]
@@ -377,14 +344,6 @@ def lifetime_lower_bound(n: int, distance_fraction: float, confidence: float | N
     )
 
 
-def _mixing_diagnostics(model):
-    if isinstance(model, HiddenErrorModel):
-        g = mixing_bound(mixing_coefficients(model.field)) - 1.0
-        if g > 0.0:
-            return g, model.n / (g * g)
-    return None, None
-
-
 def scaling_experiment(points, mode: str = "exact", trials: int | None = None, seed: int | None = None) -> ScalingResult:
     """Fit log per-epoch failure probability against code size.
 
@@ -395,15 +354,15 @@ def scaling_experiment(points, mode: str = "exact", trials: int | None = None, s
     with R^2 >= 0.9 is flagged ``exponential-lifetime-consistent``.
     """
     points = list(points)
-    sizes = {_model_size(model) for model, _ in points}
+    sizes = {_check_model(model).n for model, _ in points}
     if len(sizes) < 4:
         raise ValidationError("scaling_experiment requires at least 4 distinct sizes")
     if mode not in ("exact", "mc"):
         raise ValidationError(f"unknown mode {mode!r}")
     rows = []
     for idx, (model, code) in enumerate(points):
-        n = _model_size(model)
-        mixing_sum, rescaled = _mixing_diagnostics(model)
+        n, g = model.n, model.mixing_bound() - 1.0
+        mixing_sum, rescaled = (g, n / (g * g)) if g > 0.0 else (None, None)
         if mode == "exact":
             p = per_epoch_failure_prob(model, code, "exact")
             rows.append(

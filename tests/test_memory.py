@@ -13,15 +13,20 @@ from corrmem import (
     PerSiteChannel,
     ThresholdModelSpec,
     ValidationError,
+    count_exceedances,
+    empirical_tail,
     epoch_step,
+    exact_tail,
     geometric_ks_statistic,
     ks_critical_value,
     lifetime_lower_bound,
+    make_generator,
     per_epoch_failure_prob,
     retention_upper_bound,
     scaling_experiment,
     simulate_retention,
     trigger_probability,
+    verify_bound,
     weight_law,
 )
 
@@ -292,19 +297,41 @@ def test_scaling_mc_mode_matches_exact_roughly():
         assert pm.ci_lo - 1e-9 <= pe.p_fail <= pm.ci_hi + 1e-9
 
 
-# --- weight law dispatcher ---------------------------------------------------
+# --- one model interface ---------------------------------------------------
 
 
 def test_weight_law_agrees_between_model_families():
-    # a threshold spec and its hidden-model embedding share one weight law
+    # a threshold spec and its hidden-model embedding answer every exact
+    # interface method alike, with the trigger below 0, inside [0, n) and
+    # at or above n
     from corrmem import as_hidden_model
 
-    spec = ThresholdModelSpec.from_threshold(6, 0.3, 2.0)
-    direct = weight_law(spec)
-    embedded = weight_law(as_hidden_model(spec))
-    assert np.allclose(direct, embedded, atol=1e-12)
+    for threshold in (-0.5, 0.0, 2.0, 5.5, 6.0, 7.5):
+        spec = ThresholdModelSpec.from_threshold(6, 0.3, threshold)
+        embedded = as_hidden_model(spec)
+        for method in ("mean_rate", "lipschitz", "mixing_bound", "weight_law", "covariance"):
+            direct, hidden = getattr(spec, method)(), getattr(embedded, method)()
+            assert np.shape(direct) == np.shape(hidden)
+            assert np.allclose(direct, hidden, rtol=0.0, atol=1e-12), (threshold, method)
+        assert np.array_equal(weight_law(spec), spec.weight_law())
+        assert np.array_equal(weight_law(embedded), embedded.weight_law())
 
 
-def test_weight_law_rejects_unknown_model():
-    with pytest.raises(ValidationError):
-        weight_law("not a model")
+_CODE = CodeModel(n=4, k=1, d=3)
+
+ENTRY_POINTS = {
+    "weight_law": weight_law,
+    "exact_tail": lambda m: exact_tail(m, 1.0),
+    "empirical_tail": lambda m: empirical_tail(m, 1.0, trials=1000, seed=0),
+    "count_exceedances": lambda m: count_exceedances(m, make_generator(0), 1000, 1.0),
+    "per_epoch_failure_prob": lambda m: per_epoch_failure_prob(m, _CODE),
+    "simulate_retention": lambda m: simulate_retention(m, _CODE, max_epochs=10, trials=10, seed=0),
+    "verify_bound": lambda m: verify_bound(m, 0.1, method="exact"),
+    "scaling_experiment": lambda m: scaling_experiment([(m, _CODE)] * 4),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_model_entry_points_reject_non_models(entry):
+    with pytest.raises(ValidationError, match="unsupported model type"):
+        ENTRY_POINTS[entry]("not a model")

@@ -1,9 +1,10 @@
 """The Monte Carlo hot path against the per-trial sampler it replaced.
 
-The chain walk gathers one CDF column per symbol, and retention stacks the
-64-epoch blocks of many trials, each drawn from its own stream.  Both must
-reproduce the straightforward implementations below draw for draw; the
-references are kept here for that purpose only.
+The chain walk gathers one CDF column per symbol, retention stacks the
+64-epoch blocks of many trials, each drawn from its own stream, and every
+sampler reads out its rows in slices.  All must reproduce the
+straightforward implementations below draw for draw; the references are
+kept here for that purpose only.
 """
 
 import importlib.util
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corrmem.channel as channel
 import corrmem.memory as memory
 from corrmem import (
     CodeModel,
@@ -28,6 +30,7 @@ from corrmem import (
     make_generator,
     parse_config,
     run,
+    sample_errors_batch,
     simulate_retention,
 )
 from corrmem.channel import _site_probabilities
@@ -179,7 +182,7 @@ def test_stacked_retention_matches_per_trial_loop(name, monkeypatch):
     model, code = RETENTION_CASES[name]
     # 100-row stacks: one trial per stack for 64-epoch blocks, four for the
     # last 22 epochs of 150
-    monkeypatch.setattr(memory, "_STACK_ROWS", 100)
+    monkeypatch.setattr(channel, "_STACK_ROWS", 100)
     est = simulate_retention(model, code, max_epochs=150, trials=40, seed=11)
     expected = reference_retention(model, code, 150, 40, 11)
     assert np.array_equal(est.failure_epochs, expected)
@@ -199,10 +202,21 @@ def test_count_exceedances_matches_block_loop(name, monkeypatch):
     model, _ = RETENTION_CASES[name]
     # 1000-epoch blocks read out 300 rows at a time
     monkeypatch.setattr(memory, "_MC_BLOCK", 1000)
-    monkeypatch.setattr(memory, "_STACK_ROWS", 300)
+    monkeypatch.setattr(channel, "_STACK_ROWS", 300)
     gen = make_generator(7)
     expected = sum(int((reference_weights(model, gen, block) > 3.5).sum()) for block in (1000, 1000, 500))
     assert count_exceedances(model, make_generator(7), 2500, 3.5) == expected
+
+
+def test_sample_errors_batch_slices_match_whole_block(monkeypatch):
+    model, _ = RETENTION_CASES["window"]
+    u = make_generator(3).random((250, 2, N))
+    expected = (u[:, 1] < _site_probabilities(model, reference_walk(model.field, u[:, 0]))).astype(np.uint8)
+    # 250 rows read out 64 at a time: three full slices and a partial one
+    monkeypatch.setattr(channel, "_STACK_ROWS", 64)
+    got = sample_errors_batch(model, 3, 250)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, expected)
 
 
 def load_benchmark_workloads():
@@ -212,8 +226,10 @@ def load_benchmark_workloads():
     return module
 
 
-def test_benchmark_retention_csv_is_unchanged(tmp_path):
-    cfg = dict(load_benchmark_workloads().retention_config(0), out=str(tmp_path))
-    result = run(parse_config(cfg))
-    expected = (ROOT / "perfbench" / "expected" / "retention" / "0-retention.csv").read_bytes()
+@pytest.mark.parametrize("part", ["mc-tails", "retention"])
+def test_benchmark_sampled_csv_is_unchanged(part, tmp_path):
+    (cfg,) = load_benchmark_workloads().PARTS[part][1](0)
+    result = run(parse_config(dict(cfg, out=str(tmp_path))))
+    name = f"0-{Path(result.csv_path).name}"
+    expected = (ROOT / "perfbench" / "expected" / part / name).read_bytes()
     assert Path(result.csv_path).read_bytes() == expected
