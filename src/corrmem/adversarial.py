@@ -367,6 +367,16 @@ def threshold_lipschitz(spec: ThresholdModelSpec) -> float:
     return float(spec.n - math.floor(b))
 
 
+def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line through ``(xs, ys)``: slope, intercept and R^2."""
+    slope, intercept = np.polyfit(xs, ys, 1)
+    resid = ys - (slope * xs + intercept)
+    centered = ys - ys.mean()
+    ss_tot = float(centered @ centered)
+    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - float(resid @ resid) / ss_tot
+    return float(slope), float(intercept), r_squared
+
+
 def tail_scaling_fit(specs) -> TailScalingFit:
     """Fit ``log P(trigger)`` against squared margin over a family of specs.
 
@@ -388,11 +398,7 @@ def tail_scaling_fit(specs) -> TailScalingFit:
     ys = np.log(probs)
     if np.ptp(xs) <= 0.0:
         raise ValidationError("margins are constant across the grid; slope undefined")
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    total = ys - ys.mean()
-    ss_tot = float(total @ total)
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - float(resid @ resid) / ss_tot
+    slope, intercept, r_squared = _line_fit(xs, ys)
     exponent = None
     rates = {s.margin_rate for s in specs}
     sizes = {s.n for s in specs}
@@ -400,9 +406,9 @@ def tail_scaling_fit(specs) -> TailScalingFit:
         log_n = np.log([s.n for s in specs])
         exponent = float(np.polyfit(log_n, -ys, 1)[0])
     return TailScalingFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=float(r_squared),
+        slope=slope,
+        intercept=intercept,
+        r_squared=r_squared,
         retention_exponent=exponent,
     )
 

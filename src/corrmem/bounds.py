@@ -16,16 +16,23 @@ Splitting a deviation ``delta`` evenly across the two mechanisms bounds the
 tail beyond ``n (eps + delta)`` whenever the mean per-site error rate is at
 most ``eps`` (:func:`combined_tail_bound`).  :func:`verify_bound` confronts
 such a ceiling with an exact or sampled tail and issues a verdict.
+
+The law of the total error weight lives here too, for either model family:
+:func:`weight_law` gives it exactly, :func:`exact_tail` and
+:func:`empirical_tail` give the probability that the weight exceeds a
+threshold.  The per-epoch failure probability of a memory is that tail at the
+code's correction threshold.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import stats
 
-from .channel import _require_mc
+from .adversarial import ThresholdModelSpec
+from .channel import HiddenErrorModel, _require_mc
 from .errors import ValidationError
-from .memory import _check_model, count_exceedances, weight_law
 from .rng import make_generator
 
 __all__ = [
@@ -35,11 +42,15 @@ __all__ = [
     "chain_tail_bound",
     "clopper_pearson",
     "combined_tail_bound",
+    "count_exceedances",
     "empirical_tail",
     "exact_tail",
     "hoeffding_conditional_bound",
     "verify_bound",
+    "weight_law",
 ]
+
+_MC_BLOCK = 100_000
 
 
 def hoeffding_conditional_bound(beta: float, n: int) -> float:
@@ -156,15 +167,40 @@ class TailReport:
     method: str
 
 
+def _check_model(model):
+    """``model`` itself if it is a model of either family; else ValidationError."""
+    if not isinstance(model, (HiddenErrorModel, ThresholdModelSpec)):
+        raise ValidationError(f"unsupported model type {type(model).__name__}")
+    return model
+
+
+def weight_law(model) -> np.ndarray:
+    """Exact epoch weight law for either model family; shape (n + 1,)."""
+    return _check_model(model).weight_law()
+
+
+def count_exceedances(model, gen: np.random.Generator, trials: int, threshold: float) -> int:
+    """How many of ``trials`` epochs drawn from ``gen`` weigh more than ``threshold``."""
+    _check_model(model)
+    count = 0
+    for done in range(0, trials, _MC_BLOCK):
+        weights = model.weights(model.draw(gen, min(_MC_BLOCK, trials - done)))
+        count += int(np.count_nonzero(weights > threshold))
+    return count
+
+
 def exact_tail(model, threshold: float) -> float:
-    """Exact ``P(sum Y > threshold)`` through the weight law."""
-    law = weight_law(model)
+    """Exact ``P(sum Y > threshold)`` through the weight law.
+
+    Thresholds below 0 and at or above ``n`` are answered without it.
+    """
+    n = _check_model(model).n
     k = math.floor(threshold)
     if k < 0:
         return 1.0
-    if k >= law.size - 1:
+    if k >= n:
         return 0.0
-    return min(1.0, math.fsum(law[k + 1 :].tolist()))
+    return min(1.0, math.fsum(weight_law(model)[k + 1 :].tolist()))
 
 
 def empirical_tail(model, threshold: float, trials: int, seed: int) -> TailEstimate:

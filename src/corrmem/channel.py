@@ -34,11 +34,11 @@ from .field import (
     ENUM_LIMIT,
     MarkovFieldSpec,
     _inverse_cdf_walk,
+    _require_enumerable,
     all_sequences,
     exact_field_distribution,
     mixing_bound,
     mixing_coefficients,
-    site_marginals,
 )
 from .rng import make_generator
 
@@ -296,23 +296,12 @@ def sample_errors(model: HiddenErrorModel, seed: int) -> np.ndarray:
     return sample_errors_batch(model, seed, 1)[0]
 
 
-def _require_enumerable_states(model: HiddenErrorModel) -> int:
-    count = model.field.state_count
-    if count > ENUM_LIMIT:
-        raise EnumerationLimitError(
-            f"{model.field.alphabet_size}**{model.n} latent configurations "
-            f"exceed the enumeration limit {ENUM_LIMIT}"
-        )
-    return count
-
-
 def _enumerate_chunks(model: HiddenErrorModel):
     """Yield (field probabilities, conditional error probabilities) chunks."""
-    count = _require_enumerable_states(model)
     law = exact_field_distribution(model.field)
     s, n = model.field.alphabet_size, model.n
-    for start in range(0, count, _CHUNK):
-        stop = min(start + _CHUNK, count)
+    for start in range(0, law.size, _CHUNK):
+        stop = min(start + _CHUNK, law.size)
         x = all_sequences(s, n, start, stop)
         yield law[start:stop], _site_probabilities(model, x)
 
@@ -462,19 +451,15 @@ def _threshold_site_rates(model: HiddenErrorModel) -> np.ndarray:
 def site_error_rates(model: HiddenErrorModel) -> np.ndarray:
     """Exact per-site error probabilities ``E[Y_i]``, shape (n,).
 
-    Per-site channels read the site marginals of the chain, window channels
-    the window marginals of the lifted chain, both in O(n * S**(2r+2)).
+    Per-site and window channels read the window marginals of the lifted
+    chain (per-site channels are the ``r = 0`` case) in O(n * S**(2r+2)).
     Threshold channels combine a forward and a backward pass over
     (symbol, partial weight) in O(n**2).
     """
-    c = model.channel
-    if isinstance(c, PerSiteChannel):
-        marginals = site_marginals(model.field)
-        return (marginals * c.table).sum(axis=1)
-    if isinstance(c, WindowChannel):
-        start, steps, table = _lift(model)
-        return (_window_marginals(start, steps) * table).sum(axis=1)
-    return _threshold_site_rates(model)
+    if isinstance(model.channel, GlobalThresholdChannel):
+        return _threshold_site_rates(model)
+    start, steps, table = _lift(model)
+    return (_window_marginals(start, steps) * table).sum(axis=1)
 
 
 def error_rate(model: HiddenErrorModel, mode: str = "exact", trials: int | None = None, seed: int | None = None):
@@ -658,7 +643,7 @@ def conditional_weight_table(model: HiddenErrorModel) -> np.ndarray:
     Returns an array of shape (S**n, n + 1); row ``j`` is the distribution
     of ``sum_i Y_i`` given the configuration with index ``j``.
     """
-    count = _require_enumerable_states(model)
+    count = _require_enumerable(model.field)
     out = np.empty((count, model.n + 1))
     row = 0
     for _, q_chunk in _enumerate_chunks(model):

@@ -27,8 +27,8 @@ import numpy as np
 from scipy import special
 
 from . import channel as _channel
-from .adversarial import ThresholdModelSpec
-from .channel import HiddenErrorModel, _require_mc
+from .adversarial import _line_fit
+from .bounds import _check_model, empirical_tail, exact_tail
 # Unused here, but kept bound: the benchmark's tracer tests read this name.
 from .channel import weight_distribution as _hidden_weight_distribution
 from .errors import ValidationError
@@ -36,12 +36,10 @@ from .rng import derive_seed, make_generator
 
 __all__ = [
     "CodeModel",
-    "FailureEstimate",
     "LifetimeBound",
     "RetentionEstimate",
     "ScalingPoint",
     "ScalingResult",
-    "count_exceedances",
     "epoch_step",
     "geometric_ks_statistic",
     "ks_critical_value",
@@ -49,10 +47,8 @@ __all__ = [
     "per_epoch_failure_prob",
     "scaling_experiment",
     "simulate_retention",
-    "weight_law",
 ]
 
-_MC_BLOCK = 100_000
 _EPOCH_BLOCK = 64
 
 
@@ -95,17 +91,6 @@ def epoch_step(weight: int, code: CodeModel) -> bool:
     if not 0 <= weight <= code.n:
         raise ValidationError(f"weight {weight} out of range for n={code.n}")
     return weight <= code.correction_threshold
-
-
-@dataclass(frozen=True)
-class FailureEstimate:
-    """Monte Carlo per-epoch failure probability with a 95% interval."""
-
-    value: float
-    ci_lo: float
-    ci_hi: float
-    trials: int
-    failures: int
 
 
 @dataclass(frozen=True)
@@ -176,54 +161,22 @@ class ScalingResult:
     status: str
 
 
-def _check_model(model):
-    """``model`` itself if it is a model of either family; else ValidationError."""
-    if not isinstance(model, (HiddenErrorModel, ThresholdModelSpec)):
-        raise ValidationError(f"unsupported model type {type(model).__name__}")
-    return model
-
-
-def weight_law(model) -> np.ndarray:
-    """Exact epoch weight law for either model family; shape (n + 1,)."""
-    return _check_model(model).weight_law()
-
-
-def count_exceedances(model, gen: np.random.Generator, trials: int, threshold: float) -> int:
-    """How many of ``trials`` epochs drawn from ``gen`` weigh more than ``threshold``."""
-    _check_model(model)
-    count = 0
-    for done in range(0, trials, _MC_BLOCK):
-        weights = model.weights(model.draw(gen, min(_MC_BLOCK, trials - done)))
-        count += int(np.count_nonzero(weights > threshold))
-    return count
-
-
 def per_epoch_failure_prob(model, code: CodeModel, mode: str = "exact", trials: int | None = None, seed: int | None = None):
     """Probability that one epoch's error weight exceeds the threshold.
 
-    ``mode="exact"`` resolves the weight law exactly (closed binomial form
-    for threshold models, a forward pass over the latent chain for hidden
-    models) and returns a float.  ``mode="mc"`` samples epochs and
-    returns a :class:`FailureEstimate` with a Clopper-Pearson interval.
+    This is the tail of the weight law at the code's correction threshold.
+    ``mode="exact"`` returns :func:`~corrmem.bounds.exact_tail` there, a
+    float; ``mode="mc"`` returns :func:`~corrmem.bounds.empirical_tail`
+    there, a :class:`~corrmem.bounds.TailEstimate` with a Clopper-Pearson
+    interval.
     """
     if _check_model(model).n != code.n:
         raise ValidationError("model and code sizes differ")
-    tau = code.correction_threshold
     if mode == "exact":
-        if tau >= code.n:
-            return 0.0
-        law = weight_law(model)
-        return min(1.0, math.fsum(law[tau + 1 :].tolist()))
-    if mode != "mc":
-        raise ValidationError(f"unknown mode {mode!r}")
-    _require_mc(trials, seed)
-    from .bounds import clopper_pearson
-
-    failures = count_exceedances(model, make_generator(seed), trials, tau)
-    lo, hi = clopper_pearson(failures, trials)
-    return FailureEstimate(
-        value=failures / trials, ci_lo=lo, ci_hi=hi, trials=trials, failures=failures
-    )
+        return exact_tail(model, code.correction_threshold)
+    if mode == "mc":
+        return empirical_tail(model, code.correction_threshold, trials, seed)
+    raise ValidationError(f"unknown mode {mode!r}")
 
 
 def simulate_retention(model, code: CodeModel, max_epochs: int, trials: int, seed: int) -> RetentionEstimate:
@@ -359,65 +312,44 @@ def scaling_experiment(points, mode: str = "exact", trials: int | None = None, s
         raise ValidationError("scaling_experiment requires at least 4 distinct sizes")
     if mode not in ("exact", "mc"):
         raise ValidationError(f"unknown mode {mode!r}")
+    if mode == "mc" and seed is None:
+        raise ValidationError("Monte Carlo mode requires a seed")
     rows = []
     for idx, (model, code) in enumerate(points):
         n, g = model.n, model.mixing_bound() - 1.0
         mixing_sum, rescaled = (g, n / (g * g)) if g > 0.0 else (None, None)
         if mode == "exact":
-            p = per_epoch_failure_prob(model, code, "exact")
-            rows.append(
-                ScalingPoint(
-                    n=n,
-                    p_fail=p,
-                    ln_p_fail=math.log(p) if p > 0.0 else None,
-                    resolved=p > 0.0,
-                    trials=None,
-                    failures=None,
-                    ci_lo=None,
-                    ci_hi=None,
-                    mixing_sum=mixing_sum,
-                    rescaled_size=rescaled,
-                )
-            )
+            p = per_epoch_failure_prob(model, code)
+            sampled = dict(resolved=p > 0.0, trials=None, failures=None, ci_lo=None, ci_hi=None)
         else:
-            if seed is None:
-                raise ValidationError("Monte Carlo mode requires a seed")
-            est = per_epoch_failure_prob(
-                model, code, "mc", trials, derive_seed(seed, "scaling-point", idx)
+            est = per_epoch_failure_prob(model, code, "mc", trials, derive_seed(seed, "scaling-point", idx))
+            p = est.value
+            sampled = dict(
+                resolved=est.exceedances >= 10,
+                trials=est.trials,
+                failures=est.exceedances,
+                ci_lo=est.ci_lo,
+                ci_hi=est.ci_hi,
             )
-            rows.append(
-                ScalingPoint(
-                    n=n,
-                    p_fail=est.value,
-                    ln_p_fail=math.log(est.value) if est.value > 0.0 else None,
-                    resolved=est.failures >= 10,
-                    trials=est.trials,
-                    failures=est.failures,
-                    ci_lo=est.ci_lo,
-                    ci_hi=est.ci_hi,
-                    mixing_sum=mixing_sum,
-                    rescaled_size=rescaled,
-                )
+        rows.append(
+            ScalingPoint(
+                n=n,
+                p_fail=p,
+                ln_p_fail=math.log(p) if p > 0.0 else None,
+                mixing_sum=mixing_sum,
+                rescaled_size=rescaled,
+                **sampled,
             )
+        )
     fit_rows = [r for r in rows if r.resolved and r.ln_p_fail is not None]
     if len(fit_rows) < 2:
         return ScalingResult(points=rows, slope=None, intercept=None, r_squared=None, status="inconclusive")
-    xs = np.array([r.n for r in fit_rows], dtype=float)
-    ys = np.array([r.ln_p_fail for r in fit_rows])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    centered = ys - ys.mean()
-    ss_tot = float(centered @ centered)
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - float(resid @ resid) / ss_tot
+    slope, intercept, r_squared = _line_fit(
+        np.array([r.n for r in fit_rows], dtype=float), np.array([r.ln_p_fail for r in fit_rows])
+    )
     status = (
         "exponential-lifetime-consistent"
         if slope < 0.0 and r_squared >= 0.9
         else "not-flagged"
     )
-    return ScalingResult(
-        points=rows,
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=float(r_squared),
-        status=status,
-    )
+    return ScalingResult(points=rows, slope=slope, intercept=intercept, r_squared=r_squared, status=status)

@@ -142,6 +142,33 @@ def test_failure_prob_mc_agrees_with_exact():
         assert abs(est.value - exact) < 4 * sigma + 1e-9
 
 
+def test_failure_prob_is_the_tail_at_the_correction_threshold():
+    rng = np.random.default_rng(17)
+    for model in (random_per_site_model(rng, 8), ThresholdModelSpec.from_threshold(8, 0.3, 4.5)):
+        for d in (1, 4, 8):
+            code = CodeModel(n=8, k=1, d=d, mode="full_distance")
+            tau = code.correction_threshold
+            assert per_epoch_failure_prob(model, code) == exact_tail(model, tau)
+            sampled = per_epoch_failure_prob(model, code, mode="mc", trials=2000, seed=d)
+            assert sampled == empirical_tail(model, tau, trials=2000, seed=d)
+
+
+@pytest.mark.parametrize("family", ["hidden", "threshold"])
+def test_exact_tail_outside_the_weight_range_skips_the_weight_law(family, monkeypatch):
+    if family == "hidden":
+        model = iid_per_site_model(6, 0.5, 0.1)
+    else:
+        model = ThresholdModelSpec.from_threshold(6, 0.3, 2.0)
+
+    def refuse(self):
+        raise AssertionError("weight law computed")
+
+    monkeypatch.setattr(type(model), "weight_law", refuse)
+    for threshold in (6, 6.5, 1e9):
+        assert exact_tail(model, threshold) == 0.0
+    assert exact_tail(model, -0.5) == 1.0
+
+
 def test_failure_prob_mc_requires_seed_and_trials():
     model = iid_per_site_model(4, 0.5, 0.1)
     code = CodeModel(n=4, k=1, d=3)

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corrmem.bounds as bounds
 import corrmem.channel as channel
-import corrmem.memory as memory
 from corrmem import (
     CodeModel,
     GlobalThresholdChannel,
@@ -201,7 +201,7 @@ def test_hidden_retention_short_run_is_prefix_of_long_run():
 def test_count_exceedances_matches_block_loop(name, monkeypatch):
     model, _ = RETENTION_CASES[name]
     # 1000-epoch blocks read out 300 rows at a time
-    monkeypatch.setattr(memory, "_MC_BLOCK", 1000)
+    monkeypatch.setattr(bounds, "_MC_BLOCK", 1000)
     monkeypatch.setattr(channel, "_STACK_ROWS", 300)
     gen = make_generator(7)
     expected = sum(int((reference_weights(model, gen, block) > 3.5).sum()) for block in (1000, 1000, 500))

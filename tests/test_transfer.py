@@ -26,6 +26,7 @@ from corrmem import (
     exact_field_distribution,
     lipschitz_constant,
     site_error_rates,
+    site_marginals,
     symmetric_binary_field,
     weight_law,
 )
@@ -111,6 +112,20 @@ def test_weight_law_rates_and_covariance_match_error_vector_law(params):
     np.testing.assert_allclose(site_error_rates(model), rates, rtol=0, atol=TOL)
     assert error_rate(model) == pytest.approx(rates.mean(), rel=0, abs=TOL)
     np.testing.assert_allclose(covariance_matrix(model), cov, rtol=0, atol=TOL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 69), st.integers(2, 4))
+def test_per_site_rates_equal_site_marginal_read_out(seed, n, alphabet_size):
+    # per-site rates run through the r = 0 window pass; they must equal the
+    # site-marginal read-out bit for bit, as the mc-tails CSV prints them
+    rng = np.random.default_rng(seed)
+    table = rng.random((n, alphabet_size))
+    model = HiddenErrorModel(
+        field=sparse_field(rng, n, alphabet_size), channel=PerSiteChannel(table=table)
+    )
+    expected = (site_marginals(model.field) * table).sum(axis=1)
+    assert np.array_equal(site_error_rates(model), expected)
 
 
 @settings(max_examples=150, deadline=None)
