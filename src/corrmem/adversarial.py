@@ -9,10 +9,16 @@ test: every pair covariance is positive yet decays with the trigger
 probability, and the first epoch whose weight trips the trigger is a
 geometric time whose mean is exactly one over the trigger probability.
 
-All tail quantities here are exact finite binomial sums accumulated with
-compensated summation on the light tail, so they remain accurate at the
-extreme scales (far below 1e-16) that the scan experiments probe.  In
-particular the pair covariance is evaluated as a single light-tail sum
+Every exact quantity here is a binomial sum evaluated by one kernel.  It
+anchors the log pmf with Loader's saddle-point form (C. Loader, "Fast and
+Accurate Computation of Binomial Probabilities", 2000) every 64 terms, fills
+the terms between anchors with the pmf ratio recurrence, and walks outward
+from the threshold, where the terms only shrink, until they fall below
+2^-60 of the running sum.  Tails are carried as a log scale times a sum, so
+they stay accurate far below 1e-16 and resolve in
+:func:`log_trigger_probability` even below 1e-308.  The pair covariance is
+summed on the same side of the threshold; with the threshold above the mean
+that is the trigger side, where it reads
 
     cov = sum_{m > floor(B)} w_m * g(m) - (sum_{m > floor(B)} w_m * (1 - m/n))^2
 
@@ -26,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .channel import GlobalThresholdChannel, HiddenErrorModel
 from .errors import ValidationError
@@ -42,6 +47,7 @@ __all__ = [
     "as_hidden_model",
     "covariance_decomposition",
     "exact_covariance",
+    "log_trigger_probability",
     "marginal_error_rate",
     "reduced_sum_tails",
     "retention_upper_bound",
@@ -196,18 +202,178 @@ class TailScalingFit:
     retention_exponent: float | None
 
 
-def _binom_tail_gt(m: int, eps: float, t: float) -> float:
-    """Exact ``P(Bin(m, eps) > t)`` summed on the light tail with fsum."""
+# Stirling's error term ``log(k!) - log(sqrt(2 pi k) (k / e)^k)`` for k = 0..15.
+_STIRLERR = (
+    0.0,
+    0.08106146679532726,
+    0.0413406959554093,
+    0.02767792568499834,
+    0.020790672103765093,
+    0.016644691189821193,
+    0.013876128823070748,
+    0.01189670994589177,
+    0.010411265261972096,
+    0.009255462182712733,
+    0.00833056343336287,
+    0.007573675487951841,
+    0.00694284010720953,
+    0.006408994188004207,
+    0.0059513701127588475,
+    0.005554733551962801,
+)
+
+_LN_2PI = math.log(2.0 * math.pi)
+
+# Terms filled by the ratio recurrence between two Loader anchors.
+_BLOCK = 64
+
+# A walk stops at the first term at most this share of its running sum.
+_CUTOFF = 2.0**-60
+
+
+def _stirlerr(k: int) -> float:
+    """Stirling's error term: the table up to 15, its asymptotic series above."""
+    if k <= 15:
+        return _STIRLERR[k]
+    kk = float(k) * k
+    if k > 500:
+        return (1 / 12 - (1 / 360) / kk) / k
+    if k > 80:
+        return (1 / 12 - (1 / 360 - (1 / 1260) / kk) / kk) / k
+    if k > 35:
+        return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680) / kk) / kk) / kk) / k
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - (1 / 1188) / kk) / kk) / kk) / kk) / k
+
+
+def _bd0(x: float, mu: float, d: float) -> float:
+    """Deviance ``x log(x / mu) + mu - x``, given ``d = x - mu``.
+
+    Loader's series in ``v = d / (x + mu)`` serves while ``|v| < 1/2``
+    (Loader stops at 1/10), its small terms summed apart from the leading
+    ``d v``.  Beyond that the closed form loses at most a factor of about
+    2.5 to cancellation.
+    """
+    v = d / (x + mu)
+    if abs(v) >= 0.5:
+        return x * math.log(x / mu) - d
+    ej = 2.0 * x * v
+    rest = 0.0
+    j = 3
+    while True:
+        ej *= v * v
+        grown = rest + ej / j
+        if grown == rest:
+            return d * v + rest
+        rest = grown
+        j += 2
+
+
+def _log_pmf(k: int, m: int, p: float) -> float:
+    """``log P(Bin(m, p) = k)`` in Loader's saddle-point form.
+
+    ``p`` is split so that ``m`` times its high part is exact.  That gives
+    ``d = k - m p`` and ``m - m p`` to about one rounding each; both deviance
+    terms take the same ``d``, and ``m (1 - p)`` with a rounded ``1 - p`` is
+    never formed.
+    """
+    if k == 0:
+        return m * math.log1p(-p)
+    if k == m:
+        return m * math.log(p)
+    # Veltkamp split: hi keeps 26 significant bits, so m * hi is exact for m < 2^27
+    split = 134217729.0 * p
+    hi = split - (split - p)
+    lo = m * (p - hi)
+    d = (k - m * hi) - lo
+    return math.fsum(
+        (
+            _stirlerr(m),
+            -_stirlerr(k),
+            -_stirlerr(m - k),
+            -_bd0(k, m * p, d),
+            -_bd0(m - k, (m - m * hi) - lo, -d),
+            -0.5 * (_LN_2PI + math.log(k) + math.log1p(-k / m)),
+        )
+    )
+
+
+def _pmf_walk(m: int, p: float, start: int, step: int, cutoff: float = _CUTOFF):
+    """``P(Bin(m, p) = k)`` for ``k = start, start + step, ...``, scaled.
+
+    Returns ``(log_scale, terms)`` with ``terms[j] = P(start + j * step) /
+    exp(log_scale)``.  ``log_scale`` is the integer nearest ``log P(start)``,
+    so taking it off an anchor's log is exact and ``exp(log_scale)`` rounds
+    once.  ``start`` must lie at or past the mode in the direction ``step``
+    (+1 or -1), so the terms only shrink.  Every ``_BLOCK``-th term is a
+    fresh Loader anchor and the terms between anchors follow the ratio
+    ``P(k + 1) / P(k) = (m - k) / (k + 1) * p / (1 - p)``.  The walk ends at
+    the end of the range or before the first term at most ``cutoff`` times
+    the running sum; ``cutoff = 0`` keeps every term that does not
+    underflow.  Blocks are evaluated 16 at a time, doubling per round.
+    """
+    log_scale = float(round(_log_pmf(start, m, p)))
+    count = (m - start if step > 0 else start) + 1
+    odds = p / (1.0 - p)
+    parts = []
+    total = 0.0
+    done = 0
+    blocks = 16
+    while done < count:
+        size = min(count - done, blocks * _BLOCK)
+        rows = -(-size // _BLOCK)
+        ks = start + step * (done + np.arange(rows * _BLOCK).reshape(rows, _BLOCK))
+        steps = np.empty(ks.shape)
+        anchors = [_log_pmf(int(k), m, p) for k in ks[:, 0]]
+        steps[:, 0] = np.exp(np.array(anchors) - log_scale)
+        prev = ks[:, :-1]
+        if step > 0:
+            steps[:, 1:] = (m - prev) / (prev + 1) * odds
+        else:
+            steps[:, 1:] = prev / (m - prev + 1) / odds
+        terms = np.cumprod(steps, axis=1).ravel()[:size]
+        sums = total + np.cumsum(terms)
+        stop = np.flatnonzero(terms <= cutoff * sums)
+        if stop.size:
+            parts.append(terms[: stop[0]])
+            break
+        parts.append(terms)
+        total = sums[-1]
+        done += size
+        blocks *= 2
+    return log_scale, np.concatenate(parts)
+
+
+def _tail_gt(m: int, eps: float, t: float) -> tuple[float, float]:
+    """``P(Bin(m, eps) > t)`` as ``(log_scale, mass)``, worth ``exp(log_scale) * mass``.
+
+    Summed from the threshold away from the mean: over the tail itself when
+    the threshold lies above the mean, else over its complement.
+    """
     k = math.floor(t)
     if k >= m:
-        return 0.0
+        return 0.0, 0.0
     if k < 0:
-        return 1.0
+        return 0.0, 1.0
     if k + 1 > m * eps:
-        terms = stats.binom.pmf(np.arange(k + 1, m + 1), m, eps)
-        return min(1.0, math.fsum(terms.tolist()))
-    terms = stats.binom.pmf(np.arange(0, k + 1), m, eps)
-    return min(1.0, max(0.0, 1.0 - math.fsum(terms.tolist())))
+        log_scale, terms = _pmf_walk(m, eps, k + 1, 1)
+        return log_scale, float(terms.sum())
+    log_scale, terms = _pmf_walk(m, eps, k, -1)
+    return 0.0, max(0.0, 1.0 - math.exp(log_scale) * float(terms.sum()))
+
+
+def _binom_tail_gt(m: int, eps: float, t: float) -> float:
+    """``P(Bin(m, eps) > t)``."""
+    log_scale, mass = _tail_gt(m, eps, t)
+    return math.exp(log_scale) * mass
+
+
+def log_trigger_probability(spec: ThresholdModelSpec) -> float:
+    """Natural log of :func:`trigger_probability`; ``-inf`` when no weight triggers.
+
+    Resolves probabilities far below the smallest positive float.
+    """
+    log_scale, mass = _tail_gt(spec.n, spec.eps, spec.threshold)
+    return log_scale + math.log(mass) if mass > 0.0 else -math.inf
 
 
 def trigger_probability(spec: ThresholdModelSpec) -> float:
@@ -247,12 +413,16 @@ def marginal_error_rate(spec: ThresholdModelSpec, site: int = 0) -> MarginalErro
 
 
 def exact_covariance(spec: ThresholdModelSpec, i: int = 0, j: int = 1) -> float:
-    """Exact ``Cov(Y_i, Y_j)`` for distinct sites, via a single light tail.
+    """Exact ``Cov(Y_i, Y_j)`` for distinct sites, summed on one side of the threshold.
 
-    Runs in O(n).  The sites are exchangeable, so the value is the same for
-    every pair.  The light-tail form keeps full relative precision even when
-    the covariance is far below the 1e-16 resolution that the plain moment
-    difference would hit.
+    The sites are exchangeable, so the value is the same for every pair.
+    With the threshold above the mean the sum runs over triggering weights
+    (the light-tail form in the module docstring).  Otherwise it runs over
+    the calm weights ``m <= floor(B)``: with their mass ``s0`` and moments
+    ``s1 = sum w_m q_m`` and ``s2 = sum w_m q_m (m - 1) / (n - 1)``, ``q_m =
+    m / n``, the covariance is ``(1 - s0)(s0 - 2 s1) + s2 - s1^2``.  Either
+    way it keeps full relative precision when it is far below the 1e-16
+    resolution of the plain moment difference.
     """
     n = spec.n
     if n < 2:
@@ -263,13 +433,22 @@ def exact_covariance(spec: ThresholdModelSpec, i: int = 0, j: int = 1) -> float:
     if k >= n or k < 0:
         # Trigger impossible (errors i.i.d.) or certain (errors constant).
         return 0.0
-    m = np.arange(k + 1, n + 1)
-    w = stats.binom.pmf(m, n, spec.eps)
+    if k + 1 > n * spec.eps:
+        log_scale, terms = _pmf_walk(n, spec.eps, k + 1, 1)
+        w = math.exp(log_scale) * terms
+        m = np.arange(k + 1, k + 1 + terms.size)
+        q = m / n
+        g = 1.0 - 2.0 * spec.eps * (1.0 - q) - q * (m - 1) / (n - 1)
+        corr = float(w @ (1.0 - q))
+        return float(w @ g) - corr * corr
+    log_scale, terms = _pmf_walk(n, spec.eps, k, -1)
+    w = math.exp(log_scale) * terms
+    m = np.arange(k, k - terms.size, -1)
     q = m / n
-    g = 1.0 - 2.0 * spec.eps * (1.0 - q) - q * (m - 1) / (n - 1)
-    lead = math.fsum((w * g).tolist())
-    corr = math.fsum((w * (1.0 - q)).tolist())
-    return lead - corr * corr
+    s0 = float(w.sum())
+    s1 = float(w @ q)
+    s2 = float(w @ (q * (m - 1) / (n - 1)))
+    return (1.0 - s0) * (s0 - 2.0 * s1) + s2 - s1 * s1
 
 
 def covariance_decomposition(spec: ThresholdModelSpec, i: int = 0, j: int = 1) -> CovarianceDecomposition:
@@ -333,6 +512,18 @@ def retention_upper_bound(spec: ThresholdModelSpec) -> float:
     return 1.0 / p
 
 
+def _binom_pmf(m: int, p: float) -> np.ndarray:
+    """Every representable entry of the Bin(m, p) pmf, walked out from the mode."""
+    mode = min(m, math.floor((m + 1) * p))
+    out = np.zeros(m + 1)
+    log_scale, terms = _pmf_walk(m, p, mode, 1, cutoff=0.0)
+    out[mode : mode + terms.size] = math.exp(log_scale) * terms
+    if mode > 0:
+        log_scale, terms = _pmf_walk(m, p, mode - 1, -1, cutoff=0.0)
+        out[mode - terms.size : mode] = math.exp(log_scale) * terms[::-1]
+    return out
+
+
 def weight_distribution(spec: ThresholdModelSpec) -> np.ndarray:
     """Exact law of the observed error weight, shape (n + 1,).
 
@@ -341,10 +532,10 @@ def weight_distribution(spec: ThresholdModelSpec) -> np.ndarray:
     """
     n = spec.n
     k = math.floor(spec.threshold)
-    pmf = stats.binom.pmf(np.arange(n + 1), n, spec.eps)
-    out = np.zeros(n + 1)
+    pmf = _binom_pmf(n, spec.eps)
     if k >= n:
         return pmf
+    out = np.zeros(n + 1)
     if k >= 0:
         out[: k + 1] = pmf[: k + 1]
     out[n] += trigger_probability(spec)
@@ -380,22 +571,20 @@ def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
 def tail_scaling_fit(specs) -> TailScalingFit:
     """Fit ``log P(trigger)`` against squared margin over a family of specs.
 
-    Requires at least four specs with non-degenerate margins and nonzero
-    trigger probabilities.  With the square-root-log margin schedule the
-    retention ceiling grows polynomially in n; the fitted growth order is
-    reported when the whole family shares one schedule.
+    Requires at least four specs with non-degenerate margins, each of
+    which can trigger; the logs come from :func:`log_trigger_probability`,
+    so probabilities below the smallest positive float still fit.  With the
+    square-root-log margin schedule the retention ceiling grows
+    polynomially in n; the fitted growth order is reported when the whole
+    family shares one schedule.
     """
     specs = list(specs)
     if len(specs) < 4:
         raise ValidationError("tail_scaling_fit requires a grid of at least 4 specs")
-    probs = np.array([trigger_probability(s) for s in specs])
-    if np.any(probs <= 0.0):
-        raise ValidationError(
-            "trigger probability underflowed to zero on the grid; "
-            "reduce the margin schedule"
-        )
+    ys = np.array([log_trigger_probability(s) for s in specs])
+    if np.any(np.isneginf(ys)):
+        raise ValidationError("a spec on the grid can never trigger (threshold at or above n)")
     xs = np.array([s.resolved_margin**2 for s in specs])
-    ys = np.log(probs)
     if np.ptp(xs) <= 0.0:
         raise ValidationError("margins are constant across the grid; slope undefined")
     slope, intercept, r_squared = _line_fit(xs, ys)

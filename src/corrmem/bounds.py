@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .adversarial import ThresholdModelSpec
 from .channel import HiddenErrorModel, _require_mc
@@ -107,8 +107,8 @@ def combined_tail_bound(eps: float, delta: float, n: int, c: float, m: float) ->
     """
     if not 0.0 <= eps < 1.0:
         raise ValidationError("eps must lie in [0, 1)")
-    if delta <= 0.0:
-        raise ValidationError("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValidationError("delta must be positive and finite")
     return hoeffding_conditional_bound(delta / 2.0, n) + chain_tail_bound(
         delta / 2.0, n, c, m
     )
@@ -123,8 +123,8 @@ def clopper_pearson(count: int, trials: int, confidence: float = 0.95) -> tuple[
     if not 0.0 < confidence < 1.0:
         raise ValidationError("confidence must lie in (0, 1)")
     alpha = 1.0 - confidence
-    lo = 0.0 if count == 0 else float(stats.beta.ppf(alpha / 2.0, count, trials - count + 1))
-    hi = 1.0 if count == trials else float(stats.beta.ppf(1.0 - alpha / 2.0, count + 1, trials - count))
+    lo = 0.0 if count == 0 else float(special.betaincinv(count, trials - count + 1, alpha / 2.0))
+    hi = 1.0 if count == trials else float(special.betaincinv(count + 1, trials - count, 1.0 - alpha / 2.0))
     return lo, hi
 
 

@@ -29,6 +29,7 @@ from typing import Union
 
 import numpy as np
 
+from . import field as _field
 from .errors import EnumerationLimitError, ValidationError
 from .field import (
     ENUM_LIMIT,
@@ -70,10 +71,6 @@ MAX_WINDOW_RADIUS = 3
 _MIN_MC_TRIALS = 1000
 
 _CHUNK = 4096
-
-# Rows walked and read out together, few enough to stay in cache; retention
-# stacks trials' blocks up to this many.
-_STACK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -267,9 +264,9 @@ def expected_errors(model: HiddenErrorModel, x) -> float:
 
 
 def _error_slices(model: HiddenErrorModel, u: np.ndarray):
-    """``(first row, error bits)`` per ``_STACK_ROWS``-row slice of (rows, 2, n) uniforms."""
-    for lo in range(0, len(u), _STACK_ROWS):
-        rows = u[lo : lo + _STACK_ROWS]
+    """``(first row, error bits)`` per ``field._STACK_ROWS``-row slice of (rows, 2, n) uniforms."""
+    for lo in range(0, len(u), _field._STACK_ROWS):
+        rows = u[lo : lo + _field._STACK_ROWS]
         yield lo, rows[:, 1] < _site_probabilities(model, _inverse_cdf_walk(model.field, rows[:, 0]))
 
 

@@ -42,6 +42,10 @@ ENUM_LIMIT = 1 << 20
 # Absolute tolerance for "these numbers form a probability distribution".
 PROB_ATOL = 1e-12
 
+# Rows walked (and, in channel.py, read out) together, few enough to stay in
+# cache; retention stacks trials' blocks up to this many.
+_STACK_ROWS = 2048
+
 
 def _as_distribution(vec, name: str) -> np.ndarray:
     arr = np.asarray(vec, dtype=float)
@@ -255,13 +259,17 @@ def sample_field_batch(spec: MarkovFieldSpec, seed: int, trials: int) -> np.ndar
     Trial ``t`` consumes the ``t``-th row of a (trials, n) uniform block
     from the Philox stream keyed by ``seed``.  The stream is consumed in row
     order, so the first rows of a larger batch coincide with a smaller batch
-    drawn from the same seed, and ``sample_field`` equals row 0.
+    drawn from the same seed, and ``sample_field`` equals row 0.  The block
+    is drawn whole and walked ``_STACK_ROWS`` rows at a time.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     gen = make_generator(seed)
     u = gen.random((trials, spec.n))
-    return _inverse_cdf_walk(spec, u)
+    out = np.empty((trials, spec.n), dtype=np.uint8)
+    for lo in range(0, trials, _STACK_ROWS):
+        out[lo : lo + _STACK_ROWS] = _inverse_cdf_walk(spec, u[lo : lo + _STACK_ROWS])
+    return out
 
 
 def sample_field(spec: MarkovFieldSpec, seed: int) -> np.ndarray:

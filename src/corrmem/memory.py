@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from . import channel as _channel
+from . import field as _field
 from .adversarial import _line_fit
 from .bounds import _check_model, empirical_tail, exact_tail
 # Unused here, but kept bound: the benchmark's tracer tests read this name.
@@ -202,7 +202,7 @@ def simulate_retention(model, code: CodeModel, max_epochs: int, trials: int, see
     live = np.arange(trials)
     for done in range(0, max_epochs, _EPOCH_BLOCK):
         block = min(_EPOCH_BLOCK, max_epochs - done)
-        per_stack = max(1, _channel._STACK_ROWS // block)
+        per_stack = max(1, _field._STACK_ROWS // block)
         for lo in range(0, live.size, per_stack):
             group = live[lo : lo + per_stack]
             draws = np.concatenate([model.draw(gens[t], block) for t in group])

@@ -389,6 +389,24 @@ def test_cli_negative_seed_exit_2(tmp_path):
     assert main(["mixing", "--config", path, "--seed", "-5"]) == 2
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf])
+@pytest.mark.parametrize("method", ["exact", "mc"])
+def test_cli_non_finite_delta_exit_2(tmp_path, capsys, method, delta):
+    path = write_config(
+        tmp_path,
+        "tails.json",
+        {
+            "model": {"type": "threshold", "n": 12, "eps": 0.2, "margin": 1.0},
+            "params": {"method": method, "deltas": [0.2, delta]},
+            "budget": {"trials": 1000},
+        },
+    )
+    code = main(["tails", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "delta must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "tails.csv").exists()
+
+
 def test_cli_resource_limit_exit_3(tmp_path, capsys):
     path = write_config(
         tmp_path,

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corrmem.bounds as bounds
-import corrmem.channel as channel
+import corrmem.field as field
 from corrmem import (
     CodeModel,
     GlobalThresholdChannel,
@@ -31,6 +31,7 @@ from corrmem import (
     parse_config,
     run,
     sample_errors_batch,
+    sample_field_batch,
     simulate_retention,
 )
 from corrmem.channel import _site_probabilities
@@ -182,7 +183,7 @@ def test_stacked_retention_matches_per_trial_loop(name, monkeypatch):
     model, code = RETENTION_CASES[name]
     # 100-row stacks: one trial per stack for 64-epoch blocks, four for the
     # last 22 epochs of 150
-    monkeypatch.setattr(channel, "_STACK_ROWS", 100)
+    monkeypatch.setattr(field, "_STACK_ROWS", 100)
     est = simulate_retention(model, code, max_epochs=150, trials=40, seed=11)
     expected = reference_retention(model, code, 150, 40, 11)
     assert np.array_equal(est.failure_epochs, expected)
@@ -202,7 +203,7 @@ def test_count_exceedances_matches_block_loop(name, monkeypatch):
     model, _ = RETENTION_CASES[name]
     # 1000-epoch blocks read out 300 rows at a time
     monkeypatch.setattr(bounds, "_MC_BLOCK", 1000)
-    monkeypatch.setattr(channel, "_STACK_ROWS", 300)
+    monkeypatch.setattr(field, "_STACK_ROWS", 300)
     gen = make_generator(7)
     expected = sum(int((reference_weights(model, gen, block) > 3.5).sum()) for block in (1000, 1000, 500))
     assert count_exceedances(model, make_generator(7), 2500, 3.5) == expected
@@ -213,8 +214,18 @@ def test_sample_errors_batch_slices_match_whole_block(monkeypatch):
     u = make_generator(3).random((250, 2, N))
     expected = (u[:, 1] < _site_probabilities(model, reference_walk(model.field, u[:, 0]))).astype(np.uint8)
     # 250 rows read out 64 at a time: three full slices and a partial one
-    monkeypatch.setattr(channel, "_STACK_ROWS", 64)
+    monkeypatch.setattr(field, "_STACK_ROWS", 64)
     got = sample_errors_batch(model, 3, 250)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, expected)
+
+
+def test_sample_field_batch_slices_match_whole_block(monkeypatch):
+    spec = ternary_field(N)
+    expected = reference_walk(spec, make_generator(4).random((250, N)))
+    # 250 rows walked 64 at a time: three full slices and a partial one
+    monkeypatch.setattr(field, "_STACK_ROWS", 64)
+    got = sample_field_batch(spec, 4, 250)
     assert got.dtype == np.uint8
     assert np.array_equal(got, expected)
 
