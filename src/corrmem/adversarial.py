@@ -135,6 +135,14 @@ class ThresholdModelSpec:
         np.fill_diagonal(cov, rate * (1.0 - rate))
         return cov
 
+    def tail(self, k: int) -> float:
+        """``P(sum Y > k)`` for ``0 <= k < n``, with no weight law.
+
+        Weights strictly between ``floor(B)`` and ``n`` carry no mass, so
+        above ``floor(B)`` the tail is the trigger probability.
+        """
+        return _binom_tail_gt(self.n, self.eps, min(k, self.threshold))
+
     def draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
         """One binomial latent weight per epoch, shape (count,)."""
         return gen.binomial(self.n, self.eps, size=count)
@@ -606,7 +614,8 @@ def as_hidden_model(spec: ThresholdModelSpec) -> HiddenErrorModel:
     """The equivalent hidden-field model: i.i.d. bits, threshold channel.
 
     Useful for cross-checking every analytic formula in this module against
-    brute-force enumeration on small instances.
+    the hidden-model backend, and on small instances against the
+    enumeration oracle in :mod:`corrmem.oracle`.
     """
     initial = np.array([1.0 - spec.eps, spec.eps])
     kernels = np.tile(initial, (spec.n - 1, 2, 1))

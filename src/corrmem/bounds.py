@@ -190,7 +190,7 @@ def count_exceedances(model, gen: np.random.Generator, trials: int, threshold: f
 
 
 def exact_tail(model, threshold: float) -> float:
-    """Exact ``P(sum Y > threshold)`` through the weight law.
+    """Exact ``P(sum Y > threshold)`` from the model's ``tail(k)``.
 
     Thresholds below 0 and at or above ``n`` are answered without it.
     """
@@ -200,7 +200,7 @@ def exact_tail(model, threshold: float) -> float:
         return 1.0
     if k >= n:
         return 0.0
-    return min(1.0, math.fsum(weight_law(model)[k + 1 :].tolist()))
+    return min(1.0, model.tail(k))
 
 
 def empirical_tail(model, threshold: float, trials: int, seed: int) -> TailEstimate:
@@ -240,8 +240,8 @@ def verify_bound(
     Unsupplied ingredients are computed from the model: ``eps`` as the exact
     mean error rate, ``c`` as the Lipschitz constant of the conditional mean
     error count, ``m`` as the chain mixing bound.  ``method="exact"``
-    resolves the tail through the exact weight law (the interval collapses
-    to a point); ``method="mc"`` samples it.
+    resolves the tail through :func:`exact_tail` (the interval collapses to
+    a point); ``method="mc"`` samples it.
     """
     n = _check_model(model).n
     if eps is None:

@@ -35,9 +35,6 @@ from .field import (
     ENUM_LIMIT,
     MarkovFieldSpec,
     _inverse_cdf_walk,
-    _require_enumerable,
-    all_sequences,
-    exact_field_distribution,
     mixing_bound,
     mixing_coefficients,
 )
@@ -52,10 +49,8 @@ __all__ = [
     "MonteCarloScalar",
     "PerSiteChannel",
     "WindowChannel",
-    "conditional_weight_table",
     "covariance_matrix",
     "error_rate",
-    "exact_error_distribution",
     "expected_errors",
     "lipschitz_constant",
     "sample_errors",
@@ -69,8 +64,6 @@ __all__ = [
 MAX_WINDOW_RADIUS = 3
 
 _MIN_MC_TRIALS = 1000
-
-_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -194,6 +187,10 @@ class HiddenErrorModel:
     def covariance(self) -> np.ndarray:
         return covariance_matrix(self)
 
+    def tail(self, k: int) -> float:
+        """``P(sum Y > k)``, summed off the weight law."""
+        return math.fsum(self.weight_law()[k + 1 :].tolist())
+
     def draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
         """A walk block and then an error-bit block of uniforms, viewed as (count, 2, n)."""
         return gen.random((2, count, self.n)).transpose(1, 0, 2)
@@ -293,38 +290,6 @@ def sample_errors(model: HiddenErrorModel, seed: int) -> np.ndarray:
     return sample_errors_batch(model, seed, 1)[0]
 
 
-def _enumerate_chunks(model: HiddenErrorModel):
-    """Yield (field probabilities, conditional error probabilities) chunks."""
-    law = exact_field_distribution(model.field)
-    s, n = model.field.alphabet_size, model.n
-    for start in range(0, law.size, _CHUNK):
-        stop = min(start + _CHUNK, law.size)
-        x = all_sequences(s, n, start, stop)
-        yield law[start:stop], _site_probabilities(model, x)
-
-
-def exact_error_distribution(model: HiddenErrorModel) -> np.ndarray:
-    """Exact law of the error vector as a flat vector of length 2**n.
-
-    Error vectors are indexed big-endian (site 0 most significant), matching
-    the convention of :func:`corrmem.field.exact_field_distribution`.
-    """
-    n = model.n
-    if 2**n > ENUM_LIMIT:
-        raise EnumerationLimitError(
-            f"2**{n} error vectors exceed the enumeration limit {ENUM_LIMIT}"
-        )
-    out = np.zeros(2**n)
-    for p_chunk, q_chunk in _enumerate_chunks(model):
-        cond = np.ones((p_chunk.size, 1))
-        for i in range(n):
-            qi = q_chunk[:, i][:, None, None]
-            probs = np.concatenate([1.0 - qi, qi], axis=2)
-            cond = (cond[:, :, None] * probs).reshape(cond.shape[0], -1)
-        out += p_chunk @ cond
-    return out
-
-
 # ---------------------------------------------------------------------------
 # transfer-matrix backend: the forward algorithm over read-out windows
 
@@ -420,16 +385,23 @@ def _threshold_cut(model: HiddenErrorModel) -> int:
     return min(max(math.floor(model.channel.threshold), -1), model.n)
 
 
-def _threshold_site_rates(model: HiddenErrorModel) -> np.ndarray:
-    """``P(Y_i = 1) = P(sum X > B) + P(X_i = 1, sum X <= B)`` by forward-backward."""
+def _threshold_passes(model: HiddenErrorModel):
+    """The backward table, site rates and trigger tail of a threshold channel.
+
+    With ``W`` the latent weight and ``b = floor(B)``, a backward pass gives
+    ``right[i, m] = P(X_{i+1} + ... + X_{n-1} <= m | X_i = 1)`` for
+    ``m < b``, and a forward pass over (symbol, partial weight) gives
+    ``P(W > B)`` and the rates ``P(Y_i = 1) = P(W > B) + P(X_i = 1, W <= B)``.
+    Returns the lifted chain's ``start`` and ``steps``, ``right``, the rates
+    and ``P(W > B)``.
+    """
     start, steps, table = _lift(model)
     n, b = model.n, _threshold_cut(model)
-    # right[i, m] = P(X_{i+1} + ... + X_{n-1} <= m | X_i = 1)
-    right = np.empty((n, n + 1))
+    right = np.empty((n, max(b, 0)))
     beta = np.zeros((2, n + 1))
     beta[:, 0] = 1.0
     for i in range(n - 1, -1, -1):
-        right[i] = np.cumsum(beta[1])
+        right[i] = np.cumsum(beta[1])[: right.shape[1]]
         if i:
             _add_bit(beta, table[i])
             beta = _pull(beta, steps[i - 1])
@@ -438,11 +410,46 @@ def _threshold_site_rates(model: HiddenErrorModel) -> np.ndarray:
     alpha[:, 0] = start
     for i in range(n):
         if b >= 1:
-            rates[i] = alpha[1, :b] @ right[i, b - 1 :: -1]
+            rates[i] = alpha[1, :b] @ right[i, ::-1]
         _add_bit(alpha, table[i])
         if i + 1 < n:
             alpha = _advance(alpha, steps[i])
-    return rates + alpha.sum(axis=0)[b + 1 :].sum()
+    trigger = alpha.sum(axis=0)[b + 1 :].sum()
+    return start, steps, right, rates + trigger, trigger
+
+
+def _threshold_covariance(model: HiddenErrorModel) -> np.ndarray:
+    """Exact covariance of a threshold channel by one pair pass.
+
+    ``Cov(Y_i, Y_j) = P(W > B) + P(X_i = 1, X_j = 1, W <= B) - r_i r_j``.
+    The joint term comes from a forward pass over (start site ``i``, symbol,
+    partial weight below ``b = floor(B)``) that requires ``X_i = 1``,
+    vectorised over ``i`` and contracted with ``right`` at every later site
+    ``j``: O(n**2 * (b + 1)) time and O(n * (b + 1)) memory.  Unlike the
+    centred pass of the other channels this forms the difference
+    ``E[Y_i Y_j] - r_i r_j``, the same difference the enumeration oracle
+    forms, so its rounding sits at the scale of ``E[Y_i Y_j]``.
+    """
+    start, steps, right, rates, trigger = _threshold_passes(model)
+    n, b = model.n, right.shape[1]
+    joint = np.zeros((n, n))
+    if b >= 2:
+        # Row 0 holds P(X_j = s, X_0 + ... + X_{j-1} = w); row i + 1 the
+        # same with X_i = 1, for the starts i < j.
+        pair = np.zeros((n + 1, 2, b))
+        pair[0, :, 0] = start
+        for j in range(n):
+            joint[:j, j] = pair[1 : j + 1, 1] @ right[j, ::-1]
+            pair[j + 1, 1] = pair[0, 1]
+            live = pair[: j + 2]
+            # The read-out is q = x: a one at site j adds one to the weight.
+            live[:, 1, 1:] = live[:, 1, :-1]
+            live[:, 1, 0] = 0.0
+            if j + 1 < n:
+                live[:] = steps[j].T @ live
+    cov = trigger + joint + joint.T - np.outer(rates, rates)
+    np.fill_diagonal(cov, rates * (1.0 - rates))
+    return cov
 
 
 def site_error_rates(model: HiddenErrorModel) -> np.ndarray:
@@ -454,7 +461,7 @@ def site_error_rates(model: HiddenErrorModel) -> np.ndarray:
     (symbol, partial weight) in O(n**2).
     """
     if isinstance(model.channel, GlobalThresholdChannel):
-        return _threshold_site_rates(model)
+        return _threshold_passes(model)[3]
     start, steps, table = _lift(model)
     return (_window_marginals(start, steps) * table).sum(axis=1)
 
@@ -513,34 +520,18 @@ def _window_lipschitz(model: HiddenErrorModel) -> float:
     return best
 
 
-def lipschitz_constant(model: HiddenErrorModel, method: str = "auto") -> float:
+def lipschitz_constant(model: HiddenErrorModel) -> float:
     """Hamming-Lipschitz constant of the conditional mean error count.
 
-    ``method="closed_form"`` (per-site channels only) returns the largest
-    per-site oscillation of the error probability.  ``method="brute_force"``
-    enumerates all single-site flips of all ``S**n`` configurations.
-    ``method="auto"`` uses the closed form for per-site channels,
-    ``n - floor(threshold)`` for threshold channels (1 when the threshold is
-    at least ``n``, 0 when it is negative), and for window channels
-    enumerates only the ``S**min(n, 4r + 1)`` neighbourhood of each flip.
+    Per-site channels give the largest per-site oscillation of the error
+    probability; threshold channels ``n - floor(threshold)`` (1 when the
+    threshold is at least ``n``, 0 when it is negative); window channels
+    enumerate only the ``S**min(n, 4r + 1)`` neighbourhood of each flip.
     """
-    if method not in ("auto", "closed_form", "brute_force"):
-        raise ValidationError(f"unknown method {method!r}")
     c = model.channel
-    if method == "brute_force":
-        psi = np.concatenate([q_chunk.sum(axis=1) for _, q_chunk in _enumerate_chunks(model)])
-        s, n = model.field.alphabet_size, model.n
-        best = 0.0
-        for axis in range(n):
-            view = psi.reshape(s**axis, s, s ** (n - 1 - axis))
-            gap = (view.max(axis=1) - view.min(axis=1)).max(initial=0.0)
-            best = max(best, float(gap))
-        return best
     if isinstance(c, PerSiteChannel):
         table = c.table
         return float((table.max(axis=1) - table.min(axis=1)).max())
-    if method == "closed_form":
-        raise ValidationError("closed form is only available for per-site channels")
     if isinstance(c, WindowChannel):
         return _window_lipschitz(model)
     b = _threshold_cut(model)
@@ -584,23 +575,17 @@ def covariance_matrix(model: HiddenErrorModel, mode: str = "exact", trials: int 
     ``mode="exact"`` returns an (n, n) array whose diagonal holds
     ``Var(Y_i)``.  Per-site and window channels use products of centred
     window kernels in O(n**2 * S**(2r+2)), which never subtract
-    ``E[Y_i] E[Y_j]`` from ``E[Y_i Y_j]``; threshold channels enumerate
-    the latent space.  ``mode="mc"`` pools exact integer counts over
-    ``trials`` sampled vectors and returns a :class:`CovarianceEstimate`
-    whose ``stderr`` is the asymptotic standard error of each entry.
+    ``E[Y_i] E[Y_j]`` from ``E[Y_i Y_j]``; threshold channels use one pair
+    pass over (start site, symbol, partial weight) in
+    O(n**2 * (floor(threshold) + 1)).  Neither enumerates the latent space.
+    ``mode="mc"`` pools exact integer counts over ``trials`` sampled vectors
+    and returns a :class:`CovarianceEstimate` whose ``stderr`` is the
+    asymptotic standard error of each entry.
     """
-    n = model.n
     if mode == "exact":
-        if not isinstance(model.channel, GlobalThresholdChannel):
-            return _lifted_covariance(model)
-        mean = np.zeros(n)
-        second = np.zeros((n, n))
-        for p_chunk, q_chunk in _enumerate_chunks(model):
-            mean += p_chunk @ q_chunk
-            second += (q_chunk * p_chunk[:, None]).T @ q_chunk
-        cov = second - np.outer(mean, mean)
-        np.fill_diagonal(cov, mean * (1.0 - mean))
-        return cov
+        if isinstance(model.channel, GlobalThresholdChannel):
+            return _threshold_covariance(model)
+        return _lifted_covariance(model)
     if mode != "mc":
         raise ValidationError(f"unknown mode {mode!r}")
     _require_mc(trials, seed)
@@ -622,31 +607,6 @@ def covariance_matrix(model: HiddenErrorModel, mode: str = "exact", trials: int 
     )
     var = np.maximum(fourth - cov**2, 0.0) / trials
     return CovarianceEstimate(values=cov, stderr=np.sqrt(var), trials=trials)
-
-
-def _weight_dp(q_rows: np.ndarray) -> np.ndarray:
-    """Sum-of-independent-bits recursion: (B, n) rates -> (B, n + 1) laws."""
-    block, n = q_rows.shape
-    dp = np.zeros((block, n + 1))
-    dp[:, 0] = 1.0
-    for i in range(n):
-        _add_bit(dp, q_rows[:, i])
-    return dp
-
-
-def conditional_weight_table(model: HiddenErrorModel) -> np.ndarray:
-    """Conditional law of the error weight for every latent configuration.
-
-    Returns an array of shape (S**n, n + 1); row ``j`` is the distribution
-    of ``sum_i Y_i`` given the configuration with index ``j``.
-    """
-    count = _require_enumerable(model.field)
-    out = np.empty((count, model.n + 1))
-    row = 0
-    for _, q_chunk in _enumerate_chunks(model):
-        out[row : row + q_chunk.shape[0]] = _weight_dp(q_chunk)
-        row += q_chunk.shape[0]
-    return out
 
 
 def weight_distribution(model: HiddenErrorModel) -> np.ndarray:

@@ -6,18 +6,19 @@ inhomogeneous) Markov chain:
     P(x) = initial[x_0] * prod_i kernels[i][x_i, x_{i+1}]
 
 Each epoch of a memory experiment draws a fresh, independent copy of ``X``.
-This module provides exact enumeration of the chain law on small instances,
-reproducible sampling, and the mixing diagnostics that drive every
-concentration bound downstream: the per-bond mixing coefficient (half the
-largest L1 distance between two rows of a transition kernel) and the chain
-mixing bound ``1 + max_i sum_k prod_{j=i..k} theta_j``.
+This module provides site marginals, reproducible sampling, and the mixing
+diagnostics that drive every concentration bound downstream: the per-bond
+mixing coefficient (half the largest L1 distance between two rows of a
+transition kernel) and the chain mixing bound
+``1 + max_i sum_k prod_{j=i..k} theta_j``.  The enumeration of the whole
+chain law lives in :mod:`corrmem.oracle`, for the tests.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationLimitError, ValidationError
+from .errors import ValidationError
 from .rng import make_generator
 
 __all__ = [
@@ -25,9 +26,7 @@ __all__ = [
     "PROB_ATOL",
     "MarkovFieldSpec",
     "MixingProfile",
-    "all_sequences",
     "correlation_decay_profile",
-    "exact_field_distribution",
     "mixing_bound",
     "mixing_coefficients",
     "mixing_profile",
@@ -36,7 +35,8 @@ __all__ = [
     "site_marginals",
 ]
 
-# Exact enumeration is refused beyond this many latent configurations.
+# Enumeration is refused beyond this many configurations: a window channel's
+# flip neighbourhood (channel.py), or all latent states (the test oracles).
 ENUM_LIMIT = 1 << 20
 
 # Absolute tolerance for "these numbers form a probability distribution".
@@ -113,11 +113,6 @@ class MarkovFieldSpec:
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "kernels", checked)
 
-    @property
-    def state_count(self) -> int:
-        """Total number of latent configurations, alphabet_size ** n."""
-        return self.alphabet_size**self.n
-
 
 @dataclass(frozen=True)
 class MixingProfile:
@@ -180,47 +175,6 @@ def mixing_profile(spec: MarkovFieldSpec) -> MixingProfile:
     """Mixing coefficients of ``spec`` together with the chain bound."""
     theta = mixing_coefficients(spec)
     return MixingProfile(theta=theta, bound=mixing_bound(theta))
-
-
-def _require_enumerable(spec: MarkovFieldSpec) -> int:
-    count = spec.state_count
-    if count > ENUM_LIMIT:
-        raise EnumerationLimitError(
-            f"{spec.alphabet_size}**{spec.n} = {count} latent configurations "
-            f"exceed the enumeration limit {ENUM_LIMIT}"
-        )
-    return count
-
-
-def exact_field_distribution(spec: MarkovFieldSpec) -> np.ndarray:
-    """Exact joint law of the chain as a flat vector of length S**n.
-
-    Sequences are indexed big-endian: site 0 is the most significant digit,
-    so ``index = sum_i x_i * S**(n - 1 - i)``.  Use :func:`all_sequences`
-    to decode indices back to configurations.
-    """
-    _require_enumerable(spec)
-    s = spec.alphabet_size
-    table = spec.initial.copy()
-    for kernel in spec.kernels:
-        table = (table.reshape(-1, s)[:, :, None] * kernel[None, :, :]).ravel()
-    return table
-
-
-def all_sequences(alphabet_size: int, n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Configurations ``start..stop-1`` in index order, one row per sequence.
-
-    Row ``r`` decodes index ``start + r`` under the big-endian convention of
-    :func:`exact_field_distribution`.
-    """
-    total = alphabet_size**n
-    if stop is None:
-        stop = total
-    if not (0 <= start <= stop <= total):
-        raise ValidationError("invalid sequence index range")
-    idx = np.arange(start, stop, dtype=np.int64)
-    powers = alphabet_size ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return ((idx[:, None] // powers[None, :]) % alphabet_size).astype(np.uint8)
 
 
 def site_marginals(spec: MarkovFieldSpec) -> np.ndarray:

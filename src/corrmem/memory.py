@@ -16,8 +16,9 @@ fails with probability at most ``exp(-b n)``, then
 
 Every function here takes a model of either family and uses only the
 methods both answer: ``n``, ``mean_rate()``, ``lipschitz()``,
-``mixing_bound()``, ``weight_law()``, ``covariance()`` (exact, n x n),
-``draw(gen, count)`` and ``weights(draws)``.
+``mixing_bound()``, ``weight_law()``, ``tail(k)`` (exact ``P(sum Y > k)``
+for ``0 <= k < n``), ``covariance()`` (exact, n x n), ``draw(gen, count)``
+and ``weights(draws)``.
 """
 
 import math

@@ -17,15 +17,11 @@ from corrmem import (
     HiddenErrorModel,
     PerSiteChannel,
     ThresholdModelSpec,
-    all_sequences,
     chain_tail_bound,
     combined_tail_bound,
-    conditional_weight_table,
     covariance_decomposition,
     error_rate,
     exact_covariance,
-    exact_error_distribution,
-    exact_field_distribution,
     exact_tail,
     geometric_ks_statistic,
     hoeffding_conditional_bound,
@@ -40,6 +36,13 @@ from corrmem import (
     simulate_retention,
     symmetric_binary_field,
     trigger_probability,
+)
+from corrmem.oracle import (
+    all_sequences,
+    brute_force_lipschitz,
+    conditional_weight_table,
+    exact_error_distribution,
+    exact_field_distribution,
 )
 
 from conftest import random_per_site_model, tv_distance
@@ -222,13 +225,13 @@ def test_07_lipschitz_constant_separates_channel_families():
             model = HiddenErrorModel(
                 field=field, channel=GlobalThresholdChannel(threshold=float(cutoff))
             )
-            c = lipschitz_constant(model, method="brute_force")
+            c = brute_force_lipschitz(model)
             assert c == pytest.approx(n - cutoff, abs=1e-12)
     rng = np.random.default_rng(11)
     for _ in range(25):
         n = int(rng.integers(2, 7))
         model = random_per_site_model(rng, n)
-        assert lipschitz_constant(model, method="brute_force") <= 1.0 + 1e-12
+        assert brute_force_lipschitz(model) <= 1.0 + 1e-12
     assert time.monotonic() - started < 30.0
 
 

@@ -15,9 +15,7 @@ from corrmem import (
     chain_tail_bound,
     clopper_pearson,
     combined_tail_bound,
-    conditional_weight_table,
     empirical_tail,
-    exact_field_distribution,
     exact_tail,
     hoeffding_conditional_bound,
     lipschitz_constant,
@@ -26,6 +24,7 @@ from corrmem import (
     verify_bound,
     weight_law,
 )
+from corrmem.oracle import conditional_weight_table, exact_field_distribution
 
 from conftest import chain, random_per_site_model
 
@@ -165,6 +164,23 @@ def test_exact_tail_matches_law_sum():
     model = chain_model(8, 0.5, [0.05, 0.2])
     law = weight_law(model)
     assert exact_tail(model, 2.7) == pytest.approx(float(law[3:].sum()), abs=1e-14)
+
+
+def test_threshold_exact_tail_needs_no_weight_law(monkeypatch):
+    # below, at and above floor(B): the tail comes straight from the
+    # binomial kernel, and agrees with the sum over the whole weight law
+    spec = ThresholdModelSpec(n=4096, eps=0.1, margin=1.0)
+    b = math.floor(spec.threshold)
+    law = spec.weight_law()
+    ks = (0, 300, 409, 410, b - 1, b, b + 1, 4000, 4095)
+    expected = [math.fsum(law[k + 1 :].tolist()) for k in ks]
+
+    def refuse(self):
+        raise AssertionError("the tail must not build the weight law")
+
+    monkeypatch.setattr(ThresholdModelSpec, "weight_law", refuse)
+    for k, want in zip(ks, expected):
+        assert exact_tail(spec, k) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_empirical_tail_degenerate_channels():

@@ -11,10 +11,8 @@ from corrmem import (
     PerSiteChannel,
     ValidationError,
     WindowChannel,
-    conditional_weight_table,
     covariance_matrix,
     error_rate,
-    exact_error_distribution,
     expected_errors,
     lipschitz_constant,
     sample_errors,
@@ -22,6 +20,7 @@ from corrmem import (
     site_error_rates,
 )
 from corrmem.channel import weight_distribution
+from corrmem.oracle import brute_force_lipschitz, conditional_weight_table, exact_error_distribution
 
 from conftest import chain, random_per_site_model, tv_distance
 
@@ -239,13 +238,13 @@ def test_lipschitz_constant_channel_is_zero():
         field=chain(5, 0.5), channel=PerSiteChannel(table=np.full((5, 2), 0.37))
     )
     assert lipschitz_constant(model) == 0.0
-    assert lipschitz_constant(model, method="brute_force") == pytest.approx(0.0, abs=1e-12)
+    assert brute_force_lipschitz(model) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lipschitz_threshold_example():
     # flipping (0,1,0) -> (0,1,1) moves the conditional mean count 1 -> 3
     model = threshold_model(3, 0.5, 1.0)
-    assert lipschitz_constant(model, method="brute_force") == pytest.approx(2.0)
+    assert brute_force_lipschitz(model) == pytest.approx(2.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -253,8 +252,8 @@ def test_lipschitz_threshold_example():
 def test_lipschitz_per_site_closed_form_matches_brute_force(seed, n):
     rng = np.random.default_rng(seed)
     model = random_per_site_model(rng, n)
-    closed = lipschitz_constant(model, method="closed_form")
-    brute = lipschitz_constant(model, method="brute_force")
+    closed = lipschitz_constant(model)
+    brute = brute_force_lipschitz(model)
     assert closed == pytest.approx(brute, abs=1e-10)
 
 
@@ -263,7 +262,7 @@ def test_lipschitz_per_site_closed_form_matches_brute_force(seed, n):
 def test_lipschitz_global_threshold_closed_form(n, b):
     threshold = b % n
     model = threshold_model(n, 0.4, float(threshold))
-    assert lipschitz_constant(model, method="brute_force") == pytest.approx(
+    assert brute_force_lipschitz(model) == pytest.approx(
         float(n - threshold)
     )
 

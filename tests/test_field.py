@@ -10,7 +10,6 @@ from corrmem import (
     MarkovFieldSpec,
     ValidationError,
     correlation_decay_profile,
-    exact_field_distribution,
     mixing_bound,
     mixing_coefficients,
     mixing_profile,
@@ -18,6 +17,7 @@ from corrmem import (
     sample_field_batch,
     site_marginals,
 )
+from corrmem.oracle import exact_field_distribution
 
 from conftest import chain, random_field, tv_distance
 

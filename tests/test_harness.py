@@ -408,6 +408,35 @@ def test_cli_non_finite_delta_exit_2(tmp_path, capsys, method, delta):
 
 
 def test_cli_resource_limit_exit_3(tmp_path, capsys):
+    n, s, r = 13, 3, 3
+    path = write_config(
+        tmp_path,
+        "tails.json",
+        {
+            "kind": "tails",
+            "model": {
+                "type": "hidden",
+                "field": {
+                    "initial": [1.0 / s] * s,
+                    "kernels": np.full((n - 1, s, s), 1.0 / s).tolist(),
+                },
+                "channel": {
+                    "type": "window",
+                    "radius": r,
+                    "table": np.full((n, s ** (2 * r + 1)), 0.1).tolist(),
+                },
+            },
+            "params": {"method": "exact", "deltas": [0.2]},
+        },
+    )
+    # the Lipschitz constant of a window read-out enumerates each flip's
+    # neighbourhood: 3**13 configurations, past the limit
+    code = main(["tails", "--config", path, "--out", str(tmp_path)])
+    assert code == 3
+    assert "resource limit" in capsys.readouterr().err
+
+
+def test_cli_exact_threshold_covariance_past_the_enumeration_limit(tmp_path):
     path = write_config(
         tmp_path,
         "cov.json",
@@ -419,10 +448,10 @@ def test_cli_resource_limit_exit_3(tmp_path, capsys):
             }
         },
     )
-    # the exact covariance of a threshold read-out still enumerates 2**25 states
-    code = main(["covariance", "--config", path, "--out", str(tmp_path)])
-    assert code == 3
-    assert "resource limit" in capsys.readouterr().err
+    # 2**25 latent states, none of them enumerated
+    assert main(["covariance", "--config", path, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "covariance.csv").read_text().splitlines()
+    assert len(lines) == 1 + 325
 
 
 def test_cli_seed_override_matches_config_seed(tmp_path):

@@ -7,23 +7,29 @@ inhomogeneous models whose kernels may forbid some transitions.
 """
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corrmem
 from corrmem import (
     GlobalThresholdChannel,
     HiddenErrorModel,
     MarkovFieldSpec,
     PerSiteChannel,
+    ThresholdModelSpec,
     WindowChannel,
+    as_hidden_model,
     correlation_decay_profile,
     covariance_matrix,
     error_rate,
-    exact_error_distribution,
-    exact_field_distribution,
     lipschitz_constant,
     site_error_rates,
     site_marginals,
@@ -31,6 +37,7 @@ from corrmem import (
     weight_law,
 )
 from corrmem.channel import weight_distribution
+from corrmem.oracle import brute_force_lipschitz, exact_error_distribution, exact_field_distribution
 
 TOL = 1e-12
 
@@ -133,7 +140,7 @@ def test_per_site_rates_equal_site_marginal_read_out(seed, n, alphabet_size):
 def test_lipschitz_auto_matches_brute_force(params):
     model = random_model(*params)
     auto = lipschitz_constant(model)
-    assert auto == pytest.approx(lipschitz_constant(model, method="brute_force"), rel=0, abs=TOL)
+    assert auto == pytest.approx(brute_force_lipschitz(model), rel=0, abs=TOL)
 
 
 @settings(max_examples=100, deadline=None)
@@ -176,3 +183,36 @@ def test_covariance_has_no_cancellation_at_long_lags():
     cov = covariance_matrix(model)
     for k in range(1, n):
         assert cov[0, k] == pytest.approx(0.0025 * 0.1**k, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("threshold", [-3.0, 41.5, 300.5, 320.0])
+def test_threshold_channel_covariance_at_three_hundred_sites(threshold):
+    # below 0, inside [0, n), and at or above n: the pair pass against the
+    # threshold family's closed forms, far past any enumeration
+    spec = ThresholdModelSpec.from_threshold(300, 0.1, threshold)
+    cov = covariance_matrix(as_hidden_model(spec))
+    np.testing.assert_allclose(cov, spec.covariance(), rtol=0, atol=1e-12)
+
+
+def test_exact_threshold_covariance_leaves_the_oracle_unimported(tmp_path):
+    config = {
+        "kind": "covariance",
+        "out": str(tmp_path),
+        "model": {
+            "type": "hidden",
+            "field": {"theta": 0.5, "n": 12},
+            "channel": {"type": "global_threshold", "threshold": 5.0},
+        },
+        "params": {"method": "exact"},
+    }
+    script = (
+        "import json, sys\n"
+        "import corrmem\n"
+        f"corrmem.run(corrmem.parse_config(json.loads({json.dumps(config)!r})))\n"
+        "print('corrmem.oracle' in sys.modules)\n"
+    )
+    src = str(Path(corrmem.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+    assert (tmp_path / "covariance.csv").is_file()
