@@ -143,13 +143,14 @@ class ThresholdModelSpec:
         """
         return _binom_tail_gt(self.n, self.eps, min(k, self.threshold))
 
-    def draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
-        """One binomial latent weight per epoch, shape (count,)."""
-        return gen.binomial(self.n, self.eps, size=count)
+    def sample_weights(self, gens, count: int) -> np.ndarray:
+        """Error weights of ``count`` epochs from each of ``gens`` in turn.
 
-    def weights(self, draws: np.ndarray) -> np.ndarray:
-        """Error weight of each :meth:`draw` latent weight: all-ones above the trigger."""
-        return np.where(draws <= self.threshold, draws, self.n)
+        Each epoch draws one binomial latent weight and weighs ``n`` above
+        the trigger.  Shape (len(gens) * count,).
+        """
+        latent = np.concatenate([gen.binomial(self.n, self.eps, size=count) for gen in gens])
+        return np.where(latent <= self.threshold, latent, self.n)
 
 
 @dataclass(frozen=True)

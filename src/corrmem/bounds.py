@@ -180,11 +180,17 @@ def weight_law(model) -> np.ndarray:
 
 
 def count_exceedances(model, gen: np.random.Generator, trials: int, threshold: float) -> int:
-    """How many of ``trials`` epochs drawn from ``gen`` weigh more than ``threshold``."""
+    """How many of ``trials`` epochs drawn from ``gen`` weigh more than ``threshold``.
+
+    The epochs are drawn ``_MC_BLOCK`` at a time through the model's
+    ``sample_weights``.
+    """
     _check_model(model)
+    if not isinstance(trials, (int, np.integer)) or trials < 0:
+        raise ValidationError("trials must be a non-negative integer")
     count = 0
     for done in range(0, trials, _MC_BLOCK):
-        weights = model.weights(model.draw(gen, min(_MC_BLOCK, trials - done)))
+        weights = model.sample_weights([gen], min(_MC_BLOCK, trials - done))
         count += int(np.count_nonzero(weights > threshold))
     return count
 

@@ -34,6 +34,7 @@ from .errors import EnumerationLimitError, ValidationError
 from .field import (
     ENUM_LIMIT,
     MarkovFieldSpec,
+    _cdf_columns,
     _inverse_cdf_walk,
     mixing_bound,
     mixing_coefficients,
@@ -191,15 +192,17 @@ class HiddenErrorModel:
         """``P(sum Y > k)``, summed off the weight law."""
         return math.fsum(self.weight_law()[k + 1 :].tolist())
 
-    def draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
-        """A walk block and then an error-bit block of uniforms, viewed as (count, 2, n)."""
-        return gen.random((2, count, self.n)).transpose(1, 0, 2)
+    def sample_weights(self, gens, count: int) -> np.ndarray:
+        """Error weights of ``count`` epochs from each of ``gens`` in turn.
 
-    def weights(self, draws: np.ndarray) -> np.ndarray:
-        """Error weight of each row of stacked :meth:`draw` output."""
-        out = np.empty(len(draws), dtype=np.intp)
-        for lo, bits in _error_slices(self, draws):
+        Each generator supplies a (count, n) walk block and then a
+        (count, n) error block of uniforms.  Shape (len(gens) * count,).
+        """
+        out = np.empty(len(gens) * count, dtype=np.intp)
+        lo = 0
+        for bits in _error_bits(self, _stacked_blocks(gens, count, self.n)):
             out[lo : lo + len(bits)] = np.count_nonzero(bits, axis=1)
+            lo += len(bits)
         return out
 
 
@@ -231,40 +234,133 @@ def _require_mc(trials: int | None, seed: int | None) -> None:
         raise ValidationError("Monte Carlo mode requires a seed")
 
 
-def _site_probabilities(model: HiddenErrorModel, x: np.ndarray) -> np.ndarray:
-    """Conditional error probabilities ``q_i(1 | x)`` for a batch of x rows."""
+def _site_probabilities(model: HiddenErrorModel, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Conditional error probabilities ``q_i(1 | x)`` for a site-major (n, rows) block.
+
+    Per-site and window channels read their table with one flat ``take``:
+    a per-site channel is the radius-0 window, and a window's index is
+    built from a symbol block padded with ``radius`` rows of zeros.  A
+    threshold channel reads ``x``, or 1 in a column whose weight exceeds
+    the threshold.  ``out``, a C-ordered float (n, rows) array, receives
+    the result if given.
+    """
     c = model.channel
-    n = model.n
-    if isinstance(c, PerSiteChannel):
-        return c.table[np.arange(n)[None, :], x]
-    if isinstance(c, WindowChannel):
-        s = model.field.alphabet_size
-        idx = np.zeros(x.shape, dtype=np.int64)
-        for d in range(-c.radius, c.radius + 1):
-            cols = np.arange(n) + d
-            valid = (cols >= 0) & (cols < n)
-            vals = np.where(valid[None, :], x[:, np.clip(cols, 0, n - 1)], 0)
-            idx = idx * s + vals
-        return c.table[np.arange(n)[None, :], idx]
-    weights = x.sum(axis=1)
-    return np.where((weights <= c.threshold)[:, None], x, 1).astype(float)
+    if isinstance(c, GlobalThresholdChannel):
+        return np.maximum(x, x.sum(axis=0) > c.threshold, out=out, dtype=float)
+    n, s, width = model.n, model.field.alphabet_size, c.table.shape[1]
+    r = c.radius if isinstance(c, WindowChannel) else 0
+    pad = np.zeros((n + 2 * r, x.shape[1]), dtype=np.min_scalar_type(width - 1))
+    pad[r : r + n] = x
+    code = pad[:n]
+    for d in range(1, 2 * r + 1):
+        code = code * s + pad[d : d + n]
+    return c.table.ravel().take(code + (np.arange(n) * width)[:, None], out=out, mode="clip")
 
 
 def expected_errors(model: HiddenErrorModel, x) -> float:
     """Conditional mean number of errors, ``sum_i q_i(1 | x)``."""
-    x = np.asarray(x, dtype=np.uint8)
+    x = np.asarray(x)
     if x.shape != (model.n,):
         raise ValidationError(f"configuration must have shape ({model.n},)")
+    if x.dtype.kind not in "biuf" or np.any(x < 0) or np.any(x != np.floor(x)):
+        raise ValidationError("configuration must hold non-negative integer symbols")
     if x.max(initial=0) >= model.field.alphabet_size:
         raise ValidationError("configuration contains symbols outside the alphabet")
-    return float(_site_probabilities(model, x[None, :])[0].sum())
+    return float(_site_probabilities(model, x.astype(np.uint8)[:, None]).sum())
 
 
-def _error_slices(model: HiddenErrorModel, u: np.ndarray):
-    """``(first row, error bits)`` per ``field._STACK_ROWS``-row slice of (rows, 2, n) uniforms."""
-    for lo in range(0, len(u), _field._STACK_ROWS):
-        rows = u[lo : lo + _field._STACK_ROWS]
-        yield lo, rows[:, 1] < _site_probabilities(model, _inverse_cdf_walk(model.field, rows[:, 0]))
+def _skipped(bitgen: np.random.Philox, doubles: int) -> dict:
+    """The state ``bitgen`` would reach after ``doubles`` more doubles; ``bitgen`` is untouched.
+
+    Philox emits four 64-bit words per counter step and ``advance`` moves
+    the counter in O(1), so only the words left in the current block and
+    the words into the last block are drawn, on a side generator.
+    """
+    if not isinstance(bitgen, np.random.Philox):
+        raise ValidationError("streamed draws need a Philox generator, as make_generator returns")
+    side = np.random.Philox(key=0)
+    side.state = state = bitgen.state
+    head = min(doubles, 4 - state["buffer_pos"])
+    side.random_raw(head)
+    if doubles > head:
+        side.advance((doubles - head) // 4)
+        side.random_raw((doubles - head) % 4)
+    return side.state
+
+
+def _epoch_blocks(gen: np.random.Generator, count: int, n: int):
+    """The uniform blocks of ``count`` epochs from ``gen``, ``_STACK_ROWS`` epochs at a time.
+
+    The stream holds a (count, n) walk block and then a (count, n) error
+    block.  For each slice this yields the slice's rows of the walk block
+    and then those of the error block, read through two cursors, the second
+    started ``count * n`` doubles ahead.  ``gen`` is switched between them
+    and ends where drawing both blocks whole would have left it.
+    """
+    rows = _field._STACK_ROWS
+    bitgen = gen.bit_generator
+    walk, error = bitgen.state, _skipped(bitgen, count * n)
+    for lo in range(0, count, rows):
+        size = (min(rows, count - lo), n)
+        bitgen.state = walk
+        yield gen.random(size)
+        walk, bitgen.state = bitgen.state, error
+        yield gen.random(size)
+        error = bitgen.state
+
+
+def _stacked_blocks(gens, count: int, n: int):
+    """Walk and error blocks of ``count`` epochs from each of ``gens`` in turn.
+
+    Blocks of at most ``_STACK_ROWS`` rows are drawn whole and copied,
+    generator by generator, into one stacked walk and error buffer of up to
+    that many rows; longer ones are streamed by :func:`_epoch_blocks`.
+    """
+    rows = _field._STACK_ROWS
+    if count > rows:
+        for gen in gens:
+            yield from _epoch_blocks(gen, count, n)
+        return
+    per = rows // count
+    stack = np.empty((2, min(per, len(gens)) * count, n))
+    for lo in range(0, len(gens), per):
+        group = gens[lo : lo + per]
+        for k, gen in enumerate(group):
+            stack[:, k * count : (k + 1) * count] = gen.random((2, count, n))
+        yield stack[0, : len(group) * count]
+        yield stack[1, : len(group) * count]
+
+
+def _trial_blocks(gen: np.random.Generator, trials: int, n: int):
+    """Walk and error blocks of ``trials`` trials from ``gen``, ``_STACK_ROWS`` trials at a time.
+
+    Trial ``t`` reads the ``t``-th run of ``2 n`` uniforms: ``n`` for the
+    walk, then ``n`` for the error bits.
+    """
+    rows = _field._STACK_ROWS
+    for lo in range(0, trials, rows):
+        u = gen.random((min(rows, trials - lo), 2, n))
+        yield u[:, 0]
+        yield u[:, 1]
+
+
+def _error_bits(model: HiddenErrorModel, blocks):
+    """Trial-major (rows, n) error bits from alternating walk and error blocks.
+
+    The walk and the read-out run site-major, on the transposed walk block
+    and into one probability buffer.  The walk block is dropped before the
+    error block is drawn, so a slice holds one block of uniforms at a time
+    and the heap is reused from slice to slice instead of growing and being
+    trimmed back.
+    """
+    cols = _cdf_columns(model.field)
+    buffer = np.empty(model.n * _field._STACK_ROWS)
+    blocks = iter(blocks)
+    for walk in blocks:
+        x = _inverse_cdf_walk(model.field, walk.T, cols)
+        del walk
+        q = _site_probabilities(model, x, buffer[: x.size].reshape(x.shape))
+        yield next(blocks) < q.T
 
 
 def sample_errors_batch(model: HiddenErrorModel, seed: int, trials: int) -> np.ndarray:
@@ -273,15 +369,16 @@ def sample_errors_batch(model: HiddenErrorModel, seed: int, trials: int) -> np.n
     Trial ``t`` consumes the ``t``-th block of ``2 n`` uniforms from the
     stream — first ``n`` drive the latent chain, the rest threshold the
     conditional error probabilities — so a batch is a prefix-stable
-    concatenation of single-trial draws.
+    concatenation of single-trial draws.  The stream is drawn and read out
+    ``_STACK_ROWS`` trials at a time.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    gen = make_generator(seed)
-    u = gen.random((trials, 2, model.n))
     out = np.empty((trials, model.n), dtype=np.uint8)
-    for lo, bits in _error_slices(model, u):
+    lo = 0
+    for bits in _error_bits(model, _trial_blocks(make_generator(seed), trials, model.n)):
         out[lo : lo + len(bits)] = bits
+        lo += len(bits)
     return out
 
 
@@ -589,9 +686,13 @@ def covariance_matrix(model: HiddenErrorModel, mode: str = "exact", trials: int 
     if mode != "mc":
         raise ValidationError(f"unknown mode {mode!r}")
     _require_mc(trials, seed)
-    y = sample_errors_batch(model, seed, trials).astype(np.int64)
-    counts = y.sum(axis=0)
-    joint = y.T @ y
+    # Integer counts below 2**53, so float64 (and BLAS) sums them exactly.
+    counts = np.zeros(model.n)
+    joint = np.zeros((model.n, model.n))
+    for bits in _error_bits(model, _trial_blocks(make_generator(seed), trials, model.n)):
+        y = bits.astype(float)
+        counts += y.sum(axis=0)
+        joint += y.T @ y
     mu = counts / trials
     second = joint / trials
     cov = second - np.outer(mu, mu)

@@ -42,8 +42,8 @@ ENUM_LIMIT = 1 << 20
 # Absolute tolerance for "these numbers form a probability distribution".
 PROB_ATOL = 1e-12
 
-# Rows walked (and, in channel.py, read out) together, few enough to stay in
-# cache; retention stacks trials' blocks up to this many.
+# Rows drawn, walked and (in channel.py) read out together, few enough to
+# stay in cache; retention stacks trials' blocks up to this many.
 _STACK_ROWS = 2048
 
 
@@ -186,24 +186,38 @@ def site_marginals(spec: MarkovFieldSpec) -> np.ndarray:
     return out
 
 
-def _inverse_cdf_walk(spec: MarkovFieldSpec, u: np.ndarray) -> np.ndarray:
-    """Map a (trials, n) uniform block to chain samples by inverse CDF.
+def _cdf_columns(spec: MarkovFieldSpec) -> np.ndarray:
+    """CDF columns ``c < S - 1`` of each site given the site before it.
 
-    Site ``i + 1`` takes the number of CDF columns ``c < S - 1`` of the row
-    picked by site ``i`` that lie at or below its uniform.  Cumulative sums
-    never decrease, so this equals counting all ``S`` columns and clipping
-    at ``S - 1``, even when a row's last column falls just short of 1.
+    Entry ``[i, c, a]`` is ``P(X_i <= c | X_{i-1} = a)``; site 0 reads the
+    initial law whatever ``a``.  Shape (n, S - 1, S), so each column is one
+    contiguous row to gather from.
     """
     s = spec.alphabet_size
-    x = np.empty((u.shape[0], spec.n), dtype=np.uint8)
-    cdf0 = np.cumsum(spec.initial)
-    x[:, 0] = np.minimum((cdf0[None, :] <= u[:, 0, None]).sum(axis=1), s - 1)
-    cdf = np.cumsum(spec.kernels, axis=2)
-    for i in range(spec.n - 1):
-        prev, nxt, col = x[:, i], x[:, i + 1], u[:, i + 1]
-        nxt[:] = cdf[i, :, 0][prev] <= col
-        for c in range(1, s - 1):
-            nxt += cdf[i, :, c][prev] <= col
+    laws = np.concatenate([np.tile(spec.initial, (1, s, 1)), spec.kernels])
+    return np.ascontiguousarray(np.cumsum(laws, axis=2)[:, :, :-1].transpose(0, 2, 1))
+
+
+def _inverse_cdf_walk(spec: MarkovFieldSpec, u: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+    """Map a site-major (n, rows) uniform block to chain samples by inverse CDF.
+
+    Site ``i`` takes the number of CDF columns ``c < S - 1`` of the row
+    picked by site ``i - 1`` that lie at or below its uniform.  Cumulative
+    sums never decrease, so this equals counting all ``S`` columns and
+    clipping at ``S - 1``, even when a row's last column falls just short
+    of 1.  ``cols`` is :func:`_cdf_columns` of ``spec``, built here if not
+    given.  Returns site-major uint8 symbols, one contiguous row per site.
+    """
+    if cols is None:
+        cols = _cdf_columns(spec)
+    x = np.empty(u.shape, dtype=np.uint8)
+    prev = np.zeros(u.shape[1], dtype=np.uint8)
+    for i, site in enumerate(cols):
+        nxt = x[i]
+        np.less_equal(site[0].take(prev), u[i], out=nxt.view(np.bool_))
+        for column in site[1:]:
+            nxt += column.take(prev) <= u[i]
+        prev = nxt
     return x
 
 
@@ -214,15 +228,16 @@ def sample_field_batch(spec: MarkovFieldSpec, seed: int, trials: int) -> np.ndar
     from the Philox stream keyed by ``seed``.  The stream is consumed in row
     order, so the first rows of a larger batch coincide with a smaller batch
     drawn from the same seed, and ``sample_field`` equals row 0.  The block
-    is drawn whole and walked ``_STACK_ROWS`` rows at a time.
+    is drawn and walked ``_STACK_ROWS`` rows at a time.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     gen = make_generator(seed)
-    u = gen.random((trials, spec.n))
+    cols = _cdf_columns(spec)
     out = np.empty((trials, spec.n), dtype=np.uint8)
     for lo in range(0, trials, _STACK_ROWS):
-        out[lo : lo + _STACK_ROWS] = _inverse_cdf_walk(spec, u[lo : lo + _STACK_ROWS])
+        u = gen.random((min(_STACK_ROWS, trials - lo), spec.n))
+        out[lo : lo + len(u)] = _inverse_cdf_walk(spec, u.T, cols).T
     return out
 
 

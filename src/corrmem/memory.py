@@ -17,8 +17,8 @@ fails with probability at most ``exp(-b n)``, then
 Every function here takes a model of either family and uses only the
 methods both answer: ``n``, ``mean_rate()``, ``lipschitz()``,
 ``mixing_bound()``, ``weight_law()``, ``tail(k)`` (exact ``P(sum Y > k)``
-for ``0 <= k < n``), ``covariance()`` (exact, n x n), ``draw(gen, count)``
-and ``weights(draws)``.
+for ``0 <= k < n``), ``covariance()`` (exact, n x n) and
+``sample_weights(gens, count)``.
 """
 
 import math
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from . import field as _field
 from .adversarial import _line_fit
 from .bounds import _check_model, empirical_tail, exact_tail
 # Unused here, but kept bound: the benchmark's tracer tests read this name.
@@ -186,10 +185,10 @@ def simulate_retention(model, code: CodeModel, max_epochs: int, trials: int, see
     Each trial runs an independent derived stream, so results do not depend
     on how trials are scheduled.  Epochs run in blocks of ``_EPOCH_BLOCK``:
     every trial still alive draws its next block from its own stream, and
-    the blocks of up to ``_STACK_ROWS`` rows are stacked and turned into
-    weights together.  A trial stops drawing at its first failure.  Trials
-    that survive ``max_epochs`` epochs are censored and excluded from the
-    mean.
+    ``sample_weights`` turns all the blocks into weights, stacking them up to
+    ``field._STACK_ROWS`` rows at a time.  A trial stops drawing at its first
+    failure.  Trials that survive ``max_epochs`` epochs are censored and
+    excluded from the mean.
     """
     if _check_model(model).n != code.n:
         raise ValidationError("model and code sizes differ")
@@ -203,13 +202,10 @@ def simulate_retention(model, code: CodeModel, max_epochs: int, trials: int, see
     live = np.arange(trials)
     for done in range(0, max_epochs, _EPOCH_BLOCK):
         block = min(_EPOCH_BLOCK, max_epochs - done)
-        per_stack = max(1, _field._STACK_ROWS // block)
-        for lo in range(0, live.size, per_stack):
-            group = live[lo : lo + per_stack]
-            draws = np.concatenate([model.draw(gens[t], block) for t in group])
-            failed = (model.weights(draws) > tau).reshape(group.size, block)
-            hit = failed.any(axis=1)
-            epochs[group[hit]] = done + failed[hit].argmax(axis=1) + 1
+        weights = model.sample_weights([gens[t] for t in live], block)
+        failed = (weights > tau).reshape(live.size, block)
+        hit = failed.any(axis=1)
+        epochs[live[hit]] = done + failed[hit].argmax(axis=1) + 1
         live = live[epochs[live] == 0]
         if not live.size:
             break

@@ -73,7 +73,7 @@ def _enumerate_chunks(model: HiddenErrorModel):
     for start in range(0, law.size, _CHUNK):
         stop = min(start + _CHUNK, law.size)
         x = all_sequences(s, n, start, stop)
-        yield law[start:stop], _site_probabilities(model, x)
+        yield law[start:stop], _site_probabilities(model, x.T).T
 
 
 def exact_error_distribution(model: HiddenErrorModel) -> np.ndarray:

@@ -61,7 +61,7 @@ def reference_weights(model, gen, count):
         s = gen.binomial(model.n, model.eps, size=count)
         return np.where(s <= model.threshold, s, model.n)
     x = reference_walk(model.field, gen.random((count, model.n)))
-    q = _site_probabilities(model, x)
+    q = _site_probabilities(model, x.T).T
     return (gen.random((count, model.n)) < q).sum(axis=1)
 
 
@@ -124,7 +124,7 @@ def walk_cases(draw):
 @given(walk_cases())
 def test_walk_matches_row_comparison_walk(case):
     spec, u = case
-    assert np.array_equal(_inverse_cdf_walk(spec, u), reference_walk(spec, u))
+    assert np.array_equal(_inverse_cdf_walk(spec, u.T).T, reference_walk(spec, u))
 
 
 def test_walk_short_row_at_largest_uniform_takes_last_symbol():
@@ -133,7 +133,7 @@ def test_walk_short_row_at_largest_uniform_takes_last_symbol():
     assert np.cumsum(spec.kernels, axis=2)[0, :, -1].tolist() == [SHORT, SHORT]
     u = np.array([[0.0, SHORT], [SHORT, SHORT], [0.0, 0.5], [SHORT, 0.25]])
     expected = [[0, 1], [1, 1], [0, 1], [1, 1]]
-    assert _inverse_cdf_walk(spec, u).tolist() == expected
+    assert _inverse_cdf_walk(spec, u.T).T.tolist() == expected
     assert reference_walk(spec, u).tolist() == expected
 
 
@@ -212,7 +212,7 @@ def test_count_exceedances_matches_block_loop(name, monkeypatch):
 def test_sample_errors_batch_slices_match_whole_block(monkeypatch):
     model, _ = RETENTION_CASES["window"]
     u = make_generator(3).random((250, 2, N))
-    expected = (u[:, 1] < _site_probabilities(model, reference_walk(model.field, u[:, 0]))).astype(np.uint8)
+    expected = (u[:, 1] < _site_probabilities(model, reference_walk(model.field, u[:, 0]).T).T).astype(np.uint8)
     # 250 rows read out 64 at a time: three full slices and a partial one
     monkeypatch.setattr(field, "_STACK_ROWS", 64)
     got = sample_errors_batch(model, 3, 250)
