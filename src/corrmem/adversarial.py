@@ -17,8 +17,8 @@ from the threshold, where the terms only shrink, until they fall below
 2^-60 of the running sum.  Tails are carried as a log scale times a sum, so
 they stay accurate far below 1e-16 and resolve in
 :func:`log_trigger_probability` even below 1e-308.  The pair covariance is
-summed on the same side of the threshold; with the threshold above the mean
-that is the trigger side, where it reads
+summed over the same walk as the tail; with the threshold above the mean
+that walk covers the trigger side, where it reads
 
     cov = sum_{m > floor(B)} w_m * g(m) - (sum_{m > floor(B)} w_m * (1 - m/n))^2
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GlobalThresholdChannel, HiddenErrorModel
+from .channel import GlobalThresholdChannel, HiddenErrorModel, _epoch_rows
 from .errors import ValidationError
 from .field import MarkovFieldSpec
 from .rng import make_generator
@@ -149,6 +149,8 @@ class ThresholdModelSpec:
         Each epoch draws one binomial latent weight and weighs ``n`` above
         the trigger.  Shape (len(gens) * count,).
         """
+        if not _epoch_rows(gens, count):
+            return np.empty(0, dtype=np.intp)
         latent = np.concatenate([gen.binomial(self.n, self.eps, size=count) for gen in gens])
         return np.where(latent <= self.threshold, latent, self.n)
 
@@ -318,7 +320,8 @@ def _pmf_walk(m: int, p: float, start: int, step: int, cutoff: float = _CUTOFF):
     ``P(k + 1) / P(k) = (m - k) / (k + 1) * p / (1 - p)``.  The walk ends at
     the end of the range or before the first term at most ``cutoff`` times
     the running sum; ``cutoff = 0`` keeps every term that does not
-    underflow.  Blocks are evaluated 16 at a time, doubling per round.
+    underflow.  The first round evaluates one block and each later round
+    twice as many, so a walk that stops early evaluates few anchors.
     """
     log_scale = float(round(_log_pmf(start, m, p)))
     count = (m - start if step > 0 else start) + 1
@@ -326,7 +329,7 @@ def _pmf_walk(m: int, p: float, start: int, step: int, cutoff: float = _CUTOFF):
     parts = []
     total = 0.0
     done = 0
-    blocks = 16
+    blocks = 1
     while done < count:
         size = min(count - done, blocks * _BLOCK)
         rows = -(-size // _BLOCK)
@@ -352,22 +355,46 @@ def _pmf_walk(m: int, p: float, start: int, step: int, cutoff: float = _CUTOFF):
     return log_scale, np.concatenate(parts)
 
 
-def _tail_gt(m: int, eps: float, t: float) -> tuple[float, float]:
-    """``P(Bin(m, eps) > t)`` as ``(log_scale, mass)``, worth ``exp(log_scale) * mass``.
+def _tail_and_covariance(m: int, eps: float, t: float) -> tuple[float, float, float]:
+    """``P(Bin(m, eps) > t)`` and the pair covariance of its spec, from one walk.
 
-    Summed from the threshold away from the mean: over the tail itself when
-    the threshold lies above the mean, else over its complement.
+    Returns ``(log_scale, mass, cov)``: the tail is worth ``exp(log_scale) *
+    mass``, and ``cov`` is ``Cov(Y_i, Y_j)`` for ``m`` sites with trigger
+    threshold ``t`` (0 when ``m < 2``).  Both are summed from the threshold
+    away from the mean: over the tail itself when the threshold lies above
+    the mean, else over its complement (see :func:`exact_covariance`).
     """
     k = math.floor(t)
     if k >= m:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0.0
     if k < 0:
-        return 0.0, 1.0
+        return 0.0, 1.0, 0.0
     if k + 1 > m * eps:
         log_scale, terms = _pmf_walk(m, eps, k + 1, 1)
-        return log_scale, float(terms.sum())
+        mass = float(terms.sum())
+        if m < 2:
+            return log_scale, mass, 0.0
+        w = math.exp(log_scale) * terms
+        weights = np.arange(k + 1, k + 1 + terms.size)
+        q = weights / m
+        g = 1.0 - 2.0 * eps * (1.0 - q) - q * (weights - 1) / (m - 1)
+        corr = float(w @ (1.0 - q))
+        return log_scale, mass, float(w @ g) - corr * corr
     log_scale, terms = _pmf_walk(m, eps, k, -1)
-    return 0.0, max(0.0, 1.0 - math.exp(log_scale) * float(terms.sum()))
+    mass = max(0.0, 1.0 - math.exp(log_scale) * float(terms.sum()))
+    w = math.exp(log_scale) * terms
+    weights = np.arange(k, k - terms.size, -1)
+    q = weights / m
+    s0 = float(w.sum())
+    s1 = float(w @ q)
+    s2 = float(w @ (q * (weights - 1) / (m - 1)))
+    return 0.0, mass, (1.0 - s0) * (s0 - 2.0 * s1) + s2 - s1 * s1
+
+
+def _tail_gt(m: int, eps: float, t: float) -> tuple[float, float]:
+    """``P(Bin(m, eps) > t)`` as ``(log_scale, mass)``, worth ``exp(log_scale) * mass``."""
+    log_scale, mass, _ = _tail_and_covariance(m, eps, t)
+    return log_scale, mass
 
 
 def _binom_tail_gt(m: int, eps: float, t: float) -> float:
@@ -438,26 +465,9 @@ def exact_covariance(spec: ThresholdModelSpec, i: int = 0, j: int = 1) -> float:
         raise ValidationError("pair covariance requires n >= 2")
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValidationError("sites must be distinct and in range")
-    k = math.floor(spec.threshold)
-    if k >= n or k < 0:
-        # Trigger impossible (errors i.i.d.) or certain (errors constant).
-        return 0.0
-    if k + 1 > n * spec.eps:
-        log_scale, terms = _pmf_walk(n, spec.eps, k + 1, 1)
-        w = math.exp(log_scale) * terms
-        m = np.arange(k + 1, k + 1 + terms.size)
-        q = m / n
-        g = 1.0 - 2.0 * spec.eps * (1.0 - q) - q * (m - 1) / (n - 1)
-        corr = float(w @ (1.0 - q))
-        return float(w @ g) - corr * corr
-    log_scale, terms = _pmf_walk(n, spec.eps, k, -1)
-    w = math.exp(log_scale) * terms
-    m = np.arange(k, k - terms.size, -1)
-    q = m / n
-    s0 = float(w.sum())
-    s1 = float(w @ q)
-    s2 = float(w @ (q * (m - 1) / (n - 1)))
-    return (1.0 - s0) * (s0 - 2.0 * s1) + s2 - s1 * s1
+    # A trigger that is impossible (errors i.i.d.) or certain (errors
+    # constant) gives 0.
+    return _tail_and_covariance(n, spec.eps, spec.threshold)[2]
 
 
 def covariance_decomposition(spec: ThresholdModelSpec, i: int = 0, j: int = 1) -> CovarianceDecomposition:

@@ -198,7 +198,9 @@ class HiddenErrorModel:
         Each generator supplies a (count, n) walk block and then a
         (count, n) error block of uniforms.  Shape (len(gens) * count,).
         """
-        out = np.empty(len(gens) * count, dtype=np.intp)
+        out = np.empty(_epoch_rows(gens, count), dtype=np.intp)
+        if not out.size:
+            return out
         lo = 0
         for bits in _error_bits(self, _stacked_blocks(gens, count, self.n)):
             out[lo : lo + len(bits)] = np.count_nonzero(bits, axis=1)
@@ -286,6 +288,13 @@ def _skipped(bitgen: np.random.Philox, doubles: int) -> dict:
         side.advance((doubles - head) // 4)
         side.random_raw((doubles - head) % 4)
     return side.state
+
+
+def _epoch_rows(gens, count: int) -> int:
+    """Rows of a ``sample_weights`` call, ``len(gens) * count``, once ``count`` is checked."""
+    if not isinstance(count, (int, np.integer)) or count < 0:
+        raise ValidationError("count must be a non-negative integer")
+    return len(gens) * int(count)
 
 
 def _epoch_blocks(gen: np.random.Generator, count: int, n: int):

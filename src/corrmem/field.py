@@ -102,12 +102,12 @@ class MarkovFieldSpec:
             raise ValidationError(
                 f"kernels have shape {kernels.shape}, expected ({self.n - 1}, {s}, {s})"
             )
-        checked = np.empty_like(kernels)
-        for i in range(self.n - 1):
-            for a in range(s):
-                checked[i, a] = _as_distribution(
-                    kernels[i, a], f"kernels[{i}] row {a}"
-                )
+        bad = np.any((kernels < -PROB_ATOL) | (kernels > 1.0 + PROB_ATOL), axis=2)
+        bad |= np.abs(kernels.sum(axis=2) - 1.0) > PROB_ATOL
+        # the first bad row in (site, row) order raises as a row check would
+        for i, a in np.argwhere(bad):
+            _as_distribution(kernels[i, a], f"kernels[{i}] row {a}")
+        checked = np.clip(kernels, 0.0, 1.0)
         initial.setflags(write=False)
         checked.setflags(write=False)
         object.__setattr__(self, "initial", initial)

@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from .adversarial import (
     ThresholdModelSpec,
+    _tail_and_covariance,
     as_hidden_model,
-    exact_covariance,
     trigger_probability,
 )
 from .bounds import verify_bound
@@ -424,7 +424,8 @@ def _run_adversarial_scan(cfg, seed_tree, threads):
     def one(point):
         n, a = point
         spec = ThresholdModelSpec(n=n, eps=eps, margin_rate=a)
-        p = trigger_probability(spec)
+        log_scale, mass, cov = _tail_and_covariance(n, eps, spec.threshold)
+        p = math.exp(log_scale) * mass
         return (
             n,
             eps,
@@ -432,7 +433,7 @@ def _run_adversarial_scan(cfg, seed_tree, threads):
             spec.resolved_margin,
             spec.threshold,
             p,
-            exact_covariance(spec) if n >= 2 else 0.0,
+            cov,
             math.inf if p == 0.0 else 1.0 / p,
         )
 

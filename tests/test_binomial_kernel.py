@@ -26,7 +26,13 @@ from corrmem import (
     tail_scaling_fit,
     trigger_probability,
 )
-from corrmem.adversarial import _binom_tail_gt, _log_pmf, _stirlerr, weight_distribution
+from corrmem.adversarial import (
+    _binom_tail_gt,
+    _log_pmf,
+    _stirlerr,
+    _tail_and_covariance,
+    weight_distribution,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -185,6 +191,35 @@ def test_log_pmf_holds_deep_in_the_tail():
                 assert_rel(math.exp(_log_pmf(k, m, p)), mp_pmf(m, p, k))
                 checked += 1
     assert checked > 100
+
+
+@pytest.mark.parametrize(
+    "n, eps, threshold",
+    [
+        (1000, 0.1, 130.0),  # above the mean
+        (2**19, 0.1, 52900.5),  # above the mean, a walk of more than one round
+        (1000, 0.1, 70.5),  # below the mean
+        (1000, 0.9, 880.0),  # below the mean, eps above 1/2
+        (50, 0.3, -0.5),  # floor(B) < 0: the trigger is certain
+        (50, 0.3, 50.0),  # floor(B) >= n: the trigger is impossible
+        (1, 0.3, 0.5),
+        (1, 0.3, -1.0),
+        (1, 0.3, 1.0),
+        (2, 0.3, 1.0),  # above the mean
+        (2, 0.9, 0.5),  # below the mean
+        (2, 0.3, 2.5),
+    ],
+)
+def test_one_walk_gives_the_trigger_probability_and_the_covariance(n, eps, threshold):
+    spec = ThresholdModelSpec.from_threshold(n, eps, threshold)
+    log_scale, mass, cov = _tail_and_covariance(n, eps, spec.threshold)
+    assert (math.exp(log_scale) * mass).hex() == trigger_probability(spec).hex()
+    if n < 2:
+        assert cov == 0.0
+        with pytest.raises(ValidationError, match="n >= 2"):
+            exact_covariance(spec)
+    else:
+        assert cov.hex() == exact_covariance(spec).hex()
 
 
 def test_weight_distribution_keeps_every_representable_entry():

@@ -41,6 +41,21 @@ def test_rejects_non_stochastic_kernel_row():
         MarkovFieldSpec(n=3, alphabet_size=2, initial=np.array([0.5, 0.5]), kernels=kernels)
 
 
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        ([1.5, -0.5], [0.6, 0.6], "kernels\\[0\\] row 1 has entries outside"),
+        ([0.6, 0.6], [1.5, -0.5], "kernels\\[0\\] row 1 sums to 1.2"),
+    ],
+)
+def test_names_the_first_bad_kernel_row_in_site_then_row_order(first, second, message):
+    kernels = np.tile(np.eye(2), (3, 1, 1)).reshape(3, 2, 2).copy()
+    kernels[0, 1] = first
+    kernels[1, 0] = second
+    with pytest.raises(ValidationError, match=message):
+        MarkovFieldSpec(n=4, alphabet_size=2, initial=np.array([0.5, 0.5]), kernels=kernels)
+
+
 def test_rejects_negative_initial_entry():
     with pytest.raises(ValidationError, match="initial"):
         MarkovFieldSpec(

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import corrmem.adversarial as adversarial
 from corrmem import (
     ConfigError,
     bundled_verification_suite,
@@ -195,6 +196,27 @@ def test_adversarial_scan_run(tmp_path):
     assert first[:3] == ["4", "0.2", "0.5"]
     assert float(first[3]) == pytest.approx(margin)
     assert float(first[4]) == pytest.approx(0.8 + 2.0 * margin)
+
+
+def test_adversarial_scan_walks_once_per_grid_point(tmp_path, monkeypatch):
+    walks = []
+    real = adversarial._pmf_walk
+
+    def counted(*args, **kwargs):
+        walks.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(adversarial, "_pmf_walk", counted)
+    cfg = parse_config(
+        {
+            "kind": "adversarial-scan",
+            "out": str(tmp_path),
+            "grid": {"n_values": [2**k for k in range(8, 20)]},
+            "params": {"eps": 0.1, "margin_rates": [0.5, 1.0, 1.5, 2.0]},
+        }
+    )
+    assert run(cfg).rows == 48
+    assert len(walks) == 48
 
 
 def test_retention_unit_channel_rows(tmp_path):

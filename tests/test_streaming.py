@@ -135,3 +135,16 @@ def test_count_exceedances_rejects_trials_that_are_not_non_negative_integers(tri
 def test_count_exceedances_of_no_trials_is_zero():
     assert count_exceedances(window_model(5), make_generator(0), 0, 1.0) == 0
     assert count_exceedances(window_model(5), make_generator(0), np.int64(3), -1.0) == 3
+
+
+@pytest.mark.parametrize(
+    "model", [window_model(5), ThresholdModelSpec(n=5, eps=0.2, margin=0.5)], ids=["hidden", "threshold"]
+)
+def test_degenerate_sample_weights_agree_across_families(model):
+    for gens, count in (([make_generator(0)], 0), ([], 5), ([], 0)):
+        weights = model.sample_weights(gens, count)
+        assert weights.dtype == np.intp and weights.shape == (0,)
+    assert model.sample_weights([make_generator(0)], np.int64(3)).shape == (3,)
+    for count in (-1, 2.5, 3.0):
+        with pytest.raises(ValidationError, match="non-negative integer"):
+            model.sample_weights([make_generator(0)], count)
