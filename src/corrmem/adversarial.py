@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GlobalThresholdChannel, HiddenErrorModel, _epoch_rows
+from .channel import GlobalThresholdChannel, HiddenErrorModel, _epoch_rows, _trigger_lipschitz
 from .errors import ValidationError
 from .field import MarkovFieldSpec
 from .rng import make_generator
@@ -321,9 +321,11 @@ def _pmf_walk(m: int, p: float, start: int, step: int, cutoff: float = _CUTOFF):
     the end of the range or before the first term at most ``cutoff`` times
     the running sum; ``cutoff = 0`` keeps every term that does not
     underflow.  The first round evaluates one block and each later round
-    twice as many, so a walk that stops early evaluates few anchors.
+    twice as many, so a walk that stops early evaluates few anchors; the
+    anchor at ``start`` is the one that sets ``log_scale``.
     """
-    log_scale = float(round(_log_pmf(start, m, p)))
+    anchor = _log_pmf(start, m, p)
+    log_scale = float(round(anchor))
     count = (m - start if step > 0 else start) + 1
     odds = p / (1.0 - p)
     parts = []
@@ -335,7 +337,7 @@ def _pmf_walk(m: int, p: float, start: int, step: int, cutoff: float = _CUTOFF):
         rows = -(-size // _BLOCK)
         ks = start + step * (done + np.arange(rows * _BLOCK).reshape(rows, _BLOCK))
         steps = np.empty(ks.shape)
-        anchors = [_log_pmf(int(k), m, p) for k in ks[:, 0]]
+        anchors = [anchor if k == start else _log_pmf(int(k), m, p) for k in ks[:, 0]]
         steps[:, 0] = np.exp(np.array(anchors) - log_scale)
         prev = ks[:, :-1]
         if step > 0:
@@ -391,15 +393,9 @@ def _tail_and_covariance(m: int, eps: float, t: float) -> tuple[float, float, fl
     return 0.0, mass, (1.0 - s0) * (s0 - 2.0 * s1) + s2 - s1 * s1
 
 
-def _tail_gt(m: int, eps: float, t: float) -> tuple[float, float]:
-    """``P(Bin(m, eps) > t)`` as ``(log_scale, mass)``, worth ``exp(log_scale) * mass``."""
-    log_scale, mass, _ = _tail_and_covariance(m, eps, t)
-    return log_scale, mass
-
-
 def _binom_tail_gt(m: int, eps: float, t: float) -> float:
     """``P(Bin(m, eps) > t)``."""
-    log_scale, mass = _tail_gt(m, eps, t)
+    log_scale, mass, _ = _tail_and_covariance(m, eps, t)
     return math.exp(log_scale) * mass
 
 
@@ -408,7 +404,7 @@ def log_trigger_probability(spec: ThresholdModelSpec) -> float:
 
     Resolves probabilities far below the smallest positive float.
     """
-    log_scale, mass = _tail_gt(spec.n, spec.eps, spec.threshold)
+    log_scale, mass, _ = _tail_and_covariance(spec.n, spec.eps, spec.threshold)
     return log_scale + math.log(mass) if mass > 0.0 else -math.inf
 
 
@@ -564,17 +560,10 @@ def weight_distribution(spec: ThresholdModelSpec) -> np.ndarray:
 def threshold_lipschitz(spec: ThresholdModelSpec) -> float:
     """Hamming-Lipschitz constant of the conditional mean error count.
 
-    A single flip across the trigger boundary jumps the count from
-    ``floor(B)`` to ``n``, so the constant is ``n - floor(B)`` whenever the
-    threshold is in range; it degrades to 1 (identity channel) above and 0
-    (constant all-ones) below.
+    The trigger rule shared with the threshold channel: ``n - floor(B)``
+    while the threshold is in range, 1 above and 0 below.
     """
-    b = spec.threshold
-    if b >= spec.n:
-        return 1.0
-    if b < 0.0:
-        return 0.0
-    return float(spec.n - math.floor(b))
+    return _trigger_lipschitz(spec.n, spec.threshold)
 
 
 def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:

@@ -2,12 +2,13 @@
 
 Given a latent configuration ``x``, the error bits are conditionally
 independent: ``P(y | x) = prod_i q_i(y_i | x)``, and the law of the error
-vector is the mixture ``P(y) = sum_x P(x) P(y | x)``.  Three conditional
+vector is the mixture ``P(y) = sum_x P(x) P(y | x)``.  Two conditional
 channels are provided:
 
-* :class:`PerSiteChannel` -- ``q_i`` depends only on ``x_i``;
 * :class:`WindowChannel` -- ``q_i`` depends on the symbols within a fixed
   radius of site ``i`` (sites beyond the boundary are read as symbol 0);
+  :class:`PerSiteChannel` builds the radius-0 window, where ``q_i``
+  depends only on ``x_i``;
 * :class:`GlobalThresholdChannel` -- for binary fields: ``y = x`` while the
   total weight of ``x`` stays at or below a threshold, and ``y`` is the
   all-ones vector the moment the weight exceeds it.
@@ -68,32 +69,13 @@ _MIN_MC_TRIALS = 1000
 
 
 @dataclass(frozen=True)
-class PerSiteChannel:
-    """Per-site error probabilities: ``table[i, s] = P(Y_i = 1 | X_i = s)``."""
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        table = np.asarray(self.table, dtype=float)
-        if table.ndim != 2:
-            raise ValidationError("per-site table must have shape (n, alphabet_size)")
-        if np.any(table < 0.0) or np.any(table > 1.0):
-            raise ValidationError("per-site error probabilities must lie in [0, 1]")
-        table.setflags(write=False)
-        object.__setattr__(self, "table", table)
-
-    @property
-    def n(self) -> int:
-        return self.table.shape[0]
-
-
-@dataclass(frozen=True)
 class WindowChannel:
     """Error probabilities reading a symmetric window around each site.
 
     ``table[i, j]`` is ``P(Y_i = 1 | neighborhood j)`` where ``j`` encodes
     the symbols at sites ``i - radius .. i + radius`` big-endian (leftmost
     site most significant) and out-of-range sites contribute symbol 0.
+    Every entry must lie in [0, 1]; NaN and infinities are rejected.
     """
 
     radius: int
@@ -110,16 +92,19 @@ class WindowChannel:
         table = np.asarray(self.table, dtype=float)
         if table.ndim != 2:
             raise ValidationError(
-                "window table must have shape (n, alphabet_size ** (2 * radius + 1))"
+                "channel table must have shape (n, alphabet_size ** (2 * radius + 1))"
             )
-        if np.any(table < 0.0) or np.any(table > 1.0):
-            raise ValidationError("window error probabilities must lie in [0, 1]")
+        if not np.all((table >= 0.0) & (table <= 1.0)):
+            raise ValidationError("channel error probabilities must lie in [0, 1]")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
-    @property
-    def n(self) -> int:
-        return self.table.shape[0]
+
+class PerSiteChannel(WindowChannel):
+    """Per-site error probabilities ``table[i, s] = P(Y_i = 1 | X_i = s)``: the radius-0 window."""
+
+    def __init__(self, table):
+        super().__init__(radius=0, table=table)
 
 
 @dataclass(frozen=True)
@@ -139,7 +124,7 @@ class GlobalThresholdChannel:
         object.__setattr__(self, "threshold", threshold)
 
 
-ChannelSpec = Union[PerSiteChannel, WindowChannel, GlobalThresholdChannel]
+ChannelSpec = Union[WindowChannel, GlobalThresholdChannel]
 
 
 @dataclass(frozen=True)
@@ -151,17 +136,11 @@ class HiddenErrorModel:
 
     def __post_init__(self):
         f, c = self.field, self.channel
-        if isinstance(c, PerSiteChannel):
-            if c.table.shape != (f.n, f.alphabet_size):
-                raise ValidationError(
-                    f"per-site table has shape {c.table.shape}, expected "
-                    f"({f.n}, {f.alphabet_size})"
-                )
-        elif isinstance(c, WindowChannel):
+        if isinstance(c, WindowChannel):
             width = f.alphabet_size ** (2 * c.radius + 1)
             if c.table.shape != (f.n, width):
                 raise ValidationError(
-                    f"window table has shape {c.table.shape}, expected ({f.n}, {width})"
+                    f"channel table has shape {c.table.shape}, expected ({f.n}, {width})"
                 )
         elif isinstance(c, GlobalThresholdChannel):
             if f.alphabet_size != 2:
@@ -239,9 +218,8 @@ def _require_mc(trials: int | None, seed: int | None) -> None:
 def _site_probabilities(model: HiddenErrorModel, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Conditional error probabilities ``q_i(1 | x)`` for a site-major (n, rows) block.
 
-    Per-site and window channels read their table with one flat ``take``:
-    a per-site channel is the radius-0 window, and a window's index is
-    built from a symbol block padded with ``radius`` rows of zeros.  A
+    A table channel reads its table with one flat ``take``, its index built
+    from a symbol block padded with ``radius`` rows of zeros.  A
     threshold channel reads ``x``, or 1 in a column whose weight exceeds
     the threshold.  ``out``, a C-ordered float (n, rows) array, receives
     the result if given.
@@ -249,8 +227,7 @@ def _site_probabilities(model: HiddenErrorModel, x: np.ndarray, out: np.ndarray 
     c = model.channel
     if isinstance(c, GlobalThresholdChannel):
         return np.maximum(x, x.sum(axis=0) > c.threshold, out=out, dtype=float)
-    n, s, width = model.n, model.field.alphabet_size, c.table.shape[1]
-    r = c.radius if isinstance(c, WindowChannel) else 0
+    n, s, r, width = model.n, model.field.alphabet_size, c.radius, c.table.shape[1]
     pad = np.zeros((n + 2 * r, x.shape[1]), dtype=np.min_scalar_type(width - 1))
     pad[r : r + n] = x
     code = pad[:n]
@@ -404,7 +381,7 @@ def _lift(model: HiddenErrorModel):
     """The model as a Markov chain over the windows its channel reads.
 
     The window of site ``i`` holds the symbols at sites ``i - r .. i + r``
-    (``r = 0`` for per-site and threshold channels), big-endian, with sites
+    (``r = 0`` for threshold channels), big-endian, with sites
     outside the chain fixed at symbol 0, so a window's index is its column
     in a window table.  Returns the law of the window at site 0, the
     ``n - 1`` symbol kernels that slide the window one site to the right,
@@ -412,8 +389,7 @@ def _lift(model: HiddenErrorModel):
     channel reads its latent bit, ``q = x``.
     """
     f, c = model.field, model.channel
-    s, n = f.alphabet_size, f.n
-    r = c.radius if isinstance(c, WindowChannel) else 0
+    s, n, r = f.alphabet_size, f.n, getattr(c, "radius", 0)
     pad = np.zeros((s, s))
     pad[:, 0] = 1.0
     first = np.tile(f.initial, (s, 1))
@@ -486,9 +462,21 @@ def _weight_pass(start: np.ndarray, steps, table: np.ndarray) -> np.ndarray:
     return alpha.sum(axis=0)
 
 
-def _threshold_cut(model: HiddenErrorModel) -> int:
+def _trigger_cut(n: int, threshold: float) -> int:
     """``floor(threshold)`` clipped to ``[-1, n]``: latent weights above it trigger."""
-    return min(max(math.floor(model.channel.threshold), -1), model.n)
+    return math.floor(min(max(threshold, -1.0), n))
+
+
+def _trigger_lipschitz(n: int, threshold: float) -> float:
+    """Hamming-Lipschitz constant of a weight trigger over ``n`` bits.
+
+    A single flip across the trigger boundary jumps the error count from
+    ``b = floor(threshold)`` to ``n``, so the constant is ``n - b`` while
+    ``0 <= b < n``; it is 1 above (identity channel) and 0 below (constant
+    all-ones).
+    """
+    b = _trigger_cut(n, threshold)
+    return float(n - b) if 0 <= b < n else float(b == n)
 
 
 def _threshold_passes(model: HiddenErrorModel):
@@ -502,7 +490,7 @@ def _threshold_passes(model: HiddenErrorModel):
     and ``P(W > B)``.
     """
     start, steps, table = _lift(model)
-    n, b = model.n, _threshold_cut(model)
+    n, b = model.n, _trigger_cut(model.n, model.channel.threshold)
     right = np.empty((n, max(b, 0)))
     beta = np.zeros((2, n + 1))
     beta[:, 0] = 1.0
@@ -561,8 +549,8 @@ def _threshold_covariance(model: HiddenErrorModel) -> np.ndarray:
 def site_error_rates(model: HiddenErrorModel) -> np.ndarray:
     """Exact per-site error probabilities ``E[Y_i]``, shape (n,).
 
-    Per-site and window channels read the window marginals of the lifted
-    chain (per-site channels are the ``r = 0`` case) in O(n * S**(2r+2)).
+    Table channels read the window marginals of the lifted chain in
+    O(n * S**(2r+2)).
     Threshold channels combine a forward and a backward pass over
     (symbol, partial weight) in O(n**2).
     """
@@ -597,7 +585,7 @@ def error_rate(model: HiddenErrorModel, mode: str = "exact", trials: int | None 
 
 
 def _window_lipschitz(model: HiddenErrorModel) -> float:
-    """Largest one-flip change of ``sum_i q_i(1 | x)`` for a window channel.
+    """Largest one-flip change of ``sum_i q_i(1 | x)`` for a table channel.
 
     A flip at site ``k`` moves only the windows of sites ``k - r .. k + r``,
     which read sites ``k - 2r .. k + 2r``, so each flip is resolved on that
@@ -629,21 +617,17 @@ def _window_lipschitz(model: HiddenErrorModel) -> float:
 def lipschitz_constant(model: HiddenErrorModel) -> float:
     """Hamming-Lipschitz constant of the conditional mean error count.
 
-    Per-site channels give the largest per-site oscillation of the error
-    probability; threshold channels ``n - floor(threshold)`` (1 when the
-    threshold is at least ``n``, 0 when it is negative); window channels
-    enumerate only the ``S**min(n, 4r + 1)`` neighbourhood of each flip.
+    Threshold channels follow the trigger rule of :func:`_trigger_lipschitz`;
+    radius-0 tables give the largest per-site oscillation of the error
+    probability; wider windows enumerate only the ``S**min(n, 4r + 1)``
+    neighbourhood of each flip.
     """
     c = model.channel
-    if isinstance(c, PerSiteChannel):
-        table = c.table
-        return float((table.max(axis=1) - table.min(axis=1)).max())
-    if isinstance(c, WindowChannel):
-        return _window_lipschitz(model)
-    b = _threshold_cut(model)
-    if b < 0:
-        return 0.0
-    return 1.0 if b == model.n else float(model.n - b)
+    if isinstance(c, GlobalThresholdChannel):
+        return _trigger_lipschitz(model.n, c.threshold)
+    if c.radius == 0:
+        return float((c.table.max(axis=1) - c.table.min(axis=1)).max())
+    return _window_lipschitz(model)
 
 
 def _lifted_covariance(model: HiddenErrorModel) -> np.ndarray:
@@ -679,7 +663,7 @@ def covariance_matrix(model: HiddenErrorModel, mode: str = "exact", trials: int 
     """Covariance matrix of the error bits.
 
     ``mode="exact"`` returns an (n, n) array whose diagonal holds
-    ``Var(Y_i)``.  Per-site and window channels use products of centred
+    ``Var(Y_i)``.  Table channels use products of centred
     window kernels in O(n**2 * S**(2r+2)), which never subtract
     ``E[Y_i] E[Y_j]`` from ``E[Y_i Y_j]``; threshold channels use one pair
     pass over (start site, symbol, partial weight) in
@@ -723,13 +707,13 @@ def weight_distribution(model: HiddenErrorModel) -> np.ndarray:
     """Exact law of the total error weight ``sum_i Y_i``, shape (n + 1,).
 
     One forward pass over (window, partial weight) in O(n**2 * S**(2r+2)),
-    with no enumeration limit; per-site channels are the ``r = 0`` case.  A
+    with no enumeration limit.  A
     threshold channel runs its latent weight law through the same pass and
     moves all mass above ``floor(threshold)`` onto weight ``n``.
     """
     law = _weight_pass(*_lift(model))
     if isinstance(model.channel, GlobalThresholdChannel):
-        cut = _threshold_cut(model) + 1
+        cut = _trigger_cut(model.n, model.channel.threshold) + 1
         if cut < model.n:
             law[model.n] = law[cut:].sum()
             law[cut : model.n] = 0.0

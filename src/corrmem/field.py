@@ -51,7 +51,8 @@ def _as_distribution(vec, name: str) -> np.ndarray:
     arr = np.asarray(vec, dtype=float)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be a one-dimensional probability vector")
-    if np.any(arr < -PROB_ATOL) or np.any(arr > 1.0 + PROB_ATOL):
+    # written as "inside" so that NaN, which compares false, fails
+    if not np.all((arr >= -PROB_ATOL) & (arr <= 1.0 + PROB_ATOL)):
         raise ValidationError(f"{name} has entries outside [0, 1]")
     total = float(arr.sum())
     if abs(total - 1.0) > PROB_ATOL:
@@ -102,8 +103,9 @@ class MarkovFieldSpec:
             raise ValidationError(
                 f"kernels have shape {kernels.shape}, expected ({self.n - 1}, {s}, {s})"
             )
-        bad = np.any((kernels < -PROB_ATOL) | (kernels > 1.0 + PROB_ATOL), axis=2)
-        bad |= np.abs(kernels.sum(axis=2) - 1.0) > PROB_ATOL
+        inside = (kernels >= -PROB_ATOL) & (kernels <= 1.0 + PROB_ATOL)
+        bad = ~inside.all(axis=2)
+        bad |= np.abs(kernels.sum(axis=2, where=inside) - 1.0) > PROB_ATOL
         # the first bad row in (site, row) order raises as a row check would
         for i, a in np.argwhere(bad):
             _as_distribution(kernels[i, a], f"kernels[{i}] row {a}")

@@ -56,6 +56,17 @@ def test_names_the_first_bad_kernel_row_in_site_then_row_order(first, second, me
         MarkovFieldSpec(n=4, alphabet_size=2, initial=np.array([0.5, 0.5]), kernels=kernels)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_rejects_non_finite_probabilities_naming_the_first_bad_row(bad):
+    kernels = np.tile(np.eye(2), (3, 1, 1)).reshape(3, 2, 2).copy()
+    kernels[1, 1] = [bad, 0.5]
+    kernels[2, 0] = [bad, bad]
+    with pytest.raises(ValidationError, match="kernels\\[1\\] row 1 has entries outside"):
+        MarkovFieldSpec(n=4, alphabet_size=2, initial=np.array([0.5, 0.5]), kernels=kernels)
+    with pytest.raises(ValidationError, match="initial has entries outside"):
+        MarkovFieldSpec(n=4, alphabet_size=2, initial=np.array([bad, 0.5]), kernels=np.tile(np.eye(2), (3, 1, 1)))
+
+
 def test_rejects_negative_initial_entry():
     with pytest.raises(ValidationError, match="initial"):
         MarkovFieldSpec(

@@ -219,6 +219,46 @@ def test_adversarial_scan_walks_once_per_grid_point(tmp_path, monkeypatch):
     assert len(walks) == 48
 
 
+def test_adversarial_scan_reuses_each_walks_first_anchor(tmp_path, monkeypatch):
+    calls = []
+    real = adversarial._log_pmf
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(adversarial, "_log_pmf", counted)
+    cfg = parse_config(
+        {
+            "kind": "adversarial-scan",
+            "out": str(tmp_path),
+            "grid": {"n_values": [2**k for k in range(8, 20)]},
+            "params": {"eps": 0.1, "margin_rates": [0.5, 1.0, 1.5, 2.0]},
+        }
+    )
+    assert run(cfg).rows == 48
+    # five anchors per walk; the one at the walk's start is evaluated once
+    assert len(calls) == 240
+    assert len(set(calls)) == 240
+
+
+def test_cli_rejects_a_nan_field_law(tmp_path, capsys):
+    path = write_config(
+        tmp_path,
+        "cov.json",
+        {
+            "model": {
+                "type": "hidden",
+                "field": {"initial": [math.nan, 0.5], "kernels": [[[0.5, 0.5], [0.5, 0.5]]]},
+                "channel": {"type": "per_site", "rates": [0.05, 0.15]},
+            }
+        },
+    )
+    assert main(["covariance", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "initial has entries outside" in capsys.readouterr().err
+    assert not (tmp_path / "covariance.csv").exists()
+
+
 def test_retention_unit_channel_rows(tmp_path):
     cfg = parse_config(
         {
