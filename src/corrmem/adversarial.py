@@ -64,10 +64,10 @@ __all__ = [
 class ThresholdModelSpec:
     """Parameters of the threshold family.
 
-    Exactly one of ``margin`` (an explicit value, any finite real) and
-    ``margin_rate`` (a positive coefficient giving the schedule
-    ``margin = margin_rate * sqrt(log n)``) must be supplied.  The trigger
-    threshold ``n * eps + sqrt(n) * margin`` is always recomputed from these
+    Exactly one of ``margin`` (an explicit value) and ``margin_rate`` (a
+    positive coefficient giving the schedule ``margin = margin_rate *
+    sqrt(log n)``) must be supplied.  The trigger threshold ``n * eps +
+    sqrt(n) * margin`` must be finite; it is always recomputed from these
     inputs, never stored.
     """
 
@@ -86,15 +86,14 @@ class ThresholdModelSpec:
         if (self.margin is None) == (self.margin_rate is None):
             raise ValidationError("exactly one of margin and margin_rate must be given")
         if self.margin is not None:
-            margin = float(self.margin)
-            if not math.isfinite(margin):
-                raise ValidationError("margin must be finite")
-            object.__setattr__(self, "margin", margin)
+            object.__setattr__(self, "margin", float(self.margin))
         else:
             rate = float(self.margin_rate)
-            if not (math.isfinite(rate) and rate > 0.0):
-                raise ValidationError("margin_rate must be positive and finite")
+            if not rate > 0.0:
+                raise ValidationError("margin_rate must be positive")
             object.__setattr__(self, "margin_rate", rate)
+        if not math.isfinite(self.threshold):
+            raise ValidationError("the threshold n * eps + sqrt(n) * margin must be finite")
 
     @classmethod
     def from_threshold(cls, n: int, eps: float, threshold: float) -> "ThresholdModelSpec":
@@ -136,12 +135,12 @@ class ThresholdModelSpec:
         return cov
 
     def tail(self, k: int) -> float:
-        """``P(sum Y > k)`` for ``0 <= k < n``, with no weight law.
+        """``P(sum Y > k)``, with no weight law.
 
         Weights strictly between ``floor(B)`` and ``n`` carry no mass, so
-        above ``floor(B)`` the tail is the trigger probability.
+        from ``floor(B)`` up to ``n`` the tail is the trigger probability.
         """
-        return _binom_tail_gt(self.n, self.eps, min(k, self.threshold))
+        return 0.0 if k >= self.n else _binom_tail_gt(self.n, self.eps, min(k, self.threshold))
 
     def sample_weights(self, gens, count: int) -> np.ndarray:
         """Error weights of ``count`` epochs from each of ``gens`` in turn.

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .adversarial import ThresholdModelSpec
 from .channel import HiddenErrorModel, _require_mc
@@ -122,6 +121,10 @@ def clopper_pearson(count: int, trials: int, confidence: float = 0.95) -> tuple[
         raise ValidationError("trials must be >= 1")
     if not 0.0 < confidence < 1.0:
         raise ValidationError("confidence must lie in (0, 1)")
+    # Imported here, not at module level: scipy.special takes longer to
+    # import than every exact computation of a run together.
+    from scipy import special
+
     alpha = 1.0 - confidence
     lo = 0.0 if count == 0 else float(special.betaincinv(count, trials - count + 1, alpha / 2.0))
     hi = 1.0 if count == trials else float(special.betaincinv(count + 1, trials - count, 1.0 - alpha / 2.0))
@@ -196,17 +199,8 @@ def count_exceedances(model, gen: np.random.Generator, trials: int, threshold: f
 
 
 def exact_tail(model, threshold: float) -> float:
-    """Exact ``P(sum Y > threshold)`` from the model's ``tail(k)``.
-
-    Thresholds below 0 and at or above ``n`` are answered without it.
-    """
-    n = _check_model(model).n
-    k = math.floor(threshold)
-    if k < 0:
-        return 1.0
-    if k >= n:
-        return 0.0
-    return min(1.0, model.tail(k))
+    """Exact ``P(sum Y > threshold)`` from the model's ``tail(k)``."""
+    return min(1.0, _check_model(model).tail(math.floor(threshold)))
 
 
 def empirical_tail(model, threshold: float, trials: int, seed: int) -> TailEstimate:

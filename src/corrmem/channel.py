@@ -169,6 +169,8 @@ class HiddenErrorModel:
 
     def tail(self, k: int) -> float:
         """``P(sum Y > k)``, summed off the weight law."""
+        if not 0 <= k < self.n:
+            return 1.0 if k < 0 else 0.0
         return math.fsum(self.weight_law()[k + 1 :].tolist())
 
     def sample_weights(self, gens, count: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -86,18 +86,6 @@ class ExperimentConfig:
     grid: dict = field(default_factory=dict)
     budget: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "master_seed": self.master_seed,
-            "out": self.out,
-            "model": self.model,
-            "code": self.code,
-            "grid": self.grid,
-            "budget": self.budget,
-            "params": self.params,
-        }
 
 
 @dataclass(frozen=True)
@@ -170,40 +158,31 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+# The blocks and keys each kind requires, in the order checked.  A key of
+# None asks for the block itself.
+_REQUIRED_BY_KIND = {
+    "covariance": [("model", None)],
+    "retention": [("model", None), ("code", None), ("budget", "trials"), ("budget", "max_epochs")],
+    "tails": [("model", None), ("params", "deltas")],
+    "mixing": [("model", None), ("model", "field")],
+    "adversarial-scan": [("grid", "n_values"), ("params", "eps"), ("params", "margin_rates")],
+    "scaling": [("model", None), ("grid", "n_values"), ("params", "distance_fraction")],
+}
+
+
 def _validate_kind_blocks(cfg: ExperimentConfig) -> None:
     kind = cfg.kind
-    if kind in ("covariance", "retention", "tails"):
-        _require(cfg.model is not None, f"kind {kind!r} requires a 'model' block")
-    if kind == "mixing":
-        _require(cfg.model is not None, "kind 'mixing' requires a 'model' block")
-        _require("field" in (cfg.model or {}), "mixing model block must contain 'field'")
-    if kind == "retention":
-        _require(cfg.code is not None, "kind 'retention' requires a 'code' block")
-        _require("trials" in cfg.budget, "retention budget must set 'trials'")
-        _require("max_epochs" in cfg.budget, "retention budget must set 'max_epochs'")
-    if kind == "adversarial-scan":
-        _require("n_values" in cfg.grid, "adversarial-scan grid must set 'n_values'")
-        _require("eps" in cfg.params, "adversarial-scan params must set 'eps'")
-        _require(
-            "margin_rates" in cfg.params,
-            "adversarial-scan params must set 'margin_rates'",
-        )
-    if kind == "tails":
-        _require("deltas" in cfg.params, "tails params must set 'deltas'")
-    if kind == "scaling":
-        _require(cfg.model is not None, "kind 'scaling' requires a 'model' block")
-        _require("n_values" in cfg.grid, "scaling grid must set 'n_values'")
-        _require(
-            "distance_fraction" in cfg.params,
-            "scaling params must set 'distance_fraction'",
-        )
-    for key in ("n_values",):
-        if key in cfg.grid:
-            values = cfg.grid[key]
-            _require(
-                isinstance(values, list) and len(values) > 0,
-                f"grid.{key} must be a non-empty list",
-            )
+    for block, key in _REQUIRED_BY_KIND.get(kind, ()):
+        given = getattr(cfg, block)
+        if key is None:
+            _require(given is not None, f"kind {kind!r} requires a {block!r} block")
+        elif block == "model":
+            _require(key in given, f"{kind} model block must contain {key!r}")
+        else:
+            _require(key in given, f"{kind} {block} must set {key!r}")
+    if "n_values" in cfg.grid:
+        values = cfg.grid["n_values"]
+        _require(isinstance(values, list) and len(values) > 0, "grid.n_values must be a non-empty list")
     for key in ("trials", "max_epochs"):
         if key in cfg.budget:
             _require(
@@ -657,7 +636,7 @@ def run(cfg: ExperimentConfig, threads: int = 1) -> RunResult:
     payload = {
         "kind": cfg.kind,
         "version": __version__,
-        "config": cfg.as_dict(),
+        "config": asdict(cfg),
         "threads": threads,
         "seed_tree": seed_tree,
         "rows": len(rows),

@@ -17,7 +17,7 @@ fails with probability at most ``exp(-b n)``, then
 Every function here takes a model of either family and uses only the
 methods both answer: ``n``, ``mean_rate()``, ``lipschitz()``,
 ``mixing_bound()``, ``weight_law()``, ``tail(k)`` (exact ``P(sum Y > k)``
-for ``0 <= k < n``), ``covariance()`` (exact, n x n) and
+for every integer ``k``), ``covariance()`` (exact, n x n) and
 ``sample_weights(gens, count)``.
 """
 
@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .adversarial import _line_fit
 from .bounds import _check_model, empirical_tail, exact_tail
@@ -252,13 +251,34 @@ def geometric_ks_statistic(failure_epochs, p: float) -> float:
     return max(d, float((1.0 - p) ** t_max))
 
 
+def _kolmogorov_sf(x: float) -> float:
+    """``P(K > x)`` for the Kolmogorov distribution and ``x > 0``.
+
+    ``Q(x) = 2 sum_k (-1)^(k-1) exp(-2 k^2 x^2)`` converges fast for
+    ``x >= 1``; below 1 the theta form ``1 - Q(x) = sqrt(2 pi) / x *
+    sum_k exp(-(2k-1)^2 pi^2 / (8 x^2))`` does (Marsaglia, Tsang & Wang,
+    J. Stat. Softw. 8(18), 2003).  Eight terms of either reach full precision.
+    """
+    if x < 1.0:
+        theta = math.fsum(math.exp(-((2 * k - 1) * math.pi / x) ** 2 / 8.0) for k in range(1, 9))
+        return 1.0 - math.sqrt(2.0 * math.pi) / x * theta
+    return 2.0 * math.fsum((-1) ** (k - 1) * math.exp(-2.0 * (k * x) ** 2) for k in range(1, 9))
+
+
 def ks_critical_value(samples: int, alpha: float = 0.01) -> float:
-    """Asymptotic Kolmogorov critical value at level ``alpha``."""
+    """Asymptotic Kolmogorov critical value at level ``alpha``.
+
+    The root of ``P(K > x) = alpha``, bisected to adjacent floats.  Since
+    ``P(K > x) < 2 exp(-2 x^2)``, it lies below ``sqrt(log(2 / alpha) / 2)``.
+    """
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must lie in (0, 1)")
-    return float(special.kolmogi(alpha)) / math.sqrt(samples)
+    lo, hi = 0.0, math.sqrt(math.log(2.0 / alpha) / 2.0)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if _kolmogorov_sf(mid) > alpha else (lo, mid)
+    return mid / math.sqrt(samples)
 
 
 def lifetime_lower_bound(n: int, distance_fraction: float, confidence: float | None = None) -> LifetimeBound:

@@ -7,6 +7,7 @@ loss from the anchors, the recurrence or the truncation shows up as a
 relative error.
 """
 
+import json
 import math
 import subprocess
 import sys
@@ -256,13 +257,48 @@ def test_tail_scaling_fit_refuses_only_impossible_triggers():
         tail_scaling_fit([*specs, ThresholdModelSpec.from_threshold(64, 0.1, 64.0)])
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    code = "import sys, corrmem; print('scipy.stats' in sys.modules)"
+_SCIPY_PROBE = """
+import json, sys
+from corrmem import clopper_pearson, parse_config, run
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+
+out = sys.argv[1]
+seen = {"import corrmem": scipy_modules()}
+run(parse_config({
+    "kind": "tails",
+    "out": out,
+    "model": {"field": {"theta": 0.5, "n": 8}, "channel": {"type": "per_site", "rates": [0.05, 0.15]}},
+    "params": {"method": "exact", "deltas": [0.1, 0.2]},
+}))
+seen["exact tails run"] = scipy_modules()
+run(parse_config({
+    "kind": "adversarial-scan",
+    "out": out,
+    "grid": {"n_values": [64, 1024]},
+    "params": {"eps": 0.1, "margin_rates": [1.0, 2.0]},
+}))
+seen["adversarial-scan run"] = scipy_modules()
+clopper_pearson(3, 10)
+seen["clopper_pearson"] = "scipy.special" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loads_only_for_a_clopper_pearson_interval(tmp_path):
+    # scipy.special takes longer to import than every exact computation of a
+    # run together, so no exact path may load any of scipy
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
         env={"PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert json.loads(out.stdout) == {
+        "import corrmem": [],
+        "exact tails run": [],
+        "adversarial-scan run": [],
+        "clopper_pearson": True,
+    }

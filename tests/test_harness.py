@@ -259,6 +259,25 @@ def test_cli_rejects_a_nan_field_law(tmp_path, capsys):
     assert not (tmp_path / "covariance.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "margin",
+    [{"margin": 1e308}, {"margin": -1e308}, {"margin_rate": 1e308}],
+    ids=["margin", "negative-margin", "margin-rate"],
+)
+def test_cli_rejects_a_threshold_that_overflows(tmp_path, capsys, margin):
+    path = write_config(
+        tmp_path,
+        "tails.json",
+        {
+            "model": {"type": "threshold", "n": 4, "eps": 0.2, **margin},
+            "params": {"method": "exact", "deltas": [0.2]},
+        },
+    )
+    assert main(["tails", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "threshold n * eps + sqrt(n) * margin must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "tails.csv").exists()
+
+
 def test_retention_unit_channel_rows(tmp_path):
     cfg = parse_config(
         {

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,12 +234,24 @@ def test_geometric_ks_rejects_censored_zeros():
         geometric_ks_statistic(np.array([0, 3, 5]), 0.5)
 
 
+def _mp_kolmogorov_root(alpha, guess):
+    # the alternating series alone, summed at 40 digits and solved by secant;
+    # for x > 0.3 its terms past k = 60 are below 1e-280
+    def excess(x):
+        return 2 * mpmath.fsum((-1) ** (k - 1) * mpmath.exp(-2 * k * k * x * x) for k in range(1, 61)) - alpha
+
+    with mpmath.workdps(40):
+        return mpmath.findroot(excess, mpmath.mpf(guess))
+
+
 def test_ks_critical_value_formula():
     from scipy import special
 
-    assert ks_critical_value(400, alpha=0.01) == pytest.approx(
-        float(special.kolmogi(0.01)) / 20.0
-    )
+    for alpha in [*np.logspace(-12, -1, 12), *np.linspace(0.1, 0.999, 10)]:
+        x = ks_critical_value(1, alpha=alpha)
+        assert x == pytest.approx(float(special.kolmogi(alpha)), rel=1e-12, abs=0.0), alpha
+        assert x == pytest.approx(float(_mp_kolmogorov_root(alpha, x)), rel=1e-12, abs=0.0), alpha
+        assert ks_critical_value(400, alpha=alpha) == x / 20.0
 
 
 # --- lifetime bound ---------------------------------------------------------
@@ -342,6 +355,15 @@ def test_weight_law_agrees_between_model_families():
             assert np.allclose(direct, hidden, rtol=0.0, atol=1e-12), (threshold, method)
         assert np.array_equal(weight_law(spec), spec.weight_law())
         assert np.array_equal(weight_law(embedded), embedded.weight_law())
+
+
+@pytest.mark.parametrize("k", [-3, -2, -1, 4, 5])
+def test_tail_outside_zero_to_n_agrees_between_model_families(k):
+    # P(W > k) is 1 below 0 and 0 from n on, whatever the model; the spec's
+    # trigger sits inside [0, n), where its tail is the trigger probability
+    hidden = HiddenErrorModel(field=chain(4, 0.3), channel=PerSiteChannel(table=np.tile([0.01, 0.2], (4, 1))))
+    spec = ThresholdModelSpec(n=4, eps=0.2, margin=0.5)
+    assert hidden.tail(k) == spec.tail(k) == (1.0 if k < 0 else 0.0)
 
 
 _CODE = CodeModel(n=4, k=1, d=3)
