@@ -189,6 +189,8 @@ def count_exceedances(model, gen: np.random.Generator, trials: int, threshold: f
     ``sample_weights``.
     """
     _check_model(model)
+    if math.isnan(threshold):
+        raise ValidationError("tail threshold must not be NaN")
     if not isinstance(trials, (int, np.integer)) or trials < 0:
         raise ValidationError("trials must be a non-negative integer")
     count = 0
@@ -199,8 +201,11 @@ def count_exceedances(model, gen: np.random.Generator, trials: int, threshold: f
 
 
 def exact_tail(model, threshold: float) -> float:
-    """Exact ``P(sum Y > threshold)`` from the model's ``tail(k)``."""
-    return min(1.0, _check_model(model).tail(math.floor(threshold)))
+    """Exact ``P(sum Y > threshold)`` from the model's ``tail(k)``: 1 below 0, 0 from ``n`` on."""
+    n = _check_model(model).n
+    if math.isnan(threshold):
+        raise ValidationError("tail threshold must not be NaN")
+    return min(1.0, model.tail(math.floor(min(max(threshold, -1.0), n))))
 
 
 def empirical_tail(model, threshold: float, trials: int, seed: int) -> TailEstimate:

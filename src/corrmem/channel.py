@@ -168,10 +168,10 @@ class HiddenErrorModel:
         return covariance_matrix(self)
 
     def tail(self, k: int) -> float:
-        """``P(sum Y > k)``, summed off the weight law."""
+        """``P(sum Y > k)``: the last column of the weight pass capped at ``k``."""
         if not 0 <= k < self.n:
             return 1.0 if k < 0 else 0.0
-        return math.fsum(self.weight_law()[k + 1 :].tolist())
+        return float(_weight_pass(self, k)[-1])
 
     def sample_weights(self, gens, count: int) -> np.ndarray:
         """Error weights of ``count`` epochs from each of ``gens`` in turn.
@@ -445,16 +445,21 @@ def _window_marginals(start: np.ndarray, steps) -> np.ndarray:
 
 
 def _add_bit(law: np.ndarray, q: np.ndarray) -> None:
-    """Fold one independent error bit of rate ``q[b]`` into weight law row ``b``."""
+    """Fold one independent error bit of rate ``q[b]`` into weight law row ``b``; the last column absorbs."""
     qc = q[:, None]
+    top = law[:, -1] * q
     law[:, 1:] = law[:, 1:] * (1.0 - qc) + law[:, :-1] * qc
     law[:, 0] *= 1.0 - q
+    law[:, -1] += top
 
 
-def _weight_pass(start: np.ndarray, steps, table: np.ndarray) -> np.ndarray:
-    """Law of ``sum_i Y_i`` carried forward as (window, weight so far)."""
-    n = table.shape[0]
-    alpha = np.zeros((start.size, n + 1))
+def _weight_pass(model: HiddenErrorModel, cap: int) -> np.ndarray:
+    """Law of ``min(W, cap + 1)``; a threshold channel carries its latent ``W`` and caps at its cut."""
+    start, steps, table = _lift(model)
+    n = model.n
+    if isinstance(model.channel, GlobalThresholdChannel):
+        cap = min(cap, _trigger_cut(n, model.channel.threshold))
+    alpha = np.zeros((start.size, cap + 2))
     alpha[:, 0] = start
     for i in range(n):
         head = alpha[:, : i + 2]
@@ -488,13 +493,13 @@ def _threshold_passes(model: HiddenErrorModel):
     ``right[i, m] = P(X_{i+1} + ... + X_{n-1} <= m | X_i = 1)`` for
     ``m < b``, and a forward pass over (symbol, partial weight) gives
     ``P(W > B)`` and the rates ``P(Y_i = 1) = P(W > B) + P(X_i = 1, W <= B)``.
-    Returns the lifted chain's ``start`` and ``steps``, ``right``, the rates
-    and ``P(W > B)``.
+    Each pass costs O(n * (b + 2)).  Returns the lifted chain's ``start``,
+    ``steps``, ``right``, the rates and ``P(W > B)``.
     """
     start, steps, table = _lift(model)
     n, b = model.n, _trigger_cut(model.n, model.channel.threshold)
     right = np.empty((n, max(b, 0)))
-    beta = np.zeros((2, n + 1))
+    beta = np.zeros((2, right.shape[1] + 1))
     beta[:, 0] = 1.0
     for i in range(n - 1, -1, -1):
         right[i] = np.cumsum(beta[1])[: right.shape[1]]
@@ -502,7 +507,7 @@ def _threshold_passes(model: HiddenErrorModel):
             _add_bit(beta, table[i])
             beta = _pull(beta, steps[i - 1])
     rates = np.zeros(n)
-    alpha = np.zeros((2, n + 1))
+    alpha = np.zeros((2, b + 2))
     alpha[:, 0] = start
     for i in range(n):
         if b >= 1:
@@ -510,7 +515,7 @@ def _threshold_passes(model: HiddenErrorModel):
         _add_bit(alpha, table[i])
         if i + 1 < n:
             alpha = _advance(alpha, steps[i])
-    trigger = alpha.sum(axis=0)[b + 1 :].sum()
+    trigger = alpha.sum(axis=0)[-1]
     return start, steps, right, rates + trigger, trigger
 
 
@@ -552,9 +557,9 @@ def site_error_rates(model: HiddenErrorModel) -> np.ndarray:
     """Exact per-site error probabilities ``E[Y_i]``, shape (n,).
 
     Table channels read the window marginals of the lifted chain in
-    O(n * S**(2r+2)).
-    Threshold channels combine a forward and a backward pass over
-    (symbol, partial weight) in O(n**2).
+    O(n * S**(2r+2)).  Threshold channels combine a forward and a backward
+    pass over (symbol, partial weight up to floor(threshold) + 1) in
+    O(n * (floor(threshold) + 2)).
     """
     if isinstance(model.channel, GlobalThresholdChannel):
         return _threshold_passes(model)[3]
@@ -708,15 +713,10 @@ def covariance_matrix(model: HiddenErrorModel, mode: str = "exact", trials: int 
 def weight_distribution(model: HiddenErrorModel) -> np.ndarray:
     """Exact law of the total error weight ``sum_i Y_i``, shape (n + 1,).
 
-    One forward pass over (window, partial weight) in O(n**2 * S**(2r+2)),
-    with no enumeration limit.  A
-    threshold channel runs its latent weight law through the same pass and
-    moves all mass above ``floor(threshold)`` onto weight ``n``.
+    The weight pass capped at ``n - 1``, O(n**2 * S**(2r+2)) with no
+    enumeration limit.  A threshold channel's pass stops at its cut
+    ``floor(threshold)``, O(n * (floor(threshold) + 2)), and its last
+    column, the trigger mass, is placed at weight ``n``.
     """
-    law = _weight_pass(*_lift(model))
-    if isinstance(model.channel, GlobalThresholdChannel):
-        cut = _trigger_cut(model.n, model.channel.threshold) + 1
-        if cut < model.n:
-            law[model.n] = law[cut:].sum()
-            law[cut : model.n] = 0.0
-    return law
+    law = _weight_pass(model, model.n - 1)
+    return np.insert(law, law.size - 1, np.zeros(model.n + 1 - law.size))

@@ -17,6 +17,7 @@ are collected in submission order, so parallelism never changes output.
 import csv
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -54,17 +55,6 @@ __all__ = [
     "run",
     "symmetric_binary_field",
 ]
-
-KINDS = (
-    "mixing",
-    "covariance",
-    "adversarial-scan",
-    "retention",
-    "tails",
-    "scaling",
-    "verify-all",
-)
-
 
 class ConfigError(ValidationError):
     """A config file is malformed or missing a required field."""
@@ -133,9 +123,7 @@ def parse_config(data: dict, kind: str | None = None) -> ExperimentConfig:
     extra = set(data) - known
     if extra:
         raise ConfigError(f"unknown config field(s): {sorted(extra)}")
-    seed = data.get("master_seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError("master_seed must be a non-negative integer")
+    seed = _integer(data.get("master_seed", 0), "master_seed", least=0)
     for block in ("model", "code", "grid", "budget", "params"):
         if block in data and not isinstance(data[block], dict):
             raise ConfigError(f"config field {block!r} must be an object")
@@ -156,6 +144,44 @@ def parse_config(data: dict, kind: str | None = None) -> ExperimentConfig:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
+
+
+# Typed readers for config values, each naming the value it rejects.  A
+# bool is never a number, and an integer may be written 8 or 8.0, not 8.5.
+
+
+def _number(value, name: str) -> float:
+    """A number as a float."""
+    _require(isinstance(value, numbers.Real) and not isinstance(value, bool), f"{name} must be a number")
+    return float(value)
+
+
+def _integer(value, name: str, least: int | None = None) -> int:
+    """An integer or an integral float as an int, at least ``least`` if given."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    valid = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not valid or (least is not None and value < least):
+        bound = {None: "an", 0: "a non-negative", 1: "a positive"}[least]
+        raise ConfigError(f"{name} must be {bound} integer")
+    return int(value)
+
+
+def _list_of(read, value, name: str, least: int = 0) -> list:
+    """A list of at least ``least`` entries, each read by ``read``."""
+    what = "a non-empty list" if least else "a list"
+    _require(isinstance(value, list) and len(value) >= least, f"{name} must be {what}")
+    return [read(item, f"{name}[{i}]") for i, item in enumerate(value)]
+
+
+def _array(value, name: str) -> np.ndarray:
+    """A rectangular JSON array of numbers as a float array."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged list
+        array = None
+    _require(array is not None and array.dtype.kind in "iuf", f"{name} must be a rectangular array of numbers")
+    return array.astype(float)
 
 
 # The blocks and keys each kind requires, in the order checked.  A key of
@@ -181,15 +207,12 @@ def _validate_kind_blocks(cfg: ExperimentConfig) -> None:
         else:
             _require(key in given, f"{kind} {block} must set {key!r}")
     if "n_values" in cfg.grid:
-        values = cfg.grid["n_values"]
-        _require(isinstance(values, list) and len(values) > 0, "grid.n_values must be a non-empty list")
-    for key in ("trials", "max_epochs"):
-        if key in cfg.budget:
-            _require(
-                isinstance(cfg.budget[key], int) and cfg.budget[key] >= 1,
-                f"budget.{key} must be a positive integer",
-            )
+        _sizes(cfg)
 
+
+def _sizes(cfg: ExperimentConfig) -> list:
+    """The grid's ``n_values``, a non-empty list of integers."""
+    return _list_of(_integer, cfg.grid["n_values"], "grid.n_values", least=1)
 
 # ---------------------------------------------------------------------------
 # model construction from config blocks
@@ -216,10 +239,10 @@ def symmetric_binary_field(n: int, theta: float) -> MarkovFieldSpec:
 def _build_field(block: dict, n: int | None = None) -> MarkovFieldSpec:
     if "kernels" in block:
         _require("initial" in block, "explicit field block must contain 'initial'")
-        initial = np.asarray(block["initial"], dtype=float)
-        kernels = np.asarray(block["kernels"], dtype=float)
+        initial = _array(block["initial"], "field.initial")
+        kernels = _array(block["kernels"], "field.kernels")
         spec = MarkovFieldSpec(
-            n=len(kernels) + 1,
+            n=len(np.atleast_1d(kernels)) + 1,
             alphabet_size=initial.shape[0] if initial.ndim == 1 else 0,
             initial=initial,
             kernels=kernels,
@@ -230,7 +253,7 @@ def _build_field(block: dict, n: int | None = None) -> MarkovFieldSpec:
     if "theta" in block:
         size = block.get("n", n)
         _require(size is not None, "homogeneous field block needs 'n' (or a grid)")
-        return symmetric_binary_field(int(size), float(block["theta"]))
+        return symmetric_binary_field(_integer(size, "field.n"), _number(block["theta"], "field.theta"))
     raise ConfigError("field block must contain either 'kernels' or 'theta'")
 
 
@@ -238,21 +261,21 @@ def _build_channel(block: dict, n: int, alphabet_size: int):
     kind = block.get("type")
     if kind == "per_site":
         if "table" in block:
-            return PerSiteChannel(table=np.asarray(block["table"], dtype=float))
+            return PerSiteChannel(table=_array(block["table"], "channel.table"))
         _require("rates" in block, "per_site channel needs 'table' or 'rates'")
-        rates = np.asarray(block["rates"], dtype=float)
+        rates = _array(block["rates"], "channel.rates")
         if rates.shape != (alphabet_size,):
             raise ConfigError(f"per_site rates must list {alphabet_size} values")
         return PerSiteChannel(table=np.tile(rates, (n, 1)))
     if kind == "window":
         _require("table" in block, "window channel needs 'table'")
         return WindowChannel(
-            radius=int(block.get("radius", 1)),
-            table=np.asarray(block["table"], dtype=float),
+            radius=_integer(block.get("radius", 1), "channel.radius"),
+            table=_array(block["table"], "channel.table"),
         )
     if kind == "global_threshold":
         _require("threshold" in block, "global_threshold channel needs 'threshold'")
-        return GlobalThresholdChannel(threshold=float(block["threshold"]))
+        return GlobalThresholdChannel(threshold=_number(block["threshold"], "channel.threshold"))
     raise ConfigError(
         "channel type must be one of 'per_site', 'window', 'global_threshold'"
     )
@@ -266,16 +289,16 @@ def _build_model(block: dict, n: int | None = None):
     """
     kind = block.get("type", "hidden")
     if kind == "threshold":
-        size = int(block.get("n", n) or 0)
+        size = _integer(block.get("n", n) or 0, "model.n")
         _require(size >= 1, "threshold model needs 'n' (or a grid)")
         _require("eps" in block, "threshold model needs 'eps'")
         margin = block.get("margin")
         rate = block.get("margin_rate")
         return ThresholdModelSpec(
             n=size,
-            eps=float(block["eps"]),
-            margin=None if margin is None else float(margin),
-            margin_rate=None if rate is None else float(rate),
+            eps=_number(block["eps"], "model.eps"),
+            margin=None if margin is None else _number(margin, "model.margin"),
+            margin_rate=None if rate is None else _number(rate, "model.margin_rate"),
         )
     if kind == "hidden":
         _require("field" in block, "hidden model needs a 'field' block")
@@ -290,8 +313,8 @@ def _build_code(block: dict, n: int) -> CodeModel:
     _require("d" in block, "code block must set 'd'")
     return CodeModel(
         n=n,
-        k=int(block.get("k", 1)),
-        d=int(block["d"]),
+        k=_integer(block.get("k", 1), "code.k"),
+        d=_integer(block["d"], "code.d"),
         mode=block.get("mode", "half_distance"),
     )
 
@@ -350,7 +373,7 @@ def _run_mixing(cfg, seed_tree, threads):
     if sizes is None:
         specs = [_build_field(block)]
     else:
-        specs = [_build_field(block, int(n)) for n in sizes]
+        specs = [_build_field(block, n) for n in _sizes(cfg)]
 
     def one(spec):
         theta = mixing_coefficients(spec)
@@ -383,7 +406,7 @@ def _run_covariance(cfg, seed_tree, threads):
             model = as_hidden_model(model)
         seed = derive_seed(cfg.master_seed, "covariance")
         seed_tree["covariance"] = seed
-        trials = int(cfg.budget.get("trials", 100_000))
+        trials = _integer(cfg.budget.get("trials", 100_000), "budget.trials", least=1)
         est = covariance_matrix(model, mode="mc", trials=trials, seed=seed)
         cov, err = est.values, est.stderr
     rows = [
@@ -396,9 +419,9 @@ def _run_covariance(cfg, seed_tree, threads):
 
 
 def _run_adversarial_scan(cfg, seed_tree, threads):
-    eps = float(cfg.params["eps"])
-    rates = [float(a) for a in cfg.params["margin_rates"]]
-    sizes = [int(n) for n in cfg.grid["n_values"]]
+    eps = _number(cfg.params["eps"], "params.eps")
+    rates = _list_of(_number, cfg.params["margin_rates"], "params.margin_rates")
+    sizes = _sizes(cfg)
 
     def one(point):
         n, a = point
@@ -427,8 +450,8 @@ def _run_retention(cfg, seed_tree, threads):
     model = _build_model(cfg.model)
     size = model.n
     code = _build_code(cfg.code, size)
-    trials = int(cfg.budget["trials"])
-    max_epochs = int(cfg.budget["max_epochs"])
+    trials = _integer(cfg.budget["trials"], "budget.trials", least=1)
+    max_epochs = _integer(cfg.budget["max_epochs"], "budget.max_epochs", least=1)
     seed = derive_seed(cfg.master_seed, "retention")
     seed_tree["retention"] = seed
     seed_tree["retention-trial"] = {"base": seed, "label": "retention-trial", "count": trials}
@@ -484,10 +507,11 @@ _TAILS_HEADER = [
 
 def _run_tails(cfg, seed_tree, threads):
     model = _build_model(cfg.model)
-    deltas = [float(d) for d in cfg.params["deltas"]]
+    deltas = _list_of(_number, cfg.params["deltas"], "params.deltas")
     method = cfg.params.get("method", "mc")
-    trials = int(cfg.budget.get("trials", 20_000))
-    model_id = str(cfg.params.get("model_id", "model-0"))
+    trials = _integer(cfg.budget.get("trials", 20_000), "budget.trials", least=1)
+    model_id = cfg.params.get("model_id", "model-0")
+    _require(isinstance(model_id, str), "params.model_id must be a string")
 
     seeds = [derive_seed(cfg.master_seed, "tails-delta", idx) for idx in range(len(deltas))]
     seed_tree.update({f"tails-delta-{idx}": seed for idx, seed in enumerate(seeds)})
@@ -511,8 +535,8 @@ def _run_tails(cfg, seed_tree, threads):
 
 
 def _run_scaling(cfg, seed_tree, threads):
-    sizes = [int(n) for n in cfg.grid["n_values"]]
-    fraction = float(cfg.params["distance_fraction"])
+    sizes = _sizes(cfg)
+    fraction = _number(cfg.params["distance_fraction"], "params.distance_fraction")
     if not 0.0 < fraction <= 1.0:
         raise ConfigError("scaling params.distance_fraction must lie in (0, 1]")
     mode = cfg.params.get("method", "exact")
@@ -525,7 +549,7 @@ def _run_scaling(cfg, seed_tree, threads):
     trials = cfg.budget.get("trials")
     seed = None
     if mode == "mc":
-        trials = int(trials or 100_000)
+        trials = _integer(cfg.budget.get("trials", 100_000), "budget.trials", least=1)
         seed = derive_seed(cfg.master_seed, "scaling")
         seed_tree["scaling"] = seed
         seed_tree["scaling-point"] = {"base": seed, "label": "scaling-point", "count": len(points)}
@@ -614,6 +638,8 @@ _RUNNERS = {
     "scaling": _run_scaling,
     "verify-all": _run_verify_all,
 }
+
+KINDS = tuple(_RUNNERS)
 
 
 def run(cfg: ExperimentConfig, threads: int = 1) -> RunResult:

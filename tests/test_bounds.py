@@ -160,6 +160,18 @@ def test_exact_tail_degenerate_thresholds():
     assert exact_tail(model, 99.0) == 0.0
 
 
+@pytest.mark.parametrize("family", ["hidden", "threshold"])
+def test_tails_reject_a_nan_threshold(family):
+    if family == "hidden":
+        model = chain_model(6, 0.25, [0.1, 0.3])
+    else:
+        model = ThresholdModelSpec(n=6, eps=0.2, margin=1.0)
+    with pytest.raises(ValidationError, match="NaN"):
+        exact_tail(model, math.nan)
+    with pytest.raises(ValidationError, match="NaN"):
+        empirical_tail(model, math.nan, trials=1000, seed=0)
+
+
 def test_exact_tail_matches_law_sum():
     model = chain_model(8, 0.5, [0.05, 0.2])
     law = weight_law(model)

@@ -488,6 +488,72 @@ def test_cli_non_finite_delta_exit_2(tmp_path, capsys, method, delta):
     assert not (tmp_path / "out" / "tails.csv").exists()
 
 
+PER_SITE = {"type": "per_site", "rates": [0.05, 0.15]}
+THRESHOLD_MODEL = {"type": "threshold", "n": 8, "eps": 0.1, "margin": 1.0}
+SCALING = {
+    "model": {"type": "threshold", "eps": 0.1, "margin_rate": 1.0},
+    "grid": {"n_values": [8, 16, 32, 64]},
+    "params": {"method": "exact", "distance_fraction": 0.3},
+}
+RETENTION = {"model": CHAIN_MODEL, "code": {"d": 3}, "budget": {"trials": 10, "max_epochs": 5}}
+
+
+def hidden(field, channel):
+    return {"model": {"type": "hidden", "field": field, "channel": channel}}
+
+
+def tails(model, **params):
+    return {"model": model, "params": {"method": "exact", "deltas": [0.2], **params}}
+
+
+def scan(**params):
+    return {"grid": {"n_values": [8]}, "params": {"eps": 0.1, "margin_rates": [1.0], **params}}
+
+
+def set_in(config, block, **values):
+    return {**config, block: {**config[block], **values}}
+
+
+@pytest.mark.parametrize(
+    "kind, config, name",
+    [
+        ("tails", tails(CHAIN_MODEL, deltas=0.2), "params.deltas"),
+        ("tails", tails(CHAIN_MODEL, deltas=["x"]), "params.deltas[0]"),
+        ("tails", tails(CHAIN_MODEL, model_id=[1]), "params.model_id"),
+        ("tails", tails({**THRESHOLD_MODEL, "eps": [0.1]}), "model.eps"),
+        ("tails", tails({**THRESHOLD_MODEL, "n": 8.5}), "model.n"),
+        ("adversarial-scan", scan(margin_rates=1.0), "params.margin_rates"),
+        ("adversarial-scan", scan(eps=[0.1]), "params.eps"),
+        ("scaling", set_in(SCALING, "grid", n_values=[8, 16, "x", 64]), "grid.n_values[2]"),
+        ("scaling", set_in(SCALING, "grid", n_values=[8.7, 16]), "grid.n_values[0]"),
+        ("scaling", set_in(SCALING, "params", distance_fraction="x"), "params.distance_fraction"),
+        ("covariance", hidden({"theta": "x", "n": 8}, PER_SITE), "field.theta"),
+        (
+            "covariance",
+            hidden({"theta": 0.5, "n": 8}, {"type": "global_threshold", "threshold": "x"}),
+            "channel.threshold",
+        ),
+        (
+            "covariance",
+            hidden({"initial": [0.5, 0.5], "kernels": [[[0.5, 0.5], [0.5]]]}, PER_SITE),
+            "field.kernels",
+        ),
+        (
+            "covariance",
+            hidden({"theta": 0.5, "n": 4}, {"type": "window", "radius": 0.5, "table": [[0.1, 0.2]] * 4}),
+            "channel.radius",
+        ),
+        ("retention", set_in(RETENTION, "code", d=3.9), "code.d"),
+        ("retention", set_in(RETENTION, "budget", max_epochs=True), "budget.max_epochs"),
+    ],
+)
+def test_cli_config_value_of_the_wrong_type_exit_2(tmp_path, capsys, kind, config, name):
+    path = write_config(tmp_path, "config.json", config)
+    assert main([kind, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {name} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_resource_limit_exit_3(tmp_path, capsys):
     n, s, r = 13, 3, 3
     path = write_config(

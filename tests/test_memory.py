@@ -161,13 +161,19 @@ def test_exact_tail_outside_the_weight_range_skips_the_weight_law(family, monkey
     else:
         model = ThresholdModelSpec.from_threshold(6, 0.3, 2.0)
 
+    law = model.weight_law()
+
     def refuse(self):
         raise AssertionError("weight law computed")
 
     monkeypatch.setattr(type(model), "weight_law", refuse)
-    for threshold in (6, 6.5, 1e9):
+    for threshold in (6, 6.5, 1e9, math.inf):
         assert exact_tail(model, threshold) == 0.0
-    assert exact_tail(model, -0.5) == 1.0
+    assert exact_tail(model, -0.5) == exact_tail(model, -math.inf) == 1.0
+    # in-range tails do not build the weight law either
+    for threshold in (0, 2.5, 5):
+        want = math.fsum(law[math.floor(threshold) + 1 :].tolist())
+        assert exact_tail(model, threshold) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_failure_prob_mc_requires_seed_and_trials():

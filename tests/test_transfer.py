@@ -8,6 +8,7 @@ inhomogeneous models whose kernels may forbid some transitions.
 
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -119,6 +120,10 @@ def test_weight_law_rates_and_covariance_match_error_vector_law(params):
     np.testing.assert_allclose(site_error_rates(model), rates, rtol=0, atol=TOL)
     assert error_rate(model) == pytest.approx(rates.mean(), rel=0, abs=TOL)
     np.testing.assert_allclose(covariance_matrix(model), cov, rtol=0, atol=TOL)
+    # every tail is the last column of its own capped pass, off the range too
+    tails = [model.tail(k) for k in range(-2, n + 2)]
+    expected = [weights[max(k + 1, 0) :].sum() for k in range(-2, n + 2)]
+    np.testing.assert_allclose(tails, expected, rtol=0, atol=TOL)
 
 
 @settings(max_examples=200, deadline=None)
@@ -172,6 +177,9 @@ def test_window_weight_law_at_two_thousand_sites():
     law = weight_law(model)
     assert law.sum() == pytest.approx(1.0, abs=1e-10)
     assert law @ np.arange(n + 1) == pytest.approx(n * error_rate(model), rel=1e-9, abs=0)
+    # below, at and far above the mean weight of 280, down to 1e-244 and to 0
+    for k in (0, 280, 600, 1000, 1999):
+        assert model.tail(k) == pytest.approx(math.fsum(law[k + 1 :].tolist()), rel=1e-12, abs=0)
 
 
 def test_covariance_has_no_cancellation_at_long_lags():
