@@ -35,7 +35,7 @@ import numpy as np
 
 from .channel import GlobalThresholdChannel, HiddenErrorModel, _epoch_rows, _trigger_lipschitz
 from .errors import ValidationError
-from .field import MarkovFieldSpec
+from .field import MarkovFieldSpec, _uniform_slices
 from .rng import make_generator
 
 __all__ = [
@@ -416,11 +416,14 @@ def sample_threshold_errors_batch(spec: ThresholdModelSpec, seed: int, trials: i
     """Draw ``trials`` error vectors; shape (trials, n), dtype uint8."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    gen = make_generator(seed)
-    x = (gen.random((trials, spec.n)) < spec.eps).astype(np.uint8)
-    triggered = x.sum(axis=1) > spec.threshold
-    x[triggered] = 1
-    return x
+    out = np.empty((trials, spec.n), dtype=np.uint8)
+    lo = 0
+    for u in _uniform_slices(make_generator(seed), trials, spec.n):
+        x = out[lo : lo + len(u)]
+        x[...] = u < spec.eps
+        x[x.sum(axis=1) > spec.threshold] = 1
+        lo += len(u)
+    return out
 
 
 def sample_threshold_errors(spec: ThresholdModelSpec, seed: int) -> np.ndarray:
@@ -443,6 +446,16 @@ def marginal_error_rate(spec: ThresholdModelSpec, site: int = 0) -> MarginalErro
     return MarginalErrorRate(value=value, deviation=p - spec.eps * shifted, trigger_prob=p)
 
 
+def _pair_sites(spec: ThresholdModelSpec, i: int, j: int) -> int:
+    """``spec.n``, once ``i`` and ``j`` are checked to be two distinct sites of it."""
+    n = spec.n
+    if n < 2:
+        raise ValidationError("pair covariance requires n >= 2")
+    if i == j or not (0 <= i < n and 0 <= j < n):
+        raise ValidationError("sites must be distinct and in range")
+    return n
+
+
 def exact_covariance(spec: ThresholdModelSpec, i: int = 0, j: int = 1) -> float:
     """Exact ``Cov(Y_i, Y_j)`` for distinct sites, summed on one side of the threshold.
 
@@ -455,11 +468,7 @@ def exact_covariance(spec: ThresholdModelSpec, i: int = 0, j: int = 1) -> float:
     way it keeps full relative precision when it is far below the 1e-16
     resolution of the plain moment difference.
     """
-    n = spec.n
-    if n < 2:
-        raise ValidationError("pair covariance requires n >= 2")
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise ValidationError("sites must be distinct and in range")
+    n = _pair_sites(spec, i, j)
     # A trigger that is impossible (errors i.i.d.) or certain (errors
     # constant) gives 0.
     return _tail_and_covariance(n, spec.eps, spec.threshold)[2]
@@ -467,11 +476,7 @@ def exact_covariance(spec: ThresholdModelSpec, i: int = 0, j: int = 1) -> float:
 
 def covariance_decomposition(spec: ThresholdModelSpec, i: int = 0, j: int = 1) -> CovarianceDecomposition:
     """Split the pair covariance by conditioning on the trigger indicator."""
-    n = spec.n
-    if n < 2:
-        raise ValidationError("pair covariance requires n >= 2")
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise ValidationError("sites must be distinct and in range")
+    n = _pair_sites(spec, i, j)
     p = trigger_probability(spec)
     if p == 0.0 or p == 1.0:
         # Constant indicator: the between term vanishes and conditioning

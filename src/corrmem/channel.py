@@ -319,19 +319,6 @@ def _stacked_blocks(gens, count: int, n: int):
         yield stack[1, : len(group) * count]
 
 
-def _trial_blocks(gen: np.random.Generator, trials: int, n: int):
-    """Walk and error blocks of ``trials`` trials from ``gen``, ``_STACK_ROWS`` trials at a time.
-
-    Trial ``t`` reads the ``t``-th run of ``2 n`` uniforms: ``n`` for the
-    walk, then ``n`` for the error bits.
-    """
-    rows = _field._STACK_ROWS
-    for lo in range(0, trials, rows):
-        u = gen.random((min(rows, trials - lo), 2, n))
-        yield u[:, 0]
-        yield u[:, 1]
-
-
 def _error_bits(model: HiddenErrorModel, blocks):
     """Trial-major (rows, n) error bits from alternating walk and error blocks.
 
@@ -351,6 +338,18 @@ def _error_bits(model: HiddenErrorModel, blocks):
         yield next(blocks) < q.T
 
 
+def _trial_bits(model: HiddenErrorModel, seed: int, trials: int):
+    """Error bits of ``trials`` trials from the stream keyed by ``seed``.
+
+    Trial ``t`` reads the ``t``-th run of ``2 n`` uniforms: ``n`` for the
+    walk, then ``n`` for the error bits.  Each ``(rows, 2 n)`` slice of the
+    stream is split into its walk and error halves.
+    """
+    n = model.n
+    slices = _field._uniform_slices(make_generator(seed), trials, 2 * n)
+    return _error_bits(model, (half for u in slices for half in (u[:, :n], u[:, n:])))
+
+
 def sample_errors_batch(model: HiddenErrorModel, seed: int, trials: int) -> np.ndarray:
     """Draw ``trials`` error vectors; shape (trials, n), dtype uint8.
 
@@ -364,7 +363,7 @@ def sample_errors_batch(model: HiddenErrorModel, seed: int, trials: int) -> np.n
         raise ValidationError("trials must be >= 1")
     out = np.empty((trials, model.n), dtype=np.uint8)
     lo = 0
-    for bits in _error_bits(model, _trial_blocks(make_generator(seed), trials, model.n)):
+    for bits in _trial_bits(model, seed, trials):
         out[lo : lo + len(bits)] = bits
         lo += len(bits)
     return out
@@ -689,7 +688,7 @@ def covariance_matrix(model: HiddenErrorModel, mode: str = "exact", trials: int 
     # Integer counts below 2**53, so float64 (and BLAS) sums them exactly.
     counts = np.zeros(model.n)
     joint = np.zeros((model.n, model.n))
-    for bits in _error_bits(model, _trial_blocks(make_generator(seed), trials, model.n)):
+    for bits in _trial_bits(model, seed, trials):
         y = bits.astype(float)
         counts += y.sum(axis=0)
         joint += y.T @ y

@@ -223,6 +223,12 @@ def _inverse_cdf_walk(spec: MarkovFieldSpec, u: np.ndarray, cols: np.ndarray | N
     return x
 
 
+def _uniform_slices(gen: np.random.Generator, rows: int, width: int):
+    """A row-major (rows, width) uniform block from ``gen``, ``_STACK_ROWS`` rows at a time."""
+    for lo in range(0, rows, _STACK_ROWS):
+        yield gen.random((min(_STACK_ROWS, rows - lo), width))
+
+
 def sample_field_batch(spec: MarkovFieldSpec, seed: int, trials: int) -> np.ndarray:
     """Draw ``trials`` independent configurations; shape (trials, n).
 
@@ -234,12 +240,12 @@ def sample_field_batch(spec: MarkovFieldSpec, seed: int, trials: int) -> np.ndar
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    gen = make_generator(seed)
     cols = _cdf_columns(spec)
     out = np.empty((trials, spec.n), dtype=np.uint8)
-    for lo in range(0, trials, _STACK_ROWS):
-        u = gen.random((min(_STACK_ROWS, trials - lo), spec.n))
+    lo = 0
+    for u in _uniform_slices(make_generator(seed), trials, spec.n):
         out[lo : lo + len(u)] = _inverse_cdf_walk(spec, u.T, cols).T
+        lo += len(u)
     return out
 
 

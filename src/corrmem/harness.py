@@ -251,7 +251,7 @@ def _build_field(block: dict, n: int | None = None) -> MarkovFieldSpec:
             raise ConfigError(f"field has n={spec.n} but {n} was requested")
         return spec
     if "theta" in block:
-        size = block.get("n", n)
+        size = block.get("n") if n is None else n
         _require(size is not None, "homogeneous field block needs 'n' (or a grid)")
         return symmetric_binary_field(_integer(size, "field.n"), _number(block["theta"], "field.theta"))
     raise ConfigError("field block must contain either 'kernels' or 'theta'")
@@ -289,7 +289,7 @@ def _build_model(block: dict, n: int | None = None):
     """
     kind = block.get("type", "hidden")
     if kind == "threshold":
-        size = _integer(block.get("n", n) or 0, "model.n")
+        size = _integer((block.get("n") if n is None else n) or 0, "model.n")
         _require(size >= 1, "threshold model needs 'n' (or a grid)")
         _require("eps" in block, "threshold model needs 'eps'")
         margin = block.get("margin")
@@ -474,35 +474,35 @@ def _run_retention(cfg, seed_tree, threads):
     return ["trial", "failure_epoch", "censored"], rows, summary, 0
 
 
-def _tail_row(model_id: str, report) -> tuple:
-    return (
-        model_id,
-        report.n,
-        report.eps,
-        report.delta,
-        report.c,
-        report.m,
-        report.estimate,
-        report.ci_lo,
-        report.ci_hi,
-        report.bound,
-        report.verdict,
-    )
-
-
-_TAILS_HEADER = [
-    "model_id",
-    "n",
-    "eps",
-    "delta",
-    "c",
-    "m_n",
-    "empirical",
-    "ci_lo",
-    "ci_hi",
-    "bound",
-    "verdict",
+# The tails CSV after its ``model_id`` column: (CSV column, TailReport field).
+_TAIL_COLUMNS = [
+    ("n", "n"), ("eps", "eps"), ("delta", "delta"), ("c", "c"), ("m_n", "m"), ("empirical", "estimate"),
+    ("ci_lo", "ci_lo"), ("ci_hi", "ci_hi"), ("bound", "bound"), ("verdict", "verdict"),
 ]
+
+
+def _verify_jobs(jobs, threads, method="exact", trials=0):
+    """Check the combined ceiling for ``(model_id, model, deltas, seeds)`` jobs.
+
+    Each model's mean rate, Lipschitz constant and mixing bound are resolved
+    once, then ``verify_bound`` runs over the jobs' deltas in order; the
+    seeds and ``trials`` matter only to ``method="mc"``.  Returns the
+    reports, the tails CSV header and rows, and the count of each verdict.
+    """
+    checks = []
+    for model_id, model, deltas, seeds in jobs:
+        inputs = (model.mean_rate(), model.lipschitz(), model.mixing_bound())
+        checks += [(model_id, model, delta, seed, inputs) for delta, seed in zip(deltas, seeds)]
+
+    def one(check):
+        _, model, delta, seed, (eps, c, m) = check
+        return verify_bound(model, delta, eps, c, m, trials=trials, seed=seed, method=method)
+
+    reports = _parallel_map(one, checks, threads)
+    header = ["model_id"] + [column for column, _ in _TAIL_COLUMNS]
+    rows = [(check[0], *(getattr(r, name) for _, name in _TAIL_COLUMNS)) for check, r in zip(checks, reports)]
+    counts = {v: sum(r.verdict == v for r in reports) for v in ("dominated", "violated", "unresolved")}
+    return reports, header, rows, counts
 
 
 def _run_tails(cfg, seed_tree, threads):
@@ -515,23 +515,9 @@ def _run_tails(cfg, seed_tree, threads):
 
     seeds = [derive_seed(cfg.master_seed, "tails-delta", idx) for idx in range(len(deltas))]
     seed_tree.update({f"tails-delta-{idx}": seed for idx, seed in enumerate(seeds)})
-    eps, c, m = model.mean_rate(), model.lipschitz(), model.mixing_bound()
-
-    def one(item):
-        delta, seed = item
-        return verify_bound(model, delta, eps, c, m, trials=trials, seed=seed, method=method)
-
-    reports = _parallel_map(one, list(zip(deltas, seeds)), threads)
-    rows = [_tail_row(model_id, r) for r in reports]
-    verdicts = [r.verdict for r in reports]
-    summary = {
-        "method": method,
-        "dominated": verdicts.count("dominated"),
-        "violated": verdicts.count("violated"),
-        "unresolved": verdicts.count("unresolved"),
-        "vacuous": sum(r.vacuous for r in reports),
-    }
-    return _TAILS_HEADER, rows, summary, 0
+    reports, header, rows, summary = _verify_jobs([(model_id, model, deltas, seeds)], threads, method, trials)
+    summary.update(method=method, vacuous=sum(r.vacuous for r in reports))
+    return header, rows, summary, 0
 
 
 def _run_scaling(cfg, seed_tree, threads):
@@ -606,27 +592,10 @@ def bundled_verification_suite() -> list:
 
 def _run_verify_all(cfg, seed_tree, threads):
     suite = bundled_verification_suite()
-    jobs = []
-    for model_id, model, deltas in suite:
-        inputs = (model.mean_rate(), model.lipschitz(), model.mixing_bound())
-        jobs += [(model_id, model, delta, inputs) for delta in deltas]
-
-    def one(job):
-        model_id, model, delta, (eps, c, m) = job
-        return model_id, verify_bound(model, delta, eps, c, m, method="exact")
-
-    results = _parallel_map(one, jobs, threads)
-    rows = [_tail_row(model_id, report) for model_id, report in results]
-    verdicts = [report.verdict for _, report in results]
-    violated = verdicts.count("violated")
-    summary = {
-        "models": len(suite),
-        "checks": len(rows),
-        "dominated": verdicts.count("dominated"),
-        "violated": violated,
-        "unresolved": verdicts.count("unresolved"),
-    }
-    return _TAILS_HEADER, rows, summary, 4 if violated else 0
+    jobs = [(model_id, model, deltas, [0] * len(deltas)) for model_id, model, deltas in suite]
+    _, header, rows, summary = _verify_jobs(jobs, threads)
+    summary.update(models=len(suite), checks=len(rows))
+    return header, rows, summary, 4 if summary["violated"] else 0
 
 
 _RUNNERS = {

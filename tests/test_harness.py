@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import corrmem.adversarial as adversarial
+import corrmem.bounds as bounds
 from corrmem import (
     ConfigError,
     bundled_verification_suite,
@@ -142,6 +143,32 @@ def test_mixing_run_outputs(tmp_path):
     assert payload["rows"] == 3
     assert payload["config"]["grid"]["n_values"] == [4, 8, 16]
     assert "version" in payload and "seed_tree" in payload
+
+
+def test_grid_sizes_beat_a_blocks_own_n(tmp_path):
+    mixing = parse_config(
+        {
+            "kind": "mixing",
+            "out": str(tmp_path / "mixing"),
+            "model": {"field": {"theta": 0.3, "n": 8}},
+            "grid": {"n_values": [16, 32]},
+        }
+    )
+    result = run(mixing)
+    assert result.exit_code == 0
+    lines = Path(result.csv_path).read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["16", "32"]
+    scaling = parse_config(
+        {
+            "kind": "scaling",
+            "out": str(tmp_path / "scaling"),
+            "model": {"type": "threshold", "n": 6, "eps": 0.1, "margin": 1.0},
+            "grid": {"n_values": [8, 12, 16, 20]},
+            "params": {"distance_fraction": 0.5},
+        }
+    )
+    lines = Path(run(scaling).csv_path).read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["8", "12", "16", "20"]
 
 
 def test_covariance_exact_run(tmp_path):
@@ -372,6 +399,43 @@ def test_verify_all_run_all_dominated(tmp_path):
     assert payload["summary"]["checks"] == sum(
         len(deltas) for _, _, deltas in bundled_verification_suite()
     )
+
+
+def test_verify_all_exits_4_on_a_violated_bound(tmp_path, monkeypatch, capsys):
+    # a ceiling of 0 lies below every positive tail
+    monkeypatch.setattr(bounds, "combined_tail_bound", lambda *args: 0.0)
+    result = run(parse_config({"kind": "verify-all", "out": str(tmp_path / "run")}))
+    assert result.exit_code == 4
+    payload = json.loads(Path(result.summary_path).read_text())
+    assert payload["exit_code"] == 4 and payload["summary"]["violated"] > 0
+    code = main(["verify-all", "--out", str(tmp_path / "cli")])
+    assert code == 4
+    assert "verify-all detected a violated bound" in capsys.readouterr().err
+    lines = (tmp_path / "cli" / "verify-all.csv").read_text().splitlines()
+    assert len(lines) == 1 + result.rows
+    assert any(line.endswith(",violated") for line in lines[1:])
+
+
+def test_exact_tails_rows_match_the_suites(tmp_path):
+    model_id = "chain-n6-theta0.25"
+    tails = parse_config(
+        {
+            "kind": "tails",
+            "out": str(tmp_path / "tails"),
+            "model": {
+                "type": "hidden",
+                "field": {"theta": 0.25, "n": 6},
+                "channel": {"type": "per_site", "rates": [0.05, 0.15]},
+            },
+            "params": {"method": "exact", "model_id": model_id, "deltas": [0.15, 0.25, 0.35]},
+        }
+    )
+    suite = run(parse_config({"kind": "verify-all", "out": str(tmp_path / "suite")}))
+    suite_lines = Path(suite.csv_path).read_text().splitlines()
+    tails_lines = Path(run(tails).csv_path).read_text().splitlines()
+    assert tails_lines[0] == suite_lines[0]
+    assert tails_lines[1:] == [line for line in suite_lines if line.startswith(model_id + ",")]
+    assert len(tails_lines) == 4
 
 
 # --- determinism ----------------------------------------------------------------

@@ -24,6 +24,7 @@ from corrmem import (
     expected_errors,
     make_generator,
     sample_errors_batch,
+    sample_threshold_errors_batch,
 )
 from corrmem.channel import _skipped
 
@@ -90,6 +91,27 @@ def test_count_exceedances_holds_only_a_few_slices_in_memory():
         tracemalloc.stop()
     # the whole (2, 100 000, 64) block would be 100 MiB
     assert peak < 16 * 2**20
+
+
+def test_threshold_sampler_holds_one_slice_of_uniforms():
+    spec = ThresholdModelSpec(n=64, eps=0.1, margin=1.0)
+    tracemalloc.start()
+    try:
+        sample_threshold_errors_batch(spec, 0, 200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (200 000, 64) output is 12.2 MiB; the whole uniform block would add 98 MiB
+    assert peak < 24 * 2**20
+
+
+@pytest.mark.parametrize("trials", [1, 100, 1050])
+def test_threshold_sampler_equals_the_whole_block_draw(trials, monkeypatch):
+    spec = ThresholdModelSpec(n=9, eps=0.3, margin=0.2)
+    monkeypatch.setattr(field, "_STACK_ROWS", 100)
+    x = (make_generator(4).random((trials, spec.n)) < spec.eps).astype(np.uint8)
+    x[x.sum(axis=1) > spec.threshold] = 1
+    assert np.array_equal(sample_threshold_errors_batch(spec, 4, trials), x)
 
 
 def int64_covariance(model, seed, trials):
