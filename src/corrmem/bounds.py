@@ -182,7 +182,7 @@ def weight_law(model) -> np.ndarray:
     return _check_model(model).weight_law()
 
 
-def count_exceedances(model, gen: np.random.Generator, trials: int, threshold: float) -> int:
+def count_exceedances(model, gen: "np.random.Generator", trials: int, threshold: float) -> int:
     """How many of ``trials`` epochs drawn from ``gen`` weigh more than ``threshold``.
 
     The epochs are drawn ``_MC_BLOCK`` at a time through the model's

@@ -250,7 +250,7 @@ def expected_errors(model: HiddenErrorModel, x) -> float:
     return float(_site_probabilities(model, x.astype(np.uint8)[:, None]).sum())
 
 
-def _skipped(bitgen: np.random.Philox, doubles: int) -> dict:
+def _skipped(bitgen: "np.random.Philox", doubles: int) -> dict:
     """The state ``bitgen`` would reach after ``doubles`` more doubles; ``bitgen`` is untouched.
 
     Philox emits four 64-bit words per counter step and ``advance`` moves
@@ -276,7 +276,7 @@ def _epoch_rows(gens, count: int) -> int:
     return len(gens) * int(count)
 
 
-def _epoch_blocks(gen: np.random.Generator, count: int, n: int):
+def _epoch_blocks(gen: "np.random.Generator", count: int, n: int):
     """The uniform blocks of ``count`` epochs from ``gen``, ``_STACK_ROWS`` epochs at a time.
 
     The stream holds a (count, n) walk block and then a (count, n) error

@@ -54,8 +54,6 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg = replace(cfg, out=args.out)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ValidationError("--seed must be non-negative")
             cfg = replace(cfg, master_seed=args.seed)
         result = run(cfg, threads=args.threads)
     except ValidationError as exc:

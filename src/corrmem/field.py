@@ -223,7 +223,7 @@ def _inverse_cdf_walk(spec: MarkovFieldSpec, u: np.ndarray, cols: np.ndarray | N
     return x
 
 
-def _uniform_slices(gen: np.random.Generator, rows: int, width: int):
+def _uniform_slices(gen: "np.random.Generator", rows: int, width: int):
     """A row-major (rows, width) uniform block from ``gen``, ``_STACK_ROWS`` rows at a time."""
     for lo in range(0, rows, _STACK_ROWS):
         yield gen.random((min(_STACK_ROWS, rows - lo), width))

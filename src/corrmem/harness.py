@@ -77,6 +77,10 @@ class ExperimentConfig:
     budget: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # seeds are u64: a larger one would quietly run as itself mod 2**64
+        _require(0 <= self.master_seed < 1 << 64, "master_seed must lie in [0, 2**64)")
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -123,7 +127,7 @@ def parse_config(data: dict, kind: str | None = None) -> ExperimentConfig:
     extra = set(data) - known
     if extra:
         raise ConfigError(f"unknown config field(s): {sorted(extra)}")
-    seed = _integer(data.get("master_seed", 0), "master_seed", least=0)
+    seed = _integer(data.get("master_seed", 0), "master_seed")
     for block in ("model", "code", "grid", "budget", "params"):
         if block in data and not isinstance(data[block], dict):
             raise ConfigError(f"config field {block!r} must be an object")
@@ -513,8 +517,10 @@ def _run_tails(cfg, seed_tree, threads):
     model_id = cfg.params.get("model_id", "model-0")
     _require(isinstance(model_id, str), "params.model_id must be a string")
 
-    seeds = [derive_seed(cfg.master_seed, "tails-delta", idx) for idx in range(len(deltas))]
-    seed_tree.update({f"tails-delta-{idx}": seed for idx, seed in enumerate(seeds)})
+    seeds = [0] * len(deltas)
+    if method == "mc":
+        seeds = [derive_seed(cfg.master_seed, "tails-delta", idx) for idx in range(len(deltas))]
+        seed_tree.update({f"tails-delta-{idx}": seed for idx, seed in enumerate(seeds)})
     reports, header, rows, summary = _verify_jobs([(model_id, model, deltas, seeds)], threads, method, trials)
     summary.update(method=method, vacuous=sum(r.vacuous for r in reports))
     return header, rows, summary, 0

@@ -12,9 +12,13 @@ Streams themselves are Philox counter-based generators.  Batch samplers
 consume a fixed per-trial layout from a single stream (trial ``t`` uses the
 ``t``-th block of draws), which keeps batched output equal to the
 concatenation of per-trial output.
+
+Runs that draw no random numbers never load ``numpy.random``: the package
+names its types only in quoted annotations, and NumPy loads it on the
+first ``make_generator`` call.
 """
 
-import hashlib
+import numbers
 
 import numpy as np
 
@@ -31,14 +35,27 @@ def derive_seed(master_seed: int, label: str, index: int = 0) -> int:
     The triple is encoded unambiguously and hashed with SHA-256; the first
     eight bytes of the digest form the child seed.  Collisions between
     distinct triples are therefore not expected at any realistic scale.
+    ``master_seed`` and ``index`` are Python or NumPy integers, not bools.
     """
+    # hashlib loads OpenSSL's libcrypto, which a run that draws no random
+    # numbers never needs; once loaded, this import is a dictionary lookup
+    import hashlib
+
     if not isinstance(label, str) or not label:
         raise ValidationError("label must be a non-empty string")
+    _check_integer(master_seed, "master_seed")
+    _check_integer(index, "index")
     payload = f"{int(master_seed) & _MASK64}:{label}:{int(index)}".encode()
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "little")
 
 
-def make_generator(seed: int) -> np.random.Generator:
+def _check_integer(value, name: str) -> None:
+    # a plain int skips the slower ABC check: seeds are derived per trial
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValidationError(f"{name} must be an integer")
+
+
+def make_generator(seed: int) -> "np.random.Generator":
     """Return a counter-based generator (Philox) keyed by a 64-bit seed."""
     return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))

@@ -9,6 +9,7 @@ relative error.
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -257,29 +258,43 @@ def test_tail_scaling_fit_refuses_only_impossible_triggers():
         tail_scaling_fit([*specs, ThresholdModelSpec.from_threshold(64, 0.1, 64.0)])
 
 
-_SCIPY_PROBE = """
+_FOOTPRINT_PROBE = """
 import json, sys
+import numpy
+
+def heavy_modules():
+    return {
+        name for name in sys.modules
+        if name.partition(".")[0] == "scipy" or name.startswith("numpy.random") or name == "_hashlib"
+    }
+
+# NumPy 1.x imports numpy.random with numpy itself; only what corrmem adds counts
+before = heavy_modules()
+
+def added():
+    return sorted(heavy_modules() - before)
+
 from corrmem import clopper_pearson, parse_config, run
 
-def scipy_modules():
-    return sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
-
 out = sys.argv[1]
-seen = {"import corrmem": scipy_modules()}
-run(parse_config({
-    "kind": "tails",
-    "out": out,
-    "model": {"field": {"theta": 0.5, "n": 8}, "channel": {"type": "per_site", "rates": [0.05, 0.15]}},
-    "params": {"method": "exact", "deltas": [0.1, 0.2]},
-}))
-seen["exact tails run"] = scipy_modules()
-run(parse_config({
-    "kind": "adversarial-scan",
-    "out": out,
-    "grid": {"n_values": [64, 1024]},
-    "params": {"eps": 0.1, "margin_rates": [1.0, 2.0]},
-}))
-seen["adversarial-scan run"] = scipy_modules()
+chain = {"field": {"theta": 0.5, "n": 8}, "channel": {"type": "per_site", "rates": [0.05, 0.15]}}
+seen = {"import corrmem": added()}
+for name, config in [
+    ("exact tails", {"kind": "tails", "model": chain, "params": {"method": "exact", "deltas": [0.1, 0.2]}}),
+    ("adversarial-scan", {"kind": "adversarial-scan", "grid": {"n_values": [64, 1024]}, "params": {"eps": 0.1, "margin_rates": [1.0, 2.0]}}),
+    ("exact covariance", {"kind": "covariance", "model": chain, "params": {"method": "exact"}}),
+    ("exact scaling", {
+        "kind": "scaling",
+        "model": {"type": "threshold", "n": 6, "eps": 0.1, "margin": 1.0},
+        "grid": {"n_values": [8, 12, 16, 20]},
+        "params": {"distance_fraction": 0.5},
+    }),
+    ("verify-all", {"kind": "verify-all"}),
+]:
+    run(parse_config({**config, "out": out}))
+    seen[name + " run"] = added()
+run(parse_config({"kind": "tails", "out": out, "model": chain, "params": {"method": "mc", "deltas": [0.1]}, "budget": {"trials": 1000}}))
+seen["mc tails run"] = "numpy.random" in sys.modules
 clopper_pearson(3, 10)
 seen["clopper_pearson"] = "scipy.special" in sys.modules
 print(json.dumps(seen))
@@ -288,10 +303,12 @@ print(json.dumps(seen))
 
 def test_scipy_loads_only_for_a_clopper_pearson_interval(tmp_path):
     # scipy.special takes longer to import than every exact computation of a
-    # run together, so no exact path may load any of scipy
+    # run together, and numpy.random and OpenSSL's libcrypto (behind
+    # hashlib) cost a tenth of an exact run's peak memory, so no path that
+    # draws no random numbers may load any of them
     out = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
-        env={"PYTHONPATH": str(ROOT / "src")},
+        [sys.executable, "-c", _FOOTPRINT_PROBE, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
         check=True,
@@ -300,5 +317,9 @@ def test_scipy_loads_only_for_a_clopper_pearson_interval(tmp_path):
         "import corrmem": [],
         "exact tails run": [],
         "adversarial-scan run": [],
+        "exact covariance run": [],
+        "exact scaling run": [],
+        "verify-all run": [],
+        "mc tails run": True,
         "clopper_pearson": True,
     }

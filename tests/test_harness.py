@@ -60,6 +60,9 @@ def test_parse_rejects_bad_master_seed():
         parse_config({"kind": "verify-all", "master_seed": -1})
     with pytest.raises(ConfigError, match="master_seed"):
         parse_config({"kind": "verify-all", "master_seed": "zero"})
+    with pytest.raises(ConfigError, match="master_seed"):
+        parse_config({"kind": "verify-all", "master_seed": 2**64 + 5})
+    assert parse_config({"kind": "verify-all", "master_seed": 2**64 - 1}).master_seed == 2**64 - 1
 
 
 def test_parse_rejects_non_object_block():
@@ -532,6 +535,28 @@ def test_cli_negative_seed_exit_2(tmp_path):
         {"model": {"field": {"theta": 0.3}}, "grid": {"n_values": [4]}},
     )
     assert main(["mixing", "--config", path, "--seed", "-5"]) == 2
+
+
+def test_cli_seed_at_or_above_2_to_the_64_exit_2(tmp_path):
+    # a master seed is a u64: 2**64 + 5 must not quietly run as seed 5
+    path = write_config(tmp_path, "mix.json", {"model": {"field": {"theta": 0.3}}, "grid": {"n_values": [4]}})
+    for seed, code in ((2**64, 2), (2**64 + 5, 2), (2**64 - 1, 0)):
+        assert main(["mixing", "--config", path, "--out", str(tmp_path), "--seed", str(seed)]) == code
+
+
+def test_seed_tree_holds_only_the_seeds_a_tails_run_draws_from(tmp_path):
+    base = {"kind": "tails", "master_seed": 77, "model": CHAIN_MODEL, "budget": {"trials": 1000}}
+
+    def seed_tree(method):
+        cfg = parse_config({**base, "out": str(tmp_path / method), "params": {"method": method, "deltas": [0.1, 0.2]}})
+        return json.loads(Path(run(cfg).summary_path).read_text())["seed_tree"]
+
+    assert seed_tree("exact") == {"master_seed": 77}
+    assert seed_tree("mc") == {
+        "master_seed": 77,
+        "tails-delta-0": 14306057885688778529,
+        "tails-delta-1": 5613265280076203362,
+    }
 
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf])
