@@ -217,25 +217,31 @@ def _require_mc(trials: int | None, seed: int | None) -> None:
         raise ValidationError("Monte Carlo mode requires a seed")
 
 
-def _site_probabilities(model: HiddenErrorModel, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Conditional error probabilities ``q_i(1 | x)`` for a site-major (n, rows) block.
+def _site_rows(model: HiddenErrorModel, x: np.ndarray):
+    """Conditional error probabilities ``q_i(1 | x)`` of a site-major (n, rows) block, one site at a time.
 
-    A table channel reads its table with one flat ``take``, its index built
-    from a symbol block padded with ``radius`` rows of zeros.  A
+    A table channel takes row ``i`` of its table at the window codes of site
+    ``i``, built for all sites from a symbol block padded with ``radius``
+    rows of zeros, in the narrowest unsigned type that holds a code.  A
     threshold channel reads ``x``, or 1 in a column whose weight exceeds
-    the threshold.  ``out``, a C-ordered float (n, rows) array, receives
-    the result if given.
+    the threshold.
     """
     c = model.channel
     if isinstance(c, GlobalThresholdChannel):
-        return np.maximum(x, x.sum(axis=0) > c.threshold, out=out, dtype=float)
+        fired = x.sum(axis=0) > c.threshold
+        return (np.maximum(row, fired, dtype=float) for row in x)
     n, s, r, width = model.n, model.field.alphabet_size, c.radius, c.table.shape[1]
     pad = np.zeros((n + 2 * r, x.shape[1]), dtype=np.min_scalar_type(width - 1))
     pad[r : r + n] = x
     code = pad[:n]
     for d in range(1, 2 * r + 1):
         code = code * s + pad[d : d + n]
-    return c.table.ravel().take(code + (np.arange(n) * width)[:, None], out=out, mode="clip")
+    return (row.take(codes, mode="clip") for row, codes in zip(c.table, code))
+
+
+def _site_probabilities(model: HiddenErrorModel, x: np.ndarray) -> np.ndarray:
+    """Conditional error probabilities ``q_i(1 | x)`` for a site-major (n, rows) block."""
+    return np.array(list(_site_rows(model, x)))
 
 
 def expected_errors(model: HiddenErrorModel, x) -> float:
@@ -280,29 +286,30 @@ def _epoch_blocks(gen: "np.random.Generator", count: int, n: int):
     """The uniform blocks of ``count`` epochs from ``gen``, ``_STACK_ROWS`` epochs at a time.
 
     The stream holds a (count, n) walk block and then a (count, n) error
-    block.  For each slice this yields the slice's rows of the walk block
-    and then those of the error block, read through two cursors, the second
-    started ``count * n`` doubles ahead.  ``gen`` is switched between them
-    and ends where drawing both blocks whole would have left it.
+    block.  For each slice this draws the slice's rows of the walk block and
+    then those of the error block into one buffer, through two cursors, the
+    second started ``count * n`` doubles ahead.  ``gen`` is switched between
+    them and ends where drawing both blocks whole would have left it.
     """
     rows = _field._STACK_ROWS
     bitgen = gen.bit_generator
     walk, error = bitgen.state, _skipped(bitgen, count * n)
+    buf = np.empty((min(rows, count), n))
     for lo in range(0, count, rows):
-        size = (min(rows, count - lo), n)
+        block = buf[: min(rows, count - lo)]
         bitgen.state = walk
-        yield gen.random(size)
+        yield gen.random(block.shape, out=block)
         walk, bitgen.state = bitgen.state, error
-        yield gen.random(size)
+        yield gen.random(block.shape, out=block)
         error = bitgen.state
 
 
 def _stacked_blocks(gens, count: int, n: int):
     """Walk and error blocks of ``count`` epochs from each of ``gens`` in turn.
 
-    Blocks of at most ``_STACK_ROWS`` rows are drawn whole and copied,
-    generator by generator, into one stacked walk and error buffer of up to
-    that many rows; longer ones are streamed by :func:`_epoch_blocks`.
+    Blocks of at most ``_STACK_ROWS`` rows are drawn into the rows of one
+    buffer of up to that many rows, generator by generator: the walk blocks,
+    then the error blocks.  Longer ones are streamed by :func:`_epoch_blocks`.
     """
     rows = _field._STACK_ROWS
     if count > rows:
@@ -310,32 +317,34 @@ def _stacked_blocks(gens, count: int, n: int):
             yield from _epoch_blocks(gen, count, n)
         return
     per = rows // count
-    stack = np.empty((2, min(per, len(gens)) * count, n))
+    buf = np.empty((min(per, len(gens)) * count, n))
     for lo in range(0, len(gens), per):
         group = gens[lo : lo + per]
-        for k, gen in enumerate(group):
-            stack[:, k * count : (k + 1) * count] = gen.random((2, count, n))
-        yield stack[0, : len(group) * count]
-        yield stack[1, : len(group) * count]
+        block = buf[: len(group) * count]
+        for _ in range(2):
+            for gen, part in zip(group, block.reshape(len(group), count, n)):
+                gen.random(part.shape, out=part)
+            yield block
 
 
 def _error_bits(model: HiddenErrorModel, blocks):
     """Trial-major (rows, n) error bits from alternating walk and error blocks.
 
-    The walk and the read-out run site-major, on the transposed walk block
-    and into one probability buffer.  The walk block is dropped before the
-    error block is drawn, so a slice holds one block of uniforms at a time
-    and the heap is reused from slice to slice instead of growing and being
-    trimmed back.
+    The walk runs site-major on the transposed walk block, and the read-out
+    compares each site's error column with that site's probabilities.  A
+    walk block is read before the error block is requested, and an error
+    block before the bits are yielded, so a producer may draw every block
+    into one buffer: a slice holds one block of uniforms at a time.
     """
     cols = _cdf_columns(model.field)
-    buffer = np.empty(model.n * _field._STACK_ROWS)
     blocks = iter(blocks)
     for walk in blocks:
         x = _inverse_cdf_walk(model.field, walk.T, cols)
-        del walk
-        q = _site_probabilities(model, x, buffer[: x.size].reshape(x.shape))
-        yield next(blocks) < q.T
+        err = next(blocks)
+        bits = np.empty(err.shape, dtype=bool)
+        for i, q in enumerate(_site_rows(model, x)):
+            np.less(err[:, i], q, out=bits[:, i])
+        yield bits
 
 
 def _trial_bits(model: HiddenErrorModel, seed: int, trials: int):

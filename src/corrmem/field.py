@@ -224,9 +224,11 @@ def _inverse_cdf_walk(spec: MarkovFieldSpec, u: np.ndarray, cols: np.ndarray | N
 
 
 def _uniform_slices(gen: "np.random.Generator", rows: int, width: int):
-    """A row-major (rows, width) uniform block from ``gen``, ``_STACK_ROWS`` rows at a time."""
+    """A row-major (rows, width) uniform block from ``gen``, ``_STACK_ROWS`` rows at a time, in one buffer."""
+    buf = np.empty((min(_STACK_ROWS, rows), width))
     for lo in range(0, rows, _STACK_ROWS):
-        yield gen.random((min(_STACK_ROWS, rows - lo), width))
+        u = buf[: min(_STACK_ROWS, rows - lo)]
+        yield gen.random(u.shape, out=u)
 
 
 def sample_field_batch(spec: MarkovFieldSpec, seed: int, trials: int) -> np.ndarray:

@@ -26,8 +26,6 @@ from .errors import ValidationError
 
 __all__ = ["derive_seed", "make_generator"]
 
-_MASK64 = (1 << 64) - 1
-
 
 def derive_seed(master_seed: int, label: str, index: int = 0) -> int:
     """Derive a 64-bit child seed from ``(master_seed, label, index)``.
@@ -35,7 +33,7 @@ def derive_seed(master_seed: int, label: str, index: int = 0) -> int:
     The triple is encoded unambiguously and hashed with SHA-256; the first
     eight bytes of the digest form the child seed.  Collisions between
     distinct triples are therefore not expected at any realistic scale.
-    ``master_seed`` and ``index`` are Python or NumPy integers, not bools.
+    ``master_seed`` is a u64 seed and ``index`` an integer, neither a bool.
     """
     # hashlib loads OpenSSL's libcrypto, which a run that draws no random
     # numbers never needs; once loaded, this import is a dictionary lookup
@@ -43,19 +41,26 @@ def derive_seed(master_seed: int, label: str, index: int = 0) -> int:
 
     if not isinstance(label, str) or not label:
         raise ValidationError("label must be a non-empty string")
-    _check_integer(master_seed, "master_seed")
-    _check_integer(index, "index")
-    payload = f"{int(master_seed) & _MASK64}:{label}:{int(index)}".encode()
+    payload = f"{_seed(master_seed, 'master_seed')}:{label}:{_integer(index, 'index')}".encode()
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "little")
 
 
-def _check_integer(value, name: str) -> None:
+def _integer(value, name: str) -> int:
     # a plain int skips the slower ABC check: seeds are derived per trial
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValidationError(f"{name} must be an integer")
+    return int(value)
+
+
+def _seed(value, name: str) -> int:
+    # Philox keys are u64: a seed outside would alias one inside, mod 2**64
+    seed = _integer(value, name)
+    if not 0 <= seed < 1 << 64:
+        raise ValidationError(f"{name} must lie in [0, 2**64)")
+    return seed
 
 
 def make_generator(seed: int) -> "np.random.Generator":
-    """Return a counter-based generator (Philox) keyed by a 64-bit seed."""
-    return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+    """Return a counter-based generator (Philox) keyed by a 64-bit seed in [0, 2**64)."""
+    return np.random.Generator(np.random.Philox(key=_seed(seed, "seed")))

@@ -45,6 +45,29 @@ def test_derive_seed_rejects_non_integers(master_seed, index):
         derive_seed(master_seed, "x", index)
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**64) + 5, 2**64, 2**64 + 5, np.int64(-1)])
+@pytest.mark.parametrize(
+    "call, name", [(lambda s: derive_seed(s, "x", 0), "master_seed"), (make_generator, "seed")], ids=["derive", "make"]
+)
+def test_seeds_outside_u64_are_rejected(call, name, seed):
+    # reduced mod 2**64 they would alias the seeds 2**64 - 1 and 5
+    with pytest.raises(ValidationError, match=rf"^{name} must lie in \[0, 2\*\*64\)"):
+        call(seed)
+
+
+@pytest.mark.parametrize("seed", [True, np.bool_(False), 1.0, np.float64(3.0), "3", None])
+def test_make_generator_rejects_non_integer_seeds(seed):
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        make_generator(seed)
+
+
+def test_make_generator_takes_every_u64_seed_and_numpy_integers():
+    top = make_generator(2**64 - 1).random(4)
+    assert np.array_equal(make_generator(np.uint64(2**64 - 1)).random(4), top)
+    assert np.array_equal(make_generator(np.int32(7)).random(4), make_generator(7).random(4))
+    assert not np.array_equal(make_generator(0).random(4), top)
+
+
 def test_derive_seed_fits_in_64_bits():
     for idx in range(100):
         s = derive_seed(2**63 + 11, "big", idx)

@@ -34,10 +34,10 @@ from corrmem import (
     sample_field_batch,
     simulate_retention,
 )
-from corrmem.channel import _site_probabilities
+from corrmem.channel import _error_bits, _site_probabilities
 from corrmem.field import _inverse_cdf_walk
 
-from conftest import chain
+from conftest import chain, random_field
 
 ROOT = Path(__file__).resolve().parents[1]
 SHORT = 1.0 - 2.0**-53  # the largest double below 1, and the largest uniform
@@ -55,13 +55,25 @@ def reference_walk(spec, u):
     return x
 
 
+def reference_probabilities(model, x):
+    """Trial-major ``q_i(1 | x)`` of trial-major symbols ``x``, by one flat ``take`` on the raveled table."""
+    c = model.channel
+    if isinstance(c, GlobalThresholdChannel):
+        return np.maximum(x, x.sum(axis=1, keepdims=True) > c.threshold).astype(float)
+    n, s, r, width = model.n, model.field.alphabet_size, c.radius, c.table.shape[1]
+    pad = np.zeros((x.shape[0], n + 2 * r), dtype=np.intp)
+    pad[:, r : r + n] = x
+    code = sum(pad[:, d : d + n] * s ** (2 * r - d) for d in range(2 * r + 1))
+    return c.table.ravel().take(code + np.arange(n) * width)
+
+
 def reference_weights(model, gen, count):
     """One trial's ``count`` epoch weights, drawn and read out in one go."""
     if isinstance(model, ThresholdModelSpec):
         s = gen.binomial(model.n, model.eps, size=count)
         return np.where(s <= model.threshold, s, model.n)
     x = reference_walk(model.field, gen.random((count, model.n)))
-    q = _site_probabilities(model, x.T).T
+    q = reference_probabilities(model, x)
     return (gen.random((count, model.n)) < q).sum(axis=1)
 
 
@@ -212,7 +224,7 @@ def test_count_exceedances_matches_block_loop(name, monkeypatch):
 def test_sample_errors_batch_slices_match_whole_block(monkeypatch):
     model, _ = RETENTION_CASES["window"]
     u = make_generator(3).random((250, 2, N))
-    expected = (u[:, 1] < _site_probabilities(model, reference_walk(model.field, u[:, 0]).T).T).astype(np.uint8)
+    expected = (u[:, 1] < reference_probabilities(model, reference_walk(model.field, u[:, 0]))).astype(np.uint8)
     # 250 rows read out 64 at a time: three full slices and a partial one
     monkeypatch.setattr(field, "_STACK_ROWS", 64)
     got = sample_errors_batch(model, 3, 250)
@@ -227,6 +239,58 @@ def test_sample_field_batch_slices_match_whole_block(monkeypatch):
     monkeypatch.setattr(field, "_STACK_ROWS", 64)
     got = sample_field_batch(spec, 4, 250)
     assert got.dtype == np.uint8
+    assert np.array_equal(got, expected)
+
+
+def readout_model(rng, radius, s, n=6):
+    """A window model whose table holds exact zeros and ones besides random rates."""
+    table = rng.random((n, s ** (2 * radius + 1)))
+    pick = rng.random(table.shape)
+    table[pick < 0.2] = 0.0
+    table[pick > 0.8] = 1.0
+    return HiddenErrorModel(field=random_field(rng, n, s), channel=WindowChannel(radius=radius, table=table))
+
+
+READOUT_CASES = [(radius, s) for radius in range(4) for s in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("radius, s", READOUT_CASES)
+def test_site_by_site_readout_matches_flat_take(radius, s):
+    rng = np.random.default_rng(100 * radius + s)
+    model = readout_model(rng, radius, s)
+    walk, err = rng.random((2, 300, model.n))
+    x = reference_walk(model.field, walk)
+    q = reference_probabilities(model, x)
+    # half the error uniforms equal their probability, which must read as no error
+    tie = rng.random(err.shape) < 0.5
+    err[tie] = q[tie]
+    (bits,) = _error_bits(model, [walk, err])
+    assert np.array_equal(bits, err < q)
+    assert not bits[tie].any()
+    assert np.array_equal(_site_probabilities(model, x.T), q.T)
+
+
+def test_threshold_channel_readout_matches_reference():
+    rng = np.random.default_rng(5)
+    model = HiddenErrorModel(field=biased_field(9), channel=GlobalThresholdChannel(threshold=2.0))
+    walk, err = rng.random((2, 400, model.n))
+    q = reference_probabilities(model, reference_walk(model.field, walk))
+    err[:, ::2] = q[:, ::2]
+    (bits,) = _error_bits(model, [walk, err])
+    assert np.array_equal(bits, err < q)
+    # some trials trigger and some do not
+    assert 0 < q.all(axis=1).sum() < len(q)
+
+
+@pytest.mark.parametrize("radius, s", READOUT_CASES)
+@pytest.mark.parametrize("count", [3, 7])
+def test_stacked_weights_match_flat_take_in_uneven_groups(radius, s, count, monkeypatch):
+    model = readout_model(np.random.default_rng(10 * radius + s), radius, s)
+    # 20-row stacks: two generators per stack at count 7, six at count 3,
+    # and a short last stack of the eleven
+    monkeypatch.setattr(field, "_STACK_ROWS", 20)
+    got = model.sample_weights([make_generator(seed) for seed in range(11)], count)
+    expected = np.concatenate([reference_weights(model, make_generator(seed), count) for seed in range(11)])
     assert np.array_equal(got, expected)
 
 

@@ -3,8 +3,9 @@
 Samplers draw and read out their uniforms ``field._STACK_ROWS`` rows at a
 time.  An epoch block (a walk block, then an error block) longer than that
 is read through two cursors on the caller's generator, the second placed by
-``Philox.advance``; these tests hold the cursors to the whole-block draw and
-the memory to a few slices.
+``Philox.advance``.  Every block is drawn into one reused buffer and read
+out site by site; these tests hold the cursors to the whole-block draw and
+the memory to that one block of uniforms.
 """
 
 import tracemalloc
@@ -91,6 +92,31 @@ def test_count_exceedances_holds_only_a_few_slices_in_memory():
         tracemalloc.stop()
     # the whole (2, 100 000, 64) block would be 100 MiB
     assert peak < 16 * 2**20
+
+
+def traced_peak(call):
+    """The tracemalloc peak of ``call()`` in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_count_exceedances_holds_one_block_of_uniforms():
+    model = HiddenErrorModel(field=chain(64, 0.5), channel=PerSiteChannel(table=np.tile([0.05, 0.15], (64, 1))))
+    gen = make_generator(0)
+    # one (2048, 64) uniform block is 1 MiB and the 100 000 weights 0.76 MiB;
+    # a second float block, or an (n, rows) index or probability block, is 1 MiB more
+    assert traced_peak(lambda: count_exceedances(model, gen, 100_000, 6.4)) < 2.75 * 2**20
+
+
+def test_stacked_sample_weights_hold_one_block_of_uniforms():
+    model = window_model(64)
+    gens = [make_generator(s) for s in range(640)]
+    # 20 stacks of 32 generators' 64-epoch blocks; the uniforms take 1 MiB
+    assert traced_peak(lambda: model.sample_weights(gens, 64)) < 3 * 2**20
 
 
 def test_threshold_sampler_holds_one_slice_of_uniforms():
