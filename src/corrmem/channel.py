@@ -66,6 +66,7 @@ __all__ = [
 MAX_WINDOW_RADIUS = 3
 
 _MIN_MC_TRIALS = 1000
+_READ_CELLS = 8192  # cells of one read-out chunk: 64 KiB each of intp indices and float64 probabilities
 
 
 @dataclass(frozen=True)
@@ -217,31 +218,32 @@ def _require_mc(trials: int | None, seed: int | None) -> None:
         raise ValidationError("Monte Carlo mode requires a seed")
 
 
-def _site_rows(model: HiddenErrorModel, x: np.ndarray):
-    """Conditional error probabilities ``q_i(1 | x)`` of a site-major (n, rows) block, one site at a time.
+def _window_codes(x: np.ndarray, s: int, r: int) -> np.ndarray:
+    """Big-endian codes (n, rows) of the windows ``i - r .. i + r`` of a site-major (n, rows) symbol block.
 
-    A table channel takes row ``i`` of its table at the window codes of site
-    ``i``, built for all sites from a symbol block padded with ``radius``
-    rows of zeros, in the narrowest unsigned type that holds a code.  A
-    threshold channel reads ``x``, or 1 in a column whose weight exceeds
-    the threshold.
+    Sites outside the block read symbol 0; codes take the narrowest unsigned type that holds them.
     """
-    c = model.channel
-    if isinstance(c, GlobalThresholdChannel):
-        fired = x.sum(axis=0) > c.threshold
-        return (np.maximum(row, fired, dtype=float) for row in x)
-    n, s, r, width = model.n, model.field.alphabet_size, c.radius, c.table.shape[1]
-    pad = np.zeros((n + 2 * r, x.shape[1]), dtype=np.min_scalar_type(width - 1))
+    n = x.shape[0]
+    pad = np.zeros((n + 2 * r, x.shape[1]), dtype=np.min_scalar_type(s ** (2 * r + 1) - 1))
     pad[r : r + n] = x
     code = pad[:n]
     for d in range(1, 2 * r + 1):
         code = code * s + pad[d : d + n]
-    return (row.take(codes, mode="clip") for row, codes in zip(c.table, code))
+    return code
 
 
 def _site_probabilities(model: HiddenErrorModel, x: np.ndarray) -> np.ndarray:
-    """Conditional error probabilities ``q_i(1 | x)`` for a site-major (n, rows) block."""
-    return np.array(list(_site_rows(model, x)))
+    """Conditional error probabilities ``q_i(1 | x)`` for a site-major (n, rows) block.
+
+    One flat ``take`` of the table at ``code + i * width``; a threshold
+    channel reads ``max(x, fired)``, ``fired`` marking columns above it.
+    """
+    c = model.channel
+    if isinstance(c, GlobalThresholdChannel):
+        return np.maximum(x, x.sum(axis=0) > c.threshold, dtype=float)
+    width = c.table.shape[1]
+    code = _window_codes(x, model.field.alphabet_size, c.radius)
+    return c.table.take(code + np.arange(0, code.shape[0] * width, width)[:, None])
 
 
 def expected_errors(model: HiddenErrorModel, x) -> float:
@@ -330,20 +332,22 @@ def _stacked_blocks(gens, count: int, n: int):
 def _error_bits(model: HiddenErrorModel, blocks):
     """Trial-major (rows, n) error bits from alternating walk and error blocks.
 
-    The walk runs site-major on the transposed walk block, and the read-out
-    compares each site's error column with that site's probabilities.  A
-    walk block is read before the error block is requested, and an error
+    The walk runs site-major on the transposed walk block; the read-out
+    takes :func:`_site_probabilities` of row chunks of at most ``_READ_CELLS`` cells.
+    A walk block is read before the error block is requested, and an error
     block before the bits are yielded, so a producer may draw every block
     into one buffer: a slice holds one block of uniforms at a time.
     """
     cols = _cdf_columns(model.field)
+    step = max(1, _READ_CELLS // model.n)
     blocks = iter(blocks)
     for walk in blocks:
         x = _inverse_cdf_walk(model.field, walk.T, cols)
         err = next(blocks)
         bits = np.empty(err.shape, dtype=bool)
-        for i, q in enumerate(_site_rows(model, x)):
-            np.less(err[:, i], q, out=bits[:, i])
+        for lo in range(0, len(err), step):
+            part = slice(lo, lo + step)
+            np.less(err[part].T, _site_probabilities(model, x[:, part]), out=bits[part].T)
         yield bits
 
 
@@ -365,8 +369,8 @@ def sample_errors_batch(model: HiddenErrorModel, seed: int, trials: int) -> np.n
     Trial ``t`` consumes the ``t``-th block of ``2 n`` uniforms from the
     stream — first ``n`` drive the latent chain, the rest threshold the
     conditional error probabilities — so a batch is a prefix-stable
-    concatenation of single-trial draws.  The stream is drawn and read out
-    ``_STACK_ROWS`` trials at a time.
+    concatenation of single-trial draws.  The stream is drawn ``_STACK_ROWS``
+    trials at a time and read out in chunks of ``_READ_CELLS`` cells.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -586,8 +590,7 @@ def error_rate(model: HiddenErrorModel, mode: str = "exact", trials: int | None 
     if mode != "mc":
         raise ValidationError(f"unknown mode {mode!r}")
     _require_mc(trials, seed)
-    y = sample_errors_batch(model, seed, trials)
-    per_trial = y.mean(axis=1)
+    per_trial = np.concatenate([bits.mean(axis=1) for bits in _trial_bits(model, seed, trials)])
     value = float(per_trial.mean())
     stderr = float(per_trial.std(ddof=1) / math.sqrt(trials))
     return MonteCarloScalar(
@@ -604,7 +607,8 @@ def _window_lipschitz(model: HiddenErrorModel) -> float:
 
     A flip at site ``k`` moves only the windows of sites ``k - r .. k + r``,
     which read sites ``k - 2r .. k + 2r``, so each flip is resolved on that
-    neighbourhood alone: ``S**min(n, 4r + 1)`` configurations per site.
+    neighbourhood alone: ``S**min(n, 4r + 1)`` configurations per site,
+    coded by :func:`_window_codes` (sites outside the chain read symbol 0).
     """
     c = model.channel
     s, n, r = model.field.alphabet_size, model.n, c.radius
@@ -617,13 +621,8 @@ def _window_lipschitz(model: HiddenErrorModel) -> float:
     best = 0.0
     for k in range(n):
         lo, hi = max(0, k - 2 * r), min(n - 1, k + 2 * r)
-        x = np.indices((s,) * (hi - lo + 1)).reshape(hi - lo + 1, -1)
-        psi = np.zeros(x.shape[1])
-        for i in range(max(0, k - r), min(n - 1, k + r) + 1):
-            idx = np.zeros(x.shape[1], dtype=np.int64)
-            for site in range(i - r, i + r + 1):
-                idx = idx * s + (x[site - lo] if 0 <= site < n else 0)
-            psi += c.table[i, idx]
+        code = _window_codes(np.indices((s,) * (hi - lo + 1)).reshape(hi - lo + 1, -1), s, r)
+        psi = sum(c.table[i].take(code[i - lo]) for i in range(max(0, k - r), min(n - 1, k + r) + 1))
         view = psi.reshape(s ** (k - lo), s, s ** (hi - k))
         best = max(best, float((view.max(axis=1) - view.min(axis=1)).max()))
     return best

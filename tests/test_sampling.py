@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corrmem.bounds as bounds
+import corrmem.channel as channel
 import corrmem.field as field
 from corrmem import (
     CodeModel,
@@ -255,7 +256,7 @@ READOUT_CASES = [(radius, s) for radius in range(4) for s in (2, 3, 4)]
 
 
 @pytest.mark.parametrize("radius, s", READOUT_CASES)
-def test_site_by_site_readout_matches_flat_take(radius, s):
+def test_site_by_site_readout_matches_flat_take(radius, s, monkeypatch):
     rng = np.random.default_rng(100 * radius + s)
     model = readout_model(rng, radius, s)
     walk, err = rng.random((2, 300, model.n))
@@ -268,9 +269,15 @@ def test_site_by_site_readout_matches_flat_take(radius, s):
     assert np.array_equal(bits, err < q)
     assert not bits[tie].any()
     assert np.array_equal(_site_probabilities(model, x.T), q.T)
+    # 50-cell chunks hold 8 rows of 6 sites: one row, fewer rows than a
+    # chunk, an exact multiple of it and a ragged last chunk
+    monkeypatch.setattr(channel, "_READ_CELLS", 50)
+    for rows in (1, 5, 64, 300):
+        (bits,) = _error_bits(model, [walk[:rows], err[:rows]])
+        assert np.array_equal(bits, err[:rows] < q[:rows])
 
 
-def test_threshold_channel_readout_matches_reference():
+def test_threshold_channel_readout_matches_reference(monkeypatch):
     rng = np.random.default_rng(5)
     model = HiddenErrorModel(field=biased_field(9), channel=GlobalThresholdChannel(threshold=2.0))
     walk, err = rng.random((2, 400, model.n))
@@ -280,6 +287,12 @@ def test_threshold_channel_readout_matches_reference():
     assert np.array_equal(bits, err < q)
     # some trials trigger and some do not
     assert 0 < q.all(axis=1).sum() < len(q)
+    # 50-cell chunks hold 5 rows of 9 sites: one row, fewer rows than a
+    # chunk, an exact multiple of it and a ragged last chunk
+    monkeypatch.setattr(channel, "_READ_CELLS", 50)
+    for rows in (1, 3, 40, 398):
+        (bits,) = _error_bits(model, [walk[:rows], err[:rows]])
+        assert np.array_equal(bits, err[:rows] < q[:rows])
 
 
 @pytest.mark.parametrize("radius, s", READOUT_CASES)

@@ -4,7 +4,8 @@
 has no validation or behaviour of its own, so a model built on either
 answers every method with the same bits.  A radius-0 table's Lipschitz
 constant is the row max-min closed form, which equals the flip
-neighbourhood enumeration bit for bit; wider windows still enumerate.
+neighbourhood enumeration bit for bit; wider windows still enumerate, on
+the window codes the read-out builds.
 """
 
 import json
@@ -23,6 +24,7 @@ from corrmem import (
     sample_errors_batch,
 )
 from corrmem.cli import main
+from corrmem.oracle import brute_force_lipschitz
 
 from conftest import chain, random_field
 
@@ -76,6 +78,20 @@ def test_radius_0_lipschitz_is_the_closed_form(monkeypatch):
     wider = HiddenErrorModel(field=chain(4, 0.5), channel=WindowChannel(radius=1, table=np.full((4, 8), 0.5)))
     with pytest.raises(AssertionError, match="no enumeration"):
         wider.lipschitz()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+@pytest.mark.parametrize("alphabet_size", [2, 3])
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_window_lipschitz_matches_brute_force(radius, alphabet_size, n):
+    # n < 2r + 1 leaves every window hanging over a chain end, and
+    # n < 4r + 1 every flip neighbourhood
+    rng = np.random.default_rng(100 * radius + 10 * alphabet_size + n)
+    table = rng.random((n, alphabet_size ** (2 * radius + 1)))
+    table[rng.random(table.shape) < 0.2] = 0.0
+    field = random_field(rng, n, alphabet_size)
+    model = HiddenErrorModel(field=field, channel=WindowChannel(radius=radius, table=table))
+    assert model.lipschitz() == pytest.approx(brute_force_lipschitz(model), rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
