@@ -498,69 +498,57 @@ def _trigger_lipschitz(n: int, threshold: float) -> float:
     return float(n - b) if 0 <= b < n else float(b == n)
 
 
-def _threshold_passes(model: HiddenErrorModel):
-    """The backward table, site rates and trigger tail of a threshold channel.
+def _threshold_joint(model: HiddenErrorModel, pairs: bool) -> np.ndarray:
+    """Masses of error bits that stay below the trigger of a threshold channel.
 
     With ``W`` the latent weight and ``b = floor(B)``, a backward pass gives
-    ``right[i, m] = P(X_{i+1} + ... + X_{n-1} <= m | X_i = 1)`` for
-    ``m < b``, and a forward pass over (symbol, partial weight) gives
-    ``P(W > B)`` and the rates ``P(Y_i = 1) = P(W > B) + P(X_i = 1, W <= B)``.
-    Each pass costs O(n * (b + 2)).  Returns the lifted chain's ``start``,
-    ``steps``, ``right``, the rates and ``P(W > B)``.
+    ``right[j, m] = P(X_{j+1} + ... + X_{n-1} <= m | X_j = 1)`` for ``m < b``.
+    A forward array over (start row, symbol, partial weight below ``b``) is
+    contracted with it at every site ``j``: row 0 has no start site and gives
+    ``P(X_j = 1, W <= B)``; row ``i + 1`` requires ``X_i = 1`` and gives
+    ``P(X_i = 1, X_j = 1, W <= B)`` for ``i < j``.  ``pairs=False`` carries
+    row 0 alone, O(n * (b + 1)); ``pairs=True`` all ``n + 1`` rows,
+    O(n**2 * (b + 1)) time and O(n * (b + 1)) memory.
     """
     start, steps, table = _lift(model)
-    n, b = model.n, _trigger_cut(model.n, model.channel.threshold)
-    right = np.empty((n, max(b, 0)))
-    beta = np.zeros((2, right.shape[1] + 1))
+    n, b = model.n, max(_trigger_cut(model.n, model.channel.threshold), 0)
+    right = np.empty((n, b))
+    beta = np.zeros((2, b + 1))
     beta[:, 0] = 1.0
     for i in range(n - 1, -1, -1):
-        right[i] = np.cumsum(beta[1])[: right.shape[1]]
+        right[i] = np.cumsum(beta[1])[:b]
         if i:
             _add_bit(beta, table[i])
             beta = _pull(beta, steps[i - 1])
-    rates = np.zeros(n)
-    alpha = np.zeros((2, b + 2))
-    alpha[:, 0] = start
-    for i in range(n):
-        if b >= 1:
-            rates[i] = alpha[1, :b] @ right[i, ::-1]
-        _add_bit(alpha, table[i])
-        if i + 1 < n:
-            alpha = _advance(alpha, steps[i])
-    trigger = alpha.sum(axis=0)[-1]
-    return start, steps, right, rates + trigger, trigger
+    joint = np.zeros((n + 1 if pairs else 1, n))
+    if not b:
+        return joint
+    fwd = np.zeros((len(joint), 2, b))
+    fwd[0, :, 0] = start
+    for j in range(n):
+        live = fwd[: j + 2]
+        joint[: j + 1, j] = live[: j + 1, 1] @ right[j, ::-1]
+        if j + 1 < len(fwd):
+            fwd[j + 1, 1] = fwd[0, 1]
+        # The read-out is q = x: a one at site j adds one to the weight.
+        live[:, 1, 1:] = live[:, 1, :-1]
+        live[:, 1, 0] = 0.0
+        if j + 1 < n:
+            live[:] = steps[j].T @ live
+    return joint
 
 
 def _threshold_covariance(model: HiddenErrorModel) -> np.ndarray:
-    """Exact covariance of a threshold channel by one pair pass.
+    """Exact covariance of a threshold channel from :func:`_threshold_joint`.
 
     ``Cov(Y_i, Y_j) = P(W > B) + P(X_i = 1, X_j = 1, W <= B) - r_i r_j``.
-    The joint term comes from a forward pass over (start site ``i``, symbol,
-    partial weight below ``b = floor(B)``) that requires ``X_i = 1``,
-    vectorised over ``i`` and contracted with ``right`` at every later site
-    ``j``: O(n**2 * (b + 1)) time and O(n * (b + 1)) memory.  Unlike the
-    centred pass of the other channels this forms the difference
+    Unlike the centred pass of the other channels this forms the difference
     ``E[Y_i Y_j] - r_i r_j``, the same difference the enumeration oracle
     forms, so its rounding sits at the scale of ``E[Y_i Y_j]``.
     """
-    start, steps, right, rates, trigger = _threshold_passes(model)
-    n, b = model.n, right.shape[1]
-    joint = np.zeros((n, n))
-    if b >= 2:
-        # Row 0 holds P(X_j = s, X_0 + ... + X_{j-1} = w); row i + 1 the
-        # same with X_i = 1, for the starts i < j.
-        pair = np.zeros((n + 1, 2, b))
-        pair[0, :, 0] = start
-        for j in range(n):
-            joint[:j, j] = pair[1 : j + 1, 1] @ right[j, ::-1]
-            pair[j + 1, 1] = pair[0, 1]
-            live = pair[: j + 2]
-            # The read-out is q = x: a one at site j adds one to the weight.
-            live[:, 1, 1:] = live[:, 1, :-1]
-            live[:, 1, 0] = 0.0
-            if j + 1 < n:
-                live[:] = steps[j].T @ live
-    cov = trigger + joint + joint.T - np.outer(rates, rates)
+    trigger, joint = model.tail(math.floor(model.channel.threshold)), _threshold_joint(model, pairs=True)
+    rates = trigger + joint[0]
+    cov = trigger + joint[1:] + joint[1:].T - np.outer(rates, rates)
     np.fill_diagonal(cov, rates * (1.0 - rates))
     return cov
 
@@ -569,12 +557,12 @@ def site_error_rates(model: HiddenErrorModel) -> np.ndarray:
     """Exact per-site error probabilities ``E[Y_i]``, shape (n,).
 
     Table channels read the window marginals of the lifted chain in
-    O(n * S**(2r+2)).  Threshold channels combine a forward and a backward
-    pass over (symbol, partial weight up to floor(threshold) + 1) in
-    O(n * (floor(threshold) + 2)).
+    O(n * S**(2r+2)).  Threshold channels add the trigger ``P(W > B)``, the
+    last column of the weight pass, to row 0 of :func:`_threshold_joint`,
+    ``P(X_i = 1, W <= B)``: O(n * (floor(threshold) + 2)).
     """
     if isinstance(model.channel, GlobalThresholdChannel):
-        return _threshold_passes(model)[3]
+        return model.tail(math.floor(model.channel.threshold)) + _threshold_joint(model, pairs=False)[0]
     start, steps, table = _lift(model)
     return (_window_marginals(start, steps) * table).sum(axis=1)
 
@@ -609,6 +597,7 @@ def _window_lipschitz(model: HiddenErrorModel) -> float:
     which read sites ``k - 2r .. k + 2r``, so each flip is resolved on that
     neighbourhood alone: ``S**min(n, 4r + 1)`` configurations per site,
     coded by :func:`_window_codes` (sites outside the chain read symbol 0).
+    Codes depend only on the width, so each of the at most ``2r + 1`` widths is coded once.
     """
     c = model.channel
     s, n, r = model.field.alphabet_size, model.n, c.radius
@@ -618,10 +607,12 @@ def _window_lipschitz(model: HiddenErrorModel) -> float:
             f"{count} configurations per flip neighbourhood exceed the "
             f"enumeration limit {ENUM_LIMIT}"
         )
-    best = 0.0
+    codes, best = {}, 0.0
     for k in range(n):
         lo, hi = max(0, k - 2 * r), min(n - 1, k + 2 * r)
-        code = _window_codes(np.indices((s,) * (hi - lo + 1)).reshape(hi - lo + 1, -1), s, r)
+        if hi - lo not in codes:
+            codes[hi - lo] = _window_codes(np.indices((s,) * (hi - lo + 1)).reshape(hi - lo + 1, -1), s, r)
+        code = codes[hi - lo]
         psi = sum(c.table[i].take(code[i - lo]) for i in range(max(0, k - r), min(n - 1, k + r) + 1))
         view = psi.reshape(s ** (k - lo), s, s ** (hi - k))
         best = max(best, float((view.max(axis=1) - view.min(axis=1)).max()))
@@ -679,9 +670,10 @@ def covariance_matrix(model: HiddenErrorModel, mode: str = "exact", trials: int 
     ``mode="exact"`` returns an (n, n) array whose diagonal holds
     ``Var(Y_i)``.  Table channels use products of centred
     window kernels in O(n**2 * S**(2r+2)), which never subtract
-    ``E[Y_i] E[Y_j]`` from ``E[Y_i Y_j]``; threshold channels use one pair
-    pass over (start site, symbol, partial weight) in
-    O(n**2 * (floor(threshold) + 1)).  Neither enumerates the latent space.
+    ``E[Y_i] E[Y_j]`` from ``E[Y_i Y_j]``; threshold channels add the
+    trigger, the last column of the weight pass, to the pair pass of
+    :func:`_threshold_joint` in O(n**2 * (floor(threshold) + 1)).  Neither
+    enumerates the latent space.
     ``mode="mc"`` pools exact integer counts over ``trials`` sampled vectors
     and returns a :class:`CovarianceEstimate` whose ``stderr`` is the
     asymptotic standard error of each entry.

@@ -256,7 +256,7 @@ READOUT_CASES = [(radius, s) for radius in range(4) for s in (2, 3, 4)]
 
 
 @pytest.mark.parametrize("radius, s", READOUT_CASES)
-def test_site_by_site_readout_matches_flat_take(radius, s, monkeypatch):
+def test_chunked_readout_matches_flat_take(radius, s, monkeypatch):
     rng = np.random.default_rng(100 * radius + s)
     model = readout_model(rng, radius, s)
     walk, err = rng.random((2, 300, model.n))

@@ -42,8 +42,9 @@ from corrmem.oracle import brute_force_lipschitz, exact_error_distribution, exac
 
 TOL = 1e-12
 
-# per-site, window radius 0..2, and a threshold below 0, inside [0, n) and at or above n
-CHANNELS = ("per_site", "window0", "window1", "window2", "below", "inside", "above")
+# per-site, window radius 0..2, and a threshold below 0, inside [0, n), at or
+# above n, and on an integer 0..n (so b = 0 and b = n come up)
+CHANNELS = ("per_site", "window0", "window1", "window2", "below", "inside", "above", "integer")
 
 
 def sparse_field(rng, n, alphabet_size):
@@ -82,6 +83,7 @@ def random_model(seed, n, alphabet_size, channel):
         "below": rng.uniform(-3.0, 0.0),
         "inside": rng.uniform(0.0, n),
         "above": rng.uniform(n, n + 3.0),
+        "integer": float(rng.integers(0, n + 1)),
     }[channel]
     return HiddenErrorModel(
         field=sparse_field(rng, n, 2), channel=GlobalThresholdChannel(threshold=threshold)
@@ -200,6 +202,16 @@ def test_threshold_channel_covariance_at_three_hundred_sites(threshold):
     spec = ThresholdModelSpec.from_threshold(300, 0.1, threshold)
     cov = covariance_matrix(as_hidden_model(spec))
     np.testing.assert_allclose(cov, spec.covariance(), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_threshold_below_zero_fires_on_every_configuration(seed):
+    # every error vector is all ones: rates exactly 1 and covariance exactly
+    # 0, even where the chain's total mass does not round to 1
+    field = sparse_field(np.random.default_rng(seed), 40, 2)
+    model = HiddenErrorModel(field=field, channel=GlobalThresholdChannel(threshold=-0.5))
+    assert np.array_equal(site_error_rates(model), np.ones(40))
+    assert np.array_equal(covariance_matrix(model), np.zeros((40, 40)))
 
 
 def test_exact_threshold_covariance_leaves_the_oracle_unimported(tmp_path):
