@@ -16,11 +16,13 @@ the terms between anchors with the pmf ratio recurrence, and walks outward
 from the threshold, where the terms only shrink, until they fall below
 2^-60 of the running sum.  Tails are carried as a log scale times a sum, so
 they stay accurate far below 1e-16 and resolve in
-:func:`log_trigger_probability` even below 1e-308.  The pair covariance is
-summed over the same walk as the tail; with the threshold above the mean
-that walk covers the trigger side, where it reads
+:func:`log_trigger_probability` even below 1e-308.  One walk gives the
+trigger probability, the deviation ``dev = E[Y_i] - eps`` and the pair
+covariance, and the decomposition of that covariance follows from them.
+With the threshold above the mean the walk covers the trigger side (else
+the calm side), where ``dev = sum_{m > floor(B)} w_m (1 - m/n)`` and
 
-    cov = sum_{m > floor(B)} w_m * g(m) - (sum_{m > floor(B)} w_m * (1 - m/n))^2
+    cov = sum_{m > floor(B)} w_m * g(m) - dev^2
 
 with ``g(m) = 1 - 2 eps (1 - m/n) - (m/n)(m-1)/(n-1)``, which is
 algebraically identical to the moment difference
@@ -97,10 +99,18 @@ class ThresholdModelSpec:
 
     @classmethod
     def from_threshold(cls, n: int, eps: float, threshold: float) -> "ThresholdModelSpec":
-        """Build a spec whose trigger threshold equals ``threshold`` exactly."""
+        """Build a spec whose threshold is ``threshold``, or failing that has its floor.
+
+        ``(threshold - n eps) / sqrt(n)`` may give a threshold an ulp off, a
+        whole trigger weight at an integer, so the nearest margin within 32
+        ulps that gives ``threshold`` is taken, else one that gives its floor.
+        """
         if n < 1:
             raise ValidationError("n must be a positive integer")
-        return cls(n=n, eps=float(eps), margin=(float(threshold) - n * float(eps)) / math.sqrt(n))
+        eps, target = float(eps), float(threshold)
+        margin = (target - n * eps) / math.sqrt(n)
+        near = [cls(n=n, eps=eps, margin=margin + j * math.ulp(margin)) for j in sorted(range(-32, 33), key=abs)]
+        return min(near, key=lambda spec: (spec.threshold != target, spec.threshold // 1 != target // 1))
 
     @property
     def resolved_margin(self) -> float:
@@ -128,10 +138,10 @@ class ThresholdModelSpec:
         return weight_distribution(self)
 
     def covariance(self) -> np.ndarray:
-        """Exact (n, n) covariance: ``Var(Y_i)`` on the diagonal, :func:`exact_covariance` off it."""
-        rate = marginal_error_rate(self).value
-        cov = np.full((self.n, self.n), exact_covariance(self) if self.n > 1 else 0.0)
-        np.fill_diagonal(cov, rate * (1.0 - rate))
+        """Exact (n, n) covariance from one walk: ``Var(Y_i)`` on the diagonal, :func:`exact_covariance` off it."""
+        _, _, dev, pair, *_ = _tail_and_covariance(self.n, self.eps, self.threshold)
+        cov = np.full((self.n, self.n), pair)
+        np.fill_diagonal(cov, (self.eps + dev) * (1.0 - self.eps - dev))
         return cov
 
     def tail(self, k: int) -> float:
@@ -169,7 +179,7 @@ class CovarianceDecomposition:
 
     ``conditional_term`` is the expected conditional covariance given the
     indicator, ``between_term`` the covariance of the conditional means, and
-    ``total`` their sum, which equals the unconditional covariance.  The
+    ``total`` the unconditional covariance, which their sum equals.  The
     between term can never exceed ``p (1 - p)`` for trigger probability p.
     """
 
@@ -356,31 +366,36 @@ def _pmf_walk(m: int, p: float, start: int, step: int, cutoff: float = _CUTOFF):
     return log_scale, np.concatenate(parts)
 
 
-def _tail_and_covariance(m: int, eps: float, t: float) -> tuple[float, float, float]:
-    """``P(Bin(m, eps) > t)`` and the pair covariance of its spec, from one walk.
+def _tail_and_covariance(m: int, eps: float, t: float):
+    """Every moment of the spec with ``m`` sites and threshold ``t``, from one walk.
 
-    Returns ``(log_scale, mass, cov)``: the tail is worth ``exp(log_scale) *
-    mass``, and ``cov`` is ``Cov(Y_i, Y_j)`` for ``m`` sites with trigger
-    threshold ``t`` (0 when ``m < 2``).  Both are summed from the threshold
-    away from the mean: over the tail itself when the threshold lies above
-    the mean, else over its complement (see :func:`exact_covariance`).
+    Returns ``(log_scale, mass, dev, cov, conditional, between)``: the
+    trigger probability ``exp(log_scale) * mass``, ``dev = E[Y_i] - eps``,
+    ``Cov(Y_i, Y_j)`` and its :class:`CovarianceDecomposition` terms (the
+    last three 0 when ``m < 2``), each summed from the threshold away from
+    the mean: over the trigger side above the mean, else the calm side.
     """
     k = math.floor(t)
     if k >= m:
-        return 0.0, 0.0, 0.0
+        return 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
     if k < 0:
-        return 0.0, 1.0, 0.0
+        return 0.0, 1.0, 1.0 - eps, 0.0, 0.0, 0.0
     if k + 1 > m * eps:
         log_scale, terms = _pmf_walk(m, eps, k + 1, 1)
         mass = float(terms.sum())
-        if m < 2:
-            return log_scale, mass, 0.0
         w = math.exp(log_scale) * terms
         weights = np.arange(k + 1, k + 1 + terms.size)
         q = weights / m
-        g = 1.0 - 2.0 * eps * (1.0 - q) - q * (weights - 1) / (m - 1)
         corr = float(w @ (1.0 - q))
-        return log_scale, mass, float(w @ g) - corr * corr
+        if m < 2:
+            return log_scale, mass, corr, 0.0, 0.0, 0.0
+        g = 1.0 - 2.0 * eps * (1.0 - q) - q * (weights - 1) / (m - 1)
+        # The form in covariance_decomposition; a calm set {W = 0} holds constant errors.
+        p, d = math.exp(log_scale) * mass, q - eps
+        h = d * d - q * (1.0 - q) / (m - 1)
+        conditional = 0.0 if k == 0 else -float(w @ h) - float(w @ d) ** 2 / (1.0 - p)
+        between = p * (1.0 - eps - corr) ** 2 / (1.0 - p)
+        return log_scale, mass, corr, float(w @ g) - corr * corr, conditional, between
     log_scale, terms = _pmf_walk(m, eps, k, -1)
     mass = max(0.0, 1.0 - math.exp(log_scale) * float(terms.sum()))
     w = math.exp(log_scale) * terms
@@ -389,12 +404,16 @@ def _tail_and_covariance(m: int, eps: float, t: float) -> tuple[float, float, fl
     s0 = float(w.sum())
     s1 = float(w @ q)
     s2 = float(w @ (q * (weights - 1) / (m - 1)))
-    return 0.0, mass, (1.0 - s0) * (s0 - 2.0 * s1) + s2 - s1 * s1
+    # Centred on the calm mean s1 / s0; s0 is 0 only when every term is.
+    calm = s0 or 1.0
+    conditional = float(w @ (q - s1 / calm) ** 2) - float(w @ (q * (1.0 - q))) / (m - 1)
+    cov = (1.0 - s0) * (s0 - 2.0 * s1) + s2 - s1 * s1
+    return 0.0, mass, mass + s1 - eps, cov, conditional, mass * (s0 - s1) * (1.0 - s1 / calm)
 
 
 def _binom_tail_gt(m: int, eps: float, t: float) -> float:
     """``P(Bin(m, eps) > t)``."""
-    log_scale, mass, _ = _tail_and_covariance(m, eps, t)
+    log_scale, mass, *_ = _tail_and_covariance(m, eps, t)
     return math.exp(log_scale) * mass
 
 
@@ -403,7 +422,7 @@ def log_trigger_probability(spec: ThresholdModelSpec) -> float:
 
     Resolves probabilities far below the smallest positive float.
     """
-    log_scale, mass, _ = _tail_and_covariance(spec.n, spec.eps, spec.threshold)
+    log_scale, mass, *_ = _tail_and_covariance(spec.n, spec.eps, spec.threshold)
     return log_scale + math.log(mass) if mass > 0.0 else -math.inf
 
 
@@ -432,69 +451,50 @@ def sample_threshold_errors(spec: ThresholdModelSpec, seed: int) -> np.ndarray:
 
 
 def marginal_error_rate(spec: ThresholdModelSpec, site: int = 0) -> MarginalErrorRate:
-    """Exact single-site error probability.
+    """Exact single-site error probability ``eps + dev``, from one walk.
 
-    ``E[Y_i] = eps * P(no trigger | X_i = 1) + P(trigger)``; the deviation
-    from eps is always non-negative and at most the trigger probability.
-    The sites are exchangeable, so the value does not depend on ``site``.
+    It reads the walk's trigger probability and ``dev = E[1 - X_i; trigger]``
+    (as ``P(trigger) + E[X_i; calm] - eps`` below the mean), which is at
+    most the trigger probability.  The sites are exchangeable, so the value
+    does not depend on ``site``.
     """
     if not 0 <= site < spec.n:
         raise ValidationError(f"site {site} out of range for n={spec.n}")
-    p = trigger_probability(spec)
-    shifted = _binom_tail_gt(spec.n - 1, spec.eps, spec.threshold - 1.0)
-    value = spec.eps * (1.0 - shifted) + p
-    return MarginalErrorRate(value=value, deviation=p - spec.eps * shifted, trigger_prob=p)
-
-
-def _pair_sites(spec: ThresholdModelSpec, i: int, j: int) -> int:
-    """``spec.n``, once ``i`` and ``j`` are checked to be two distinct sites of it."""
-    n = spec.n
-    if n < 2:
-        raise ValidationError("pair covariance requires n >= 2")
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise ValidationError("sites must be distinct and in range")
-    return n
+    log_scale, mass, dev, *_ = _tail_and_covariance(spec.n, spec.eps, spec.threshold)
+    return MarginalErrorRate(value=spec.eps + dev, deviation=dev, trigger_prob=math.exp(log_scale) * mass)
 
 
 def exact_covariance(spec: ThresholdModelSpec, i: int = 0, j: int = 1) -> float:
     """Exact ``Cov(Y_i, Y_j)`` for distinct sites, summed on one side of the threshold.
 
     The sites are exchangeable, so the value is the same for every pair.
-    With the threshold above the mean the sum runs over triggering weights
-    (the light-tail form in the module docstring).  Otherwise it runs over
-    the calm weights ``m <= floor(B)``: with their mass ``s0`` and moments
-    ``s1 = sum w_m q_m`` and ``s2 = sum w_m q_m (m - 1) / (n - 1)``, ``q_m =
-    m / n``, the covariance is ``(1 - s0)(s0 - 2 s1) + s2 - s1^2``.  Either
-    way it keeps full relative precision when it is far below the 1e-16
-    resolution of the plain moment difference.
+    Above the mean it takes the form in the module docstring; below it, with
+    the calm mass ``s0`` and moments ``s1 = sum w_m q_m`` and ``s2 = sum w_m
+    q_m (m - 1) / (n - 1)`` over ``m <= floor(B)``, ``q_m = m / n``, it is
+    ``(1 - s0)(s0 - 2 s1) + s2 - s1^2``.  Either way it keeps full relative
+    precision far below the 1e-16 resolution of the moment difference.
     """
-    n = _pair_sites(spec, i, j)
-    # A trigger that is impossible (errors i.i.d.) or certain (errors
-    # constant) gives 0.
-    return _tail_and_covariance(n, spec.eps, spec.threshold)[2]
+    return covariance_decomposition(spec, i, j).total
 
 
 def covariance_decomposition(spec: ThresholdModelSpec, i: int = 0, j: int = 1) -> CovarianceDecomposition:
-    """Split the pair covariance by conditioning on the trigger indicator."""
-    n = _pair_sites(spec, i, j)
-    p = trigger_probability(spec)
-    if p == 0.0 or p == 1.0:
-        # Constant indicator: the between term vanishes and conditioning
-        # changes nothing (p=0) or conditions on constant errors (p=1).
-        return CovarianceDecomposition(0.0, 0.0, 0.0, p)
-    b = spec.threshold
-    shifted_one = _binom_tail_gt(n - 1, spec.eps, b - 1.0)
-    shifted_two = _binom_tail_gt(n - 2, spec.eps, b - 2.0)
-    mean_given_calm = spec.eps * (1.0 - shifted_one) / (1.0 - p)
-    joint_given_calm = spec.eps**2 * (1.0 - shifted_two) / (1.0 - p)
-    between = p * (1.0 - p) * (1.0 - mean_given_calm) ** 2
-    conditional = (1.0 - p) * (joint_given_calm - mean_given_calm**2)
-    return CovarianceDecomposition(
-        conditional_term=conditional,
-        between_term=between,
-        total=conditional + between,
-        trigger_prob=p,
-    )
+    """Split the pair covariance by conditioning on the trigger indicator, from one walk.
+
+    Given a trigger the errors are all ones, so with ``p = P(trigger)`` and
+    ``mu = E[X_i | calm] = (eps + dev - p) / (1 - p)`` the between term is
+    ``p (1 - p) (1 - mu)^2`` and the conditional term ``(1 - p) Cov(X_i, X_j
+    | calm)``, read off the calm moments below the mean.  Above it, with
+    ``d = m/n - eps`` and ``h = d^2 - (m/n)(1 - m/n) / (n - 1)`` (binomial
+    means 0), it is ``-sum w_m h(m) - (sum w_m d)^2 / (1 - p)`` over ``m >
+    floor(B)``, every term O(p).  ``total`` is :func:`exact_covariance`.
+    """
+    n = spec.n
+    if n < 2:
+        raise ValidationError("pair covariance requires n >= 2")
+    if i == j or not (0 <= i < n and 0 <= j < n):
+        raise ValidationError("sites must be distinct and in range")
+    log_scale, mass, _, cov, conditional, between = _tail_and_covariance(n, spec.eps, spec.threshold)
+    return CovarianceDecomposition(conditional, between, cov, math.exp(log_scale) * mass)
 
 
 def reduced_sum_tails(spec: ThresholdModelSpec) -> ReducedSumTails:
@@ -549,16 +549,10 @@ def weight_distribution(spec: ThresholdModelSpec) -> np.ndarray:
     Below the trigger the weight is the binomial latent weight; all
     triggering mass collapses onto weight n.
     """
-    n = spec.n
-    k = math.floor(spec.threshold)
-    pmf = _binom_pmf(n, spec.eps)
-    if k >= n:
-        return pmf
-    out = np.zeros(n + 1)
-    if k >= 0:
-        out[: k + 1] = pmf[: k + 1]
-    out[n] += trigger_probability(spec)
-    return out
+    pmf = _binom_pmf(spec.n, spec.eps)
+    pmf[max(math.floor(spec.threshold) + 1, 0) :] = 0.0
+    pmf[spec.n] += trigger_probability(spec)
+    return pmf
 
 
 def threshold_lipschitz(spec: ThresholdModelSpec) -> float:

@@ -498,6 +498,11 @@ def _trigger_lipschitz(n: int, threshold: float) -> float:
     return float(n - b) if 0 <= b < n else float(b == n)
 
 
+def _cuts(model: HiddenErrorModel) -> bool:
+    """A threshold channel with ``floor(B) < n - 1``; above that only the all-ones state triggers, so it is the identity."""
+    return isinstance(model.channel, GlobalThresholdChannel) and model.channel.threshold < model.n - 1
+
+
 def _threshold_joint(model: HiddenErrorModel, pairs: bool) -> np.ndarray:
     """Masses of error bits that stay below the trigger of a threshold channel.
 
@@ -559,9 +564,10 @@ def site_error_rates(model: HiddenErrorModel) -> np.ndarray:
     Table channels read the window marginals of the lifted chain in
     O(n * S**(2r+2)).  Threshold channels add the trigger ``P(W > B)``, the
     last column of the weight pass, to row 0 of :func:`_threshold_joint`,
-    ``P(X_i = 1, W <= B)``: O(n * (floor(threshold) + 2)).
+    ``P(X_i = 1, W <= B)``: O(n * (floor(threshold) + 2)).  Identity
+    threshold channels (``floor(B) >= n - 1``) read out like a table.
     """
-    if isinstance(model.channel, GlobalThresholdChannel):
+    if _cuts(model):
         return model.tail(math.floor(model.channel.threshold)) + _threshold_joint(model, pairs=False)[0]
     start, steps, table = _lift(model)
     return (_window_marginals(start, steps) * table).sum(axis=1)
@@ -672,16 +678,15 @@ def covariance_matrix(model: HiddenErrorModel, mode: str = "exact", trials: int 
     window kernels in O(n**2 * S**(2r+2)), which never subtract
     ``E[Y_i] E[Y_j]`` from ``E[Y_i Y_j]``; threshold channels add the
     trigger, the last column of the weight pass, to the pair pass of
-    :func:`_threshold_joint` in O(n**2 * (floor(threshold) + 1)).  Neither
-    enumerates the latent space.
+    :func:`_threshold_joint` in O(n**2 * (floor(threshold) + 1)), unless
+    ``floor(threshold) >= n - 1`` makes them the identity, which reads out
+    like a table.  Neither enumerates the latent space.
     ``mode="mc"`` pools exact integer counts over ``trials`` sampled vectors
     and returns a :class:`CovarianceEstimate` whose ``stderr`` is the
     asymptotic standard error of each entry.
     """
     if mode == "exact":
-        if isinstance(model.channel, GlobalThresholdChannel):
-            return _threshold_covariance(model)
-        return _lifted_covariance(model)
+        return _threshold_covariance(model) if _cuts(model) else _lifted_covariance(model)
     if mode != "mc":
         raise ValidationError(f"unknown mode {mode!r}")
     _require_mc(trials, seed)

@@ -430,7 +430,7 @@ def _run_adversarial_scan(cfg, seed_tree, threads):
     def one(point):
         n, a = point
         spec = ThresholdModelSpec(n=n, eps=eps, margin_rate=a)
-        log_scale, mass, cov = _tail_and_covariance(n, eps, spec.threshold)
+        log_scale, mass, _, cov, *_ = _tail_and_covariance(n, eps, spec.threshold)
         p = math.exp(log_scale) * mass
         return (
             n,

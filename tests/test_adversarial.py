@@ -67,9 +67,23 @@ def test_threshold_recomputed_from_schedule():
     assert spec.threshold == pytest.approx(1.6 + 4.0 * spec.resolved_margin)
 
 
-def test_from_threshold_round_trip():
-    spec = spec_with_threshold(8, 0.25, 3.0)
-    assert spec.threshold == pytest.approx(3.0, abs=1e-12)
+@pytest.mark.parametrize(
+    "n, eps, threshold, exact",
+    [
+        (8, 0.25, 3.0, True),
+        # the plain margin gives 2.9999999999999996 and no margin gives 3.0
+        (5, 0.01, 3.0, False),
+        (47, 0.01, 28.0, False),
+        # the plain margin falls an ulp short and a neighbour hits exactly
+        (3, 0.001, 4.0, True),
+        (9, 0.01, 2.0, True),
+        (18, 0.1, 16.0, True),
+    ],
+)
+def test_from_threshold_round_trip(n, eps, threshold, exact):
+    spec = spec_with_threshold(n, eps, threshold)
+    assert math.floor(spec.threshold) == math.floor(threshold)
+    assert (spec.threshold == threshold) is exact
 
 
 # --- trigger probability ---------------------------------------------------
@@ -250,8 +264,10 @@ def test_decomposition_trivial_when_trigger_impossible():
 def test_decomposition_sums_to_direct_covariance(n, eps, margin):
     spec = ThresholdModelSpec(n=n, eps=eps, margin=margin)
     dec = covariance_decomposition(spec)
+    # relative to the larger term: an absolute 1e-12 would pass any gap in a deep tail
+    scale = max(abs(dec.conditional_term), abs(dec.between_term))
     assert dec.conditional_term + dec.between_term == pytest.approx(
-        exact_covariance(spec), abs=1e-12
+        exact_covariance(spec), rel=0.0, abs=1e-12 * scale
     )
     assert dec.between_term <= dec.trigger_prob * (1 - dec.trigger_prob) + 1e-12
 

@@ -23,8 +23,11 @@ from hypothesis import strategies as st
 from corrmem import (
     ThresholdModelSpec,
     ValidationError,
+    adversarial,
+    covariance_decomposition,
     exact_covariance,
     log_trigger_probability,
+    marginal_error_rate,
     tail_scaling_fit,
     trigger_probability,
 )
@@ -137,6 +140,104 @@ def test_exact_covariance_matches_mpmath(n, eps, z):
     assert_rel(exact_covariance(spec), want)
 
 
+def mp_calm_terms(m, p, k):
+    """``[(j, P(Bin(m, p) = j))]`` for ``j = 0..k``, by the exact ratio recurrence."""
+    odds = mpmath.mpf(p) / (1 - mpmath.mpf(p))
+    out = [(0, (1 - mpmath.mpf(p)) ** m)]
+    for j in range(1, k + 1):
+        out.append((j, out[-1][1] * (m - j + 1) * odds / j))
+    return out
+
+
+def mp_spec_moments(n, p, k):
+    """``E[Y_i] - eps`` and the two decomposition terms, each summed on the side that holds it.
+
+    The deviation is ``E[1 - X_i; trigger]``.  Given no trigger the errors
+    are the latent bits, so the conditional term is ``s2 - s1^2 / s0`` over
+    the calm weights and the between term ``P(trigger) (s0 - s1)^2 / s0``.
+    A calm set ``{W = 0}`` gives ``s1 = s2 = 0``, an exact zero.
+    """
+    trig = mp_upper_terms(n, p, k + 1)
+    calm = mp_calm_terms(n, p, k)
+    dev = mpmath.fsum(w * (1 - mpmath.mpf(j) / n) for j, w in trig)
+    s0 = mpmath.fsum(w for _, w in calm)
+    s1 = mpmath.fsum(w * j / n for j, w in calm)
+    s2 = mpmath.fsum(w * j * (j - 1) / (n * (n - 1)) for j, w in calm)
+    between = mpmath.fsum(w for _, w in trig) * (s0 - s1) ** 2 / s0
+    return dev, s2 - s1 * s1 / s0, between
+
+
+def assert_moments_match_mpmath(spec):
+    k = math.floor(spec.threshold)
+    with mpmath.workdps(DIGITS):
+        calm = mpmath.fsum(w for _, w in mp_calm_terms(spec.n, spec.eps, k))
+        # the calm sums cancel about -log10 of the smaller side's mass
+        spare = int(-mpmath.log10(min(mp_tail_gt(spec.n, spec.eps, k), calm))) + 10
+    with mpmath.workdps(DIGITS + spare):
+        dev, conditional, between = mp_spec_moments(spec.n, spec.eps, k)
+        value = spec.eps + dev
+    rate = marginal_error_rate(spec)
+    dec = covariance_decomposition(spec)
+    for got, want in [
+        (rate.value, value),
+        (rate.deviation, dev),
+        (dec.conditional_term, conditional),
+        (dec.between_term, between),
+    ]:
+        if want == 0:
+            assert got == 0.0, (got, spec)
+        elif abs(want) > mpmath.mpf("1e-300"):
+            assert_rel(got, want, rel=1e-12)
+    scale = max(abs(dec.conditional_term), abs(dec.between_term))
+    assert abs(dec.total - exact_covariance(spec)) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=sizes, eps=rates, z=sigmas)
+def test_marginal_rate_and_decomposition_match_mpmath(n, eps, z):
+    spec = ThresholdModelSpec.from_threshold(n, eps, threshold_at(n, eps, z))
+    if 0 <= math.floor(spec.threshold) < n:
+        assert_moments_match_mpmath(spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # deep trigger tails, where the shifted-tail difference of two
+        # O(eps^2) numbers read 0.0 and a positive conditional term
+        ThresholdModelSpec(n=64, eps=0.1, margin=4.0),
+        ThresholdModelSpec(n=256, eps=0.1, margin=3.0),
+        # calm set {W = 0}: the conditional term is exactly 0, on either side of the mean
+        ThresholdModelSpec.from_threshold(64, 0.01, 0.5),
+        ThresholdModelSpec.from_threshold(64, 0.1, 0.5),
+        # trigger only at the all-ones state: the deviation is exactly 0
+        ThresholdModelSpec.from_threshold(3, 0.5, 2.0),
+        # deep on the calm side, where 1 - P(trigger) is 3.4e-10
+        ThresholdModelSpec.from_threshold(4096, 0.3, 1050.5),
+    ],
+    ids=["n64-margin4", "n256-margin3", "calm-zero-above", "calm-zero-below", "all-ones", "deep-calm"],
+)
+def test_marginal_rate_and_decomposition_pinned(spec):
+    assert_moments_match_mpmath(spec)
+
+
+@pytest.mark.parametrize("threshold", [130.0, 70.5], ids=["above-the-mean", "below-the-mean"])
+def test_each_spec_quantity_makes_one_walk(monkeypatch, threshold):
+    spec = ThresholdModelSpec.from_threshold(1000, 0.1, threshold)
+    walks = []
+    real = adversarial._pmf_walk
+    monkeypatch.setattr(adversarial, "_pmf_walk", lambda *args, **kw: walks.append(args) or real(*args, **kw))
+    for quantity in (
+        spec.mean_rate,
+        spec.covariance,
+        lambda: marginal_error_rate(spec),
+        lambda: covariance_decomposition(spec),
+    ):
+        walks.clear()
+        quantity()
+        assert len(walks) == 1
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=sizes, eps=rates, z=sigmas)
 def test_weight_distribution_matches_mpmath(n, eps, z):
@@ -214,8 +315,9 @@ def test_log_pmf_holds_deep_in_the_tail():
 )
 def test_one_walk_gives_the_trigger_probability_and_the_covariance(n, eps, threshold):
     spec = ThresholdModelSpec.from_threshold(n, eps, threshold)
-    log_scale, mass, cov = _tail_and_covariance(n, eps, spec.threshold)
+    log_scale, mass, dev, cov, *_ = _tail_and_covariance(n, eps, spec.threshold)
     assert (math.exp(log_scale) * mass).hex() == trigger_probability(spec).hex()
+    assert dev.hex() == marginal_error_rate(spec).deviation.hex()
     if n < 2:
         assert cov == 0.0
         with pytest.raises(ValidationError, match="n >= 2"):

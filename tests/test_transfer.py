@@ -204,6 +204,26 @@ def test_threshold_channel_covariance_at_three_hundred_sites(threshold):
     np.testing.assert_allclose(cov, spec.covariance(), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("offset", [-1.5, -1.0, -0.5, 0.0, 0.5, 1e6])
+def test_identity_threshold_channel_reads_out_like_a_table(monkeypatch, offset):
+    # with floor(B) >= n - 1 only the all-ones state triggers, and it maps to
+    # itself: the channel is the identity and skips the threshold pair pass
+    n = 300
+    field = symmetric_binary_field(n, 0.7)
+    model = HiddenErrorModel(field=field, channel=GlobalThresholdChannel(threshold=n + offset))
+    calls = []
+    real = corrmem.channel._threshold_joint
+    monkeypatch.setattr(corrmem.channel, "_threshold_joint", lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    rates, cov = site_error_rates(model), covariance_matrix(model)
+    if offset < -1.0:
+        assert len(calls) == 2
+        return
+    assert not calls
+    table = HiddenErrorModel(field=field, channel=PerSiteChannel(table=np.tile([0.0, 1.0], (n, 1))))
+    np.testing.assert_allclose(rates, site_error_rates(table), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(cov, covariance_matrix(table), rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_threshold_below_zero_fires_on_every_configuration(seed):
     # every error vector is all ones: rates exactly 1 and covariance exactly
