@@ -32,6 +32,7 @@ to produce an exponentially small result.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,13 +105,20 @@ class ThresholdModelSpec:
         ``(threshold - n eps) / sqrt(n)`` may give a threshold an ulp off, a
         whole trigger weight at an integer, so the nearest margin within 32
         ulps that gives ``threshold`` is taken, else one that gives its floor.
+        A margin whose threshold overflows is never taken while one does not.
         """
         if n < 1:
             raise ValidationError("n must be a positive integer")
         eps, target = float(eps), float(threshold)
         margin = (target - n * eps) / math.sqrt(n)
-        near = [cls(n=n, eps=eps, margin=margin + j * math.ulp(margin)) for j in sorted(range(-32, 33), key=abs)]
-        return min(near, key=lambda spec: (spec.threshold != target, spec.threshold // 1 != target // 1))
+
+        def miss(candidate):
+            # the threshold property's own expression, so the built spec gives it back
+            got = n * eps + math.sqrt(n) * candidate
+            return not math.isfinite(got), got != target, got // 1 != target // 1
+
+        near = (margin + j * math.ulp(margin) for j in sorted(range(-32, 33), key=abs))
+        return cls(n=n, eps=eps, margin=min(near, key=miss))
 
     @property
     def resolved_margin(self) -> float:
@@ -164,8 +172,7 @@ class ThresholdModelSpec:
         return np.where(latent <= self.threshold, latent, self.n)
 
 
-@dataclass(frozen=True)
-class MarginalErrorRate:
+class MarginalErrorRate(NamedTuple):
     """Exact ``E[Y_i]`` with its deviation from eps and the trigger probability."""
 
     value: float
@@ -173,8 +180,7 @@ class MarginalErrorRate:
     trigger_prob: float
 
 
-@dataclass(frozen=True)
-class CovarianceDecomposition:
+class CovarianceDecomposition(NamedTuple):
     """Pair covariance split by conditioning on the trigger indicator.
 
     ``conditional_term`` is the expected conditional covariance given the
@@ -189,8 +195,7 @@ class CovarianceDecomposition:
     trigger_prob: float
 
 
-@dataclass(frozen=True)
-class ReducedSumTails:
+class ReducedSumTails(NamedTuple):
     """Tails of latent sums with one or two sites removed.
 
     ``drop_one`` is ``P(Bin(n-1, eps) > B)`` for trigger threshold B, and
@@ -206,8 +211,7 @@ class ReducedSumTails:
     hoeffding_drop_two: float | None
 
 
-@dataclass(frozen=True)
-class TailScalingFit:
+class TailScalingFit(NamedTuple):
     """Least-squares fit of log trigger probability against squared margin.
 
     ``retention_exponent`` is the fitted polynomial growth order of the

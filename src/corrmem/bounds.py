@@ -25,7 +25,7 @@ code's correction threshold.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,8 +131,7 @@ def clopper_pearson(count: int, trials: int, confidence: float = 0.95) -> tuple[
     return lo, hi
 
 
-@dataclass(frozen=True)
-class TailEstimate:
+class TailEstimate(NamedTuple):
     """Sampled exceedance probability with a Clopper-Pearson interval."""
 
     value: float
@@ -142,8 +141,7 @@ class TailEstimate:
     exceedances: int
 
 
-@dataclass(frozen=True)
-class TailReport:
+class TailReport(NamedTuple):
     """One bound-versus-tail comparison.
 
     ``verdict`` is ``"dominated"`` when the interval sits entirely at or

@@ -26,7 +26,7 @@ than any per-site channel.
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -190,8 +190,7 @@ class HiddenErrorModel:
         return out
 
 
-@dataclass(frozen=True)
-class MonteCarloScalar:
+class MonteCarloScalar(NamedTuple):
     """A scalar Monte Carlo estimate with a normal 95% confidence interval."""
 
     value: float
@@ -201,8 +200,7 @@ class MonteCarloScalar:
     trials: int
 
 
-@dataclass(frozen=True)
-class CovarianceEstimate:
+class CovarianceEstimate(NamedTuple):
     """Sampled covariance matrix with elementwise standard errors."""
 
     values: np.ndarray

@@ -10,18 +10,19 @@ is a complete, diff-able record of the experiment.  Every run writes
 * ``<kind>.summary.json`` — the echoed config, the resolved seed tree,
   the library version, wall-clock time, and kind-specific aggregates.
 
-Grid points are dispatched to a thread pool when ``threads > 1``; results
-are collected in submission order, so parallelism never changes output.
+Grid points are shared out among worker threads when ``threads > 1``;
+results are collected in grid order, so parallelism never changes output.
 """
 
 import csv
 import json
 import math
 import numbers
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .channel import (
     WindowChannel,
     covariance_matrix,
 )
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .field import MarkovFieldSpec, mixing_coefficients, mixing_bound
 from .memory import CodeModel, scaling_experiment, simulate_retention
 from .rng import derive_seed
@@ -82,8 +83,7 @@ class ExperimentConfig:
         _require(0 <= self.master_seed < 1 << 64, "master_seed must lie in [0, 2**64)")
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """Where a run wrote its outputs and how it ended."""
 
     exit_code: int
@@ -360,11 +360,39 @@ def _json_default(obj):
 
 
 def _parallel_map(fn, items, threads: int) -> list:
+    """``[fn(item) for item in items]`` on up to ``threads`` worker threads.
+
+    Items are claimed in order and none after one fails, so once every worker
+    is joined the lowest failing index's error is raised.
+    """
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    results = [None] * len(items)
+    errors = {}
+    pending = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i = None if errors else next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                with lock:
+                    errors[i] = exc
+
+    workers = [threading.Thread(target=work) for _ in range(min(threads, len(items)))]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +423,18 @@ def _run_mixing(cfg, seed_tree, threads):
     return ["n", "theta_max", "m_bound"], rows, summary, 0
 
 
+# the covariance kind holds two (n, n) float arrays and writes n (n + 1) / 2
+# rows: 32 MiB each and about 2.1 million rows at this size
+_COVARIANCE_SITE_LIMIT = 1 << 11
+
+
 def _run_covariance(cfg, seed_tree, threads):
     model = _build_model(cfg.model)
     method = cfg.params.get("method", "exact")
     if method not in ("exact", "mc"):
         raise ConfigError("covariance params.method must be 'exact' or 'mc'")
+    if model.n > _COVARIANCE_SITE_LIMIT:
+        raise ResourceLimitError(f"covariance over n={model.n} sites exceeds the limit of {_COVARIANCE_SITE_LIMIT}")
     if method == "exact":
         cov = model.covariance()
         err = np.zeros_like(cov)

@@ -23,6 +23,7 @@ for every integer ``k``), ``covariance()`` (exact, n x n) and
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +93,7 @@ def epoch_step(weight: int, code: CodeModel) -> bool:
     return weight <= code.correction_threshold
 
 
-@dataclass(frozen=True)
-class RetentionEstimate:
+class RetentionEstimate(NamedTuple):
     """Simulated epochs-to-failure.
 
     ``failure_epochs[t]`` is the first failing epoch of trial ``t`` (1-based)
@@ -109,8 +109,7 @@ class RetentionEstimate:
     censored_count: int
 
 
-@dataclass(frozen=True)
-class LifetimeBound:
+class LifetimeBound(NamedTuple):
     """Union-bound lifetime guarantee.
 
     If every epoch fails with probability at most
@@ -126,8 +125,7 @@ class LifetimeBound:
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class ScalingPoint:
+class ScalingPoint(NamedTuple):
     """One grid point of a failure-scaling experiment.
 
     ``mixing_sum`` is the largest summed product of mixing coefficients of
@@ -149,8 +147,7 @@ class ScalingPoint:
     rescaled_size: float | None
 
 
-@dataclass(frozen=True)
-class ScalingResult:
+class ScalingResult(NamedTuple):
     """Least-squares summary of log failure probability against size."""
 
     points: list

@@ -78,6 +78,8 @@ def test_threshold_recomputed_from_schedule():
         (3, 0.001, 4.0, True),
         (9, 0.01, 2.0, True),
         (18, 0.1, 16.0, True),
+        # the largest float: the margin an ulp above it gives an infinite threshold
+        (1, 0.5, 1.7976931348623157e308, True),
     ],
 )
 def test_from_threshold_round_trip(n, eps, threshold, exact):

@@ -367,7 +367,9 @@ import numpy
 def heavy_modules():
     return {
         name for name in sys.modules
-        if name.partition(".")[0] == "scipy" or name.startswith("numpy.random") or name == "_hashlib"
+        if name.partition(".")[0] in ("scipy", "concurrent", "logging")
+        or name.startswith("numpy.random")
+        or name == "_hashlib"
     }
 
 # NumPy 1.x imports numpy.random with numpy itself; only what corrmem adds counts
@@ -395,6 +397,9 @@ for name, config in [
 ]:
     run(parse_config({**config, "out": out}))
     seen[name + " run"] = added()
+# two deltas, so two worker threads
+run(parse_config({"kind": "tails", "out": out, "model": chain, "params": {"method": "exact", "deltas": [0.1, 0.2]}}), threads=2)
+seen["exact tails run at threads=2"] = added()
 run(parse_config({"kind": "tails", "out": out, "model": chain, "params": {"method": "mc", "deltas": [0.1]}, "budget": {"trials": 1000}}))
 seen["mc tails run"] = "numpy.random" in sys.modules
 clopper_pearson(3, 10)
@@ -407,7 +412,9 @@ def test_scipy_loads_only_for_a_clopper_pearson_interval(tmp_path):
     # scipy.special takes longer to import than every exact computation of a
     # run together, and numpy.random and OpenSSL's libcrypto (behind
     # hashlib) cost a tenth of an exact run's peak memory, so no path that
-    # draws no random numbers may load any of them
+    # draws no random numbers may load any of them; nor may any run load
+    # concurrent.futures or the logging it pulls in, which worker threads do
+    # not need and every import would pay for
     out = subprocess.run(
         [sys.executable, "-c", _FOOTPRINT_PROBE, str(tmp_path)],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
@@ -419,6 +426,7 @@ def test_scipy_loads_only_for_a_clopper_pearson_interval(tmp_path):
         "import corrmem": [],
         "exact tails run": [],
         "adversarial-scan run": [],
+        "exact tails run at threads=2": [],
         "exact covariance run": [],
         "exact scaling run": [],
         "verify-all run": [],

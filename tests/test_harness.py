@@ -1,5 +1,9 @@
 import json
 import math
+import sys
+import threading
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +11,7 @@ import pytest
 
 import corrmem.adversarial as adversarial
 import corrmem.bounds as bounds
+import corrmem.harness as harness
 from corrmem import (
     ConfigError,
     bundled_verification_suite,
@@ -489,6 +494,56 @@ def test_seed_changes_seeded_output(tmp_path):
     assert Path(a.csv_path).read_bytes() != Path(b.csv_path).read_bytes()
 
 
+def _within(seconds, call):
+    """``call()`` on a daemon thread, failing rather than hanging past ``seconds``."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = call()
+        except BaseException as exc:
+            box["error"] = exc
+
+    helper = threading.Thread(target=target, daemon=True)
+    helper.start()
+    helper.join(seconds)
+    assert not helper.is_alive(), f"no result within {seconds} s"
+    return box
+
+
+@pytest.mark.parametrize("threads", [2, 8])
+@pytest.mark.parametrize("count", [3, 24])
+def test_parallel_map_keeps_item_order_and_raises_the_lowest_failure(threads, count):
+    # 8 threads outnumber 3 items and, on fewer than 8 cores, the cores
+    idents = set()
+
+    def square(i):
+        idents.add(threading.get_ident())
+        time.sleep(0.001 * ((count - i) % 4))  # later items often finish first
+        return i * i
+
+    def fail_late_at_one(i):
+        if i == 1:
+            time.sleep(0.05)  # item 2 fails first in time
+        if i in (1, 2):
+            raise ValueError(i)
+        return i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        baseline = threading.active_count()
+        box = _within(30.0, lambda: harness._parallel_map(square, range(count), threads))
+        assert box["value"] == [i * i for i in range(count)]
+        assert len(idents) <= min(threads, count)
+        assert threading.active_count() == baseline
+        box = _within(30.0, lambda: harness._parallel_map(fail_late_at_one, range(count), threads))
+        assert isinstance(box["error"], ValueError) and box["error"].args == (1,)
+        assert threading.active_count() == baseline
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # --- command line ----------------------------------------------------------------
 
 
@@ -688,6 +743,30 @@ def test_cli_exact_threshold_covariance_past_the_enumeration_limit(tmp_path):
     assert main(["covariance", "--config", path, "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "covariance.csv").read_text().splitlines()
     assert len(lines) == 1 + 325
+
+
+OVERSIZED_THRESHOLD = {"type": "threshold", "n": 2**19, "eps": 0.1, "margin": 3.0}
+JUST_TOO_LARGE_CHAIN = {**CHAIN_MODEL, "field": {"theta": 0.5, "n": harness._COVARIANCE_SITE_LIMIT + 1}}
+
+
+@pytest.mark.parametrize(
+    "model, method",
+    [(OVERSIZED_THRESHOLD, "exact"), (OVERSIZED_THRESHOLD, "mc"), (JUST_TOO_LARGE_CHAIN, "exact")],
+    ids=["threshold-exact", "threshold-mc", "chain-exact"],
+)
+def test_cli_oversized_covariance_exit_3_before_allocating(tmp_path, capsys, model, method):
+    # an (n, n) array at n = 2**19 would take 2 TiB
+    path = write_config(tmp_path, "cov.json", {"model": model, "params": {"method": method}})
+    tracemalloc.start()
+    try:
+        code = main(["covariance", "--config", path, "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "resource limit: covariance over n=" in capsys.readouterr().err
+    assert peak < 2**20
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_seed_override_matches_config_seed(tmp_path):
