@@ -328,6 +328,8 @@ def _build_code(block: dict, n: int) -> CodeModel:
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # most cells: skip the type ladder below
+        return repr(value)
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
@@ -339,12 +341,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list, rows: list) -> None:
+def _write_csv(path: Path, header: list, rows) -> int:
+    """Write ``header`` and the ``rows`` iterable; return the number of rows."""
+    count = 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
+        for count, row in enumerate(rows, 1):
             writer.writerow([_fmt(v) for v in row])
+    return count
 
 
 def _json_default(obj):
@@ -448,11 +453,12 @@ def _run_covariance(cfg, seed_tree, threads):
         trials = _integer(cfg.budget.get("trials", 100_000), "budget.trials", least=1)
         est = covariance_matrix(model, mode="mc", trials=trials, seed=seed)
         cov, err = est.values, est.stderr
-    rows = [
-        (i, j, float(cov[i, j]), float(err[i, j]))
+    # rows stream from the matrices to the writer, one matrix row at a time
+    rows = (
+        (i, j, c, e)
         for i in range(model.n)
-        for j in range(i, model.n)
-    ]
+        for j, c, e in zip(range(i, model.n), cov[i, i:].tolist(), err[i, i:].tolist())
+    )
     summary = {"method": method, "trials": trials}
     return ["i", "j", "cov", "stderr"], rows, summary, 0
 
@@ -668,14 +674,14 @@ def run(cfg: ExperimentConfig, threads: int = 1) -> RunResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{cfg.kind}.csv"
     summary_path = out_dir / f"{cfg.kind}.summary.json"
-    _write_csv(csv_path, header, rows)
+    written = _write_csv(csv_path, header, rows)
     payload = {
         "kind": cfg.kind,
         "version": __version__,
         "config": asdict(cfg),
         "threads": threads,
         "seed_tree": seed_tree,
-        "rows": len(rows),
+        "rows": written,
         "csv": csv_path.name,
         "exit_code": exit_code,
         "wall_clock_seconds": time.monotonic() - started,
@@ -688,5 +694,5 @@ def run(cfg: ExperimentConfig, threads: int = 1) -> RunResult:
         exit_code=exit_code,
         csv_path=str(csv_path),
         summary_path=str(summary_path),
-        rows=len(rows),
+        rows=written,
     )

@@ -23,10 +23,12 @@ for every integer ``k``), ``covariance()`` (exact, n x n) and
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
+from . import field as _field
 from .adversarial import _line_fit
 from .bounds import _check_model, empirical_tail, exact_tail
 # Unused here, but kept bound: the benchmark's tracer tests read this name.
@@ -179,12 +181,16 @@ def simulate_retention(model, code: CodeModel, max_epochs: int, trials: int, see
     """Simulate epochs until the first uncorrectable error, per trial.
 
     Each trial runs an independent derived stream, so results do not depend
-    on how trials are scheduled.  Epochs run in blocks of ``_EPOCH_BLOCK``:
-    every trial still alive draws its next block from its own stream, and
-    ``sample_weights`` turns all the blocks into weights, stacking them up to
-    ``field._STACK_ROWS`` rows at a time.  A trial stops drawing at its first
-    failure.  Trials that survive ``max_epochs`` epochs are censored and
-    excluded from the mean.
+    on how trials are scheduled.  Epochs run in blocks of ``_EPOCH_BLOCK``,
+    the last one shorter when ``max_epochs`` is not a multiple of it.  A pool
+    of at most ``field._STACK_ROWS // min(_EPOCH_BLOCK, max_epochs)`` trials
+    (at least one) is live at a time: a trial enters it in trial order when
+    a slot frees, and only then derives its seed and opens its generator.
+    Each step, every pooled trial draws its next block from its own stream,
+    with one ``sample_weights`` call per distinct block length, so memory
+    does not grow with ``trials``.  A trial leaves the pool, and drops its
+    generator, at its first failure or when censored after ``max_epochs``
+    epochs; censored trials are excluded from the mean.
     """
     if _check_model(model).n != code.n:
         raise ValidationError("model and code sizes differ")
@@ -193,18 +199,26 @@ def simulate_retention(model, code: CodeModel, max_epochs: int, trials: int, see
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     tau = code.correction_threshold
-    gens = [make_generator(derive_seed(seed, "retention-trial", t)) for t in range(trials)]
+    pool = max(1, _field._STACK_ROWS // min(_EPOCH_BLOCK, max_epochs))
     epochs = np.zeros(trials, dtype=np.int64)
-    live = np.arange(trials)
-    for done in range(0, max_epochs, _EPOCH_BLOCK):
-        block = min(_EPOCH_BLOCK, max_epochs - done)
-        weights = model.sample_weights([gens[t] for t in live], block)
-        failed = (weights > tau).reshape(live.size, block)
+    # the pool: trial ids, epochs survived so far and generators, slot by slot
+    ids, done = np.zeros((2, 0), dtype=np.int64)
+    gens, entered = [], 0
+    while entered < trials or ids.size:
+        new = np.arange(entered, min(trials, entered + pool - ids.size))
+        entered += new.size
+        gens += [make_generator(derive_seed(seed, "retention-trial", t)) for t in new.tolist()]
+        ids, done = np.concatenate([ids, new]), np.concatenate([done, np.zeros_like(new)])
+        block = np.minimum(_EPOCH_BLOCK, max_epochs - done)
+        failed = np.zeros((ids.size, block.max()), dtype=bool)
+        for count in np.unique(block).tolist():
+            rows = block == count
+            failed[rows, :count] = (model.sample_weights(list(compress(gens, rows)), count) > tau).reshape(-1, count)
         hit = failed.any(axis=1)
-        epochs[live[hit]] = done + failed[hit].argmax(axis=1) + 1
-        live = live[epochs[live] == 0]
-        if not live.size:
-            break
+        epochs[ids[hit]] = done[hit] + failed[hit].argmax(axis=1) + 1
+        done += block
+        stay = ~hit & (done < max_epochs)
+        ids, done, gens = ids[stay], done[stay], list(compress(gens, stay))
     censored = epochs == 0
     observed = epochs[~censored]
     if observed.size:

@@ -198,6 +198,32 @@ def test_covariance_exact_run(tmp_path):
     assert all(line.endswith(",0.0") for line in lines[1:])
 
 
+def test_covariance_run_streams_its_rows(tmp_path):
+    n = 512
+    cfg = parse_config(
+        {
+            "kind": "covariance",
+            "out": str(tmp_path),
+            "model": {
+                "type": "hidden",
+                "field": {"theta": 0.25, "n": n},
+                "channel": {"type": "per_site", "rates": [0.1, 0.3]},
+            },
+        }
+    )
+    tracemalloc.start()
+    try:
+        result = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.rows == n * (n + 1) // 2
+    assert json.loads(Path(result.summary_path).read_text())["rows"] == result.rows
+    # the covariance and its stderr are two (n, n) float arrays; a list of
+    # all n (n + 1) / 2 rows would hold about eleven
+    assert peak < 5 * n * n * 8
+
+
 def test_covariance_threshold_exact_uses_exchangeability(tmp_path):
     cfg = parse_config(
         {

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import corrmem.memory as memory
 from corrmem import (
     CodeModel,
     HiddenErrorModel,
@@ -30,6 +32,7 @@ from corrmem import (
     verify_bound,
     weight_law,
 )
+from corrmem.field import _STACK_ROWS
 
 from conftest import chain, random_per_site_model
 
@@ -223,6 +226,35 @@ def test_retention_trial_order_independence():
     small = simulate_retention(spec, code, max_epochs=500, trials=20, seed=5)
     large = simulate_retention(spec, code, max_epochs=500, trials=200, seed=5)
     assert np.array_equal(small.failure_epochs, large.failure_epochs[:20])
+
+
+class WatchedGenerator(np.random.Generator):
+    """A generator that ``weakref.finalize`` can watch."""
+
+
+def test_retention_holds_at_most_one_stack_of_generators(monkeypatch):
+    model = iid_per_site_model(8, 0.5, 0.02)
+    code = CodeModel(n=8, k=1, d=3)
+    expected = simulate_retention(model, code, max_epochs=200, trials=500, seed=4)
+    count = {"alive": 0, "most": 0}
+
+    def release():
+        count["alive"] -= 1
+
+    def watched(seed):
+        gen = WatchedGenerator(make_generator(seed).bit_generator)
+        weakref.finalize(gen, release)
+        count["alive"] += 1
+        count["most"] = max(count["most"], count["alive"])
+        return gen
+
+    monkeypatch.setattr(memory, "make_generator", watched)
+    est = simulate_retention(model, code, max_epochs=200, trials=500, seed=4)
+    assert np.array_equal(est.failure_epochs, expected.failure_epochs)
+    assert 0 < est.censored_count < 500
+    # a trial opens its generator on entering the pool and drops it on leaving
+    assert count["most"] <= _STACK_ROWS // memory._EPOCH_BLOCK
+    assert count["alive"] == 0
 
 
 def test_retention_geometric_ks_at_scale():

@@ -191,12 +191,21 @@ RETENTION_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(RETENTION_CASES))
-def test_stacked_retention_matches_per_trial_loop(name, monkeypatch):
+@pytest.mark.parametrize(
+    "name, stack_rows",
+    # the 100-row cases keep the ids they had before stack_rows was a parameter
+    [
+        pytest.param(name, rows, id=name if rows == 100 else f"{name}-{rows}")
+        for rows in (100, 200, 2048)
+        for name in sorted(RETENTION_CASES)
+    ],
+)
+def test_stacked_retention_matches_per_trial_loop(name, stack_rows, monkeypatch):
     model, code = RETENTION_CASES[name]
-    # 100-row stacks: one trial per stack for 64-epoch blocks, four for the
-    # last 22 epochs of 150
-    monkeypatch.setattr(field, "_STACK_ROWS", 100)
+    # a pool of stack_rows // 64 trials: 1 at 100 rows (one trial a step),
+    # 3 at 200 (refilled mid-run, with steps that mix 64- and 22-epoch
+    # blocks of max_epochs 150), 32 at 2048
+    monkeypatch.setattr(field, "_STACK_ROWS", stack_rows)
     est = simulate_retention(model, code, max_epochs=150, trials=40, seed=11)
     expected = reference_retention(model, code, 150, 40, 11)
     assert np.array_equal(est.failure_epochs, expected)
