@@ -30,56 +30,71 @@ algebraically identical to the moment difference
 to produce an exponentially small result.
 """
 
+import dataclasses
 import math
-from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import GlobalThresholdChannel, HiddenErrorModel, _epoch_rows, _trigger_lipschitz
+from .channel import GlobalThresholdChannel, HiddenErrorModel, _epoch_rows
 from .errors import ValidationError
-from .field import MarkovFieldSpec, _uniform_slices
-from .rng import make_generator
+from .field import MarkovFieldSpec
 
 __all__ = [
     "CovarianceDecomposition",
     "MarginalErrorRate",
-    "ReducedSumTails",
     "TailScalingFit",
     "ThresholdModelSpec",
-    "as_hidden_model",
     "covariance_decomposition",
     "exact_covariance",
     "log_trigger_probability",
     "marginal_error_rate",
-    "reduced_sum_tails",
     "retention_upper_bound",
-    "sample_threshold_errors",
-    "sample_threshold_errors_batch",
     "tail_scaling_fit",
-    "threshold_lipschitz",
     "trigger_probability",
     "weight_distribution",
 ]
 
 
-@dataclass(frozen=True)
-class ThresholdModelSpec:
-    """Parameters of the threshold family.
+def _iid_field(spec: "ThresholdModelSpec") -> MarkovFieldSpec:
+    """i.i.d. Bernoulli(eps) latent bits: ``n - 1`` kernels whose rows are both the initial law."""
+    initial = np.array([1.0 - spec.eps, spec.eps])
+    return MarkovFieldSpec(n=spec.n, alphabet_size=2, initial=initial, kernels=np.tile(initial, (spec.n - 1, 2, 1)))
+
+
+@dataclasses.dataclass(frozen=True)
+class ThresholdModelSpec(HiddenErrorModel):
+    """The threshold family as a hidden model, given by its four parameters.
 
     Exactly one of ``margin`` (an explicit value) and ``margin_rate`` (a
     positive coefficient giving the schedule ``margin = margin_rate *
     sqrt(log n)``) must be supplied.  The trigger threshold ``n * eps +
     sqrt(n) * margin`` must be finite; it is always recomputed from these
     inputs, never stored.
+
+    ``field`` and ``channel`` follow from the parameters: i.i.d.
+    Bernoulli(eps) bits read out by ``GlobalThresholdChannel(threshold)``.
+    The field tiles ``n - 1`` kernels, so it is built on first read, and
+    ``n``, ``repr`` and ``==`` never read it.  The methods the binomial
+    kernels of this module answer are overridden; ``lipschitz`` is
+    inherited, since the channel applies the same trigger rule.
     """
 
-    n: int
+    field: MarkovFieldSpec = dataclasses.field(
+        init=False, repr=False, compare=False, default=cached_property(_iid_field)
+    )
+    channel: GlobalThresholdChannel = dataclasses.field(
+        init=False, repr=False, compare=False, default=cached_property(lambda spec: GlobalThresholdChannel(spec.threshold))
+    )
+    # a bare annotation would take the inherited ``HiddenErrorModel.n`` as its default
+    n: int = dataclasses.field()
     eps: float
     margin: float | None = None
     margin_rate: float | None = None
 
     def __post_init__(self):
+        """Validate the parameters; the field is binary by construction, so the field checks do not run."""
         if not isinstance(self.n, int) or self.n < 1:
             raise ValidationError("n must be a positive integer")
         eps = float(self.eps)
@@ -134,9 +149,6 @@ class ThresholdModelSpec:
 
     def mean_rate(self) -> float:
         return marginal_error_rate(self).value
-
-    def lipschitz(self) -> float:
-        return threshold_lipschitz(self)
 
     def mixing_bound(self) -> float:
         """1: the latent bits are i.i.d."""
@@ -193,22 +205,6 @@ class CovarianceDecomposition(NamedTuple):
     between_term: float
     total: float
     trigger_prob: float
-
-
-class ReducedSumTails(NamedTuple):
-    """Tails of latent sums with one or two sites removed.
-
-    ``drop_one`` is ``P(Bin(n-1, eps) > B)`` for trigger threshold B, and
-    ``drop_two`` the same with two sites removed.  The ``hoeffding_*``
-    ceilings are ``exp(-2 (B - m eps)^2 / m)``; a ceiling is ``None`` when
-    the threshold does not exceed the reduced mean (the exponential form
-    does not apply there).
-    """
-
-    drop_one: float
-    drop_two: float
-    hoeffding_drop_one: float | None
-    hoeffding_drop_two: float | None
 
 
 class TailScalingFit(NamedTuple):
@@ -435,25 +431,6 @@ def trigger_probability(spec: ThresholdModelSpec) -> float:
     return _binom_tail_gt(spec.n, spec.eps, spec.threshold)
 
 
-def sample_threshold_errors_batch(spec: ThresholdModelSpec, seed: int, trials: int) -> np.ndarray:
-    """Draw ``trials`` error vectors; shape (trials, n), dtype uint8."""
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    out = np.empty((trials, spec.n), dtype=np.uint8)
-    lo = 0
-    for u in _uniform_slices(make_generator(seed), trials, spec.n):
-        x = out[lo : lo + len(u)]
-        x[...] = u < spec.eps
-        x[x.sum(axis=1) > spec.threshold] = 1
-        lo += len(u)
-    return out
-
-
-def sample_threshold_errors(spec: ThresholdModelSpec, seed: int) -> np.ndarray:
-    """Draw one error vector; shape (n,), dtype uint8."""
-    return sample_threshold_errors_batch(spec, seed, 1)[0]
-
-
 def marginal_error_rate(spec: ThresholdModelSpec, site: int = 0) -> MarginalErrorRate:
     """Exact single-site error probability ``eps + dev``, from one walk.
 
@@ -501,26 +478,6 @@ def covariance_decomposition(spec: ThresholdModelSpec, i: int = 0, j: int = 1) -
     return CovarianceDecomposition(conditional, between, cov, math.exp(log_scale) * mass)
 
 
-def reduced_sum_tails(spec: ThresholdModelSpec) -> ReducedSumTails:
-    """Exact reduced-sum tails with their exponential ceilings."""
-    b = spec.threshold
-
-    def ceiling(m: int) -> float | None:
-        if m < 1:
-            return None
-        t = b - m * spec.eps
-        if t <= 0.0:
-            return None
-        return math.exp(-2.0 * t * t / m)
-
-    return ReducedSumTails(
-        drop_one=_binom_tail_gt(spec.n - 1, spec.eps, b),
-        drop_two=_binom_tail_gt(spec.n - 2, spec.eps, b),
-        hoeffding_drop_one=ceiling(spec.n - 1),
-        hoeffding_drop_two=ceiling(spec.n - 2),
-    )
-
-
 def retention_upper_bound(spec: ThresholdModelSpec) -> float:
     """Mean epochs until the first trigger: ``1 / P(trigger)``.
 
@@ -557,15 +514,6 @@ def weight_distribution(spec: ThresholdModelSpec) -> np.ndarray:
     pmf[max(math.floor(spec.threshold) + 1, 0) :] = 0.0
     pmf[spec.n] += trigger_probability(spec)
     return pmf
-
-
-def threshold_lipschitz(spec: ThresholdModelSpec) -> float:
-    """Hamming-Lipschitz constant of the conditional mean error count.
-
-    The trigger rule shared with the threshold channel: ``n - floor(B)``
-    while the threshold is in range, 1 above and 0 below.
-    """
-    return _trigger_lipschitz(spec.n, spec.threshold)
 
 
 def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
@@ -610,18 +558,3 @@ def tail_scaling_fit(specs) -> TailScalingFit:
         r_squared=r_squared,
         retention_exponent=exponent,
     )
-
-
-def as_hidden_model(spec: ThresholdModelSpec) -> HiddenErrorModel:
-    """The equivalent hidden-field model: i.i.d. bits, threshold channel.
-
-    Useful for cross-checking every analytic formula in this module against
-    the hidden-model backend, and on small instances against the
-    enumeration oracle in :mod:`corrmem.oracle`.
-    """
-    initial = np.array([1.0 - spec.eps, spec.eps])
-    kernels = np.tile(initial, (spec.n - 1, 2, 1))
-    field = MarkovFieldSpec(
-        n=spec.n, alphabet_size=2, initial=initial, kernels=kernels
-    )
-    return HiddenErrorModel(field=field, channel=GlobalThresholdChannel(spec.threshold))

@@ -17,10 +17,10 @@ tail beyond ``n (eps + delta)`` whenever the mean per-site error rate is at
 most ``eps`` (:func:`combined_tail_bound`).  :func:`verify_bound` confronts
 such a ceiling with an exact or sampled tail and issues a verdict.
 
-The law of the total error weight lives here too, for either model family:
-:func:`weight_law` gives it exactly, :func:`exact_tail` and
-:func:`empirical_tail` give the probability that the weight exceeds a
-threshold.  The per-epoch failure probability of a memory is that tail at the
+The law of the total error weight lives here too, for any model, a
+threshold spec included: :func:`weight_law` gives it exactly,
+:func:`exact_tail` and :func:`empirical_tail` give the probability that the
+weight exceeds a threshold.  The per-epoch failure probability of a memory is that tail at the
 code's correction threshold.
 """
 
@@ -29,7 +29,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adversarial import ThresholdModelSpec
 from .channel import HiddenErrorModel, _require_mc
 from .errors import ValidationError
 from .rng import make_generator
@@ -169,14 +168,14 @@ class TailReport(NamedTuple):
 
 
 def _check_model(model):
-    """``model`` itself if it is a model of either family; else ValidationError."""
-    if not isinstance(model, (HiddenErrorModel, ThresholdModelSpec)):
+    """``model`` itself if it is a :class:`HiddenErrorModel` (a threshold spec is one); else ValidationError."""
+    if not isinstance(model, HiddenErrorModel):
         raise ValidationError(f"unsupported model type {type(model).__name__}")
     return model
 
 
 def weight_law(model) -> np.ndarray:
-    """Exact epoch weight law for either model family; shape (n + 1,)."""
+    """Exact epoch weight law of ``model``; shape (n + 1,)."""
     return _check_model(model).weight_law()
 
 

@@ -26,6 +26,7 @@ than any per-site channel.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -53,9 +54,7 @@ __all__ = [
     "WindowChannel",
     "covariance_matrix",
     "error_rate",
-    "expected_errors",
     "lipschitz_constant",
-    "sample_errors",
     "sample_errors_batch",
     "site_error_rates",
     "weight_distribution",
@@ -149,8 +148,9 @@ class HiddenErrorModel:
         else:
             raise ValidationError(f"unknown channel type {type(c).__name__}")
 
-    @property
+    @cached_property
     def n(self) -> int:
+        """Number of sites; a cached, non-data descriptor, so a subclass may store ``n`` itself."""
         return self.field.n
 
     def mean_rate(self) -> float:
@@ -242,18 +242,6 @@ def _site_probabilities(model: HiddenErrorModel, x: np.ndarray) -> np.ndarray:
     width = c.table.shape[1]
     code = _window_codes(x, model.field.alphabet_size, c.radius)
     return c.table.take(code + np.arange(0, code.shape[0] * width, width)[:, None])
-
-
-def expected_errors(model: HiddenErrorModel, x) -> float:
-    """Conditional mean number of errors, ``sum_i q_i(1 | x)``."""
-    x = np.asarray(x)
-    if x.shape != (model.n,):
-        raise ValidationError(f"configuration must have shape ({model.n},)")
-    if x.dtype.kind not in "biuf" or np.any(x < 0) or np.any(x != np.floor(x)):
-        raise ValidationError("configuration must hold non-negative integer symbols")
-    if x.max(initial=0) >= model.field.alphabet_size:
-        raise ValidationError("configuration contains symbols outside the alphabet")
-    return float(_site_probabilities(model, x.astype(np.uint8)[:, None]).sum())
 
 
 def _skipped(bitgen: "np.random.Philox", doubles: int) -> dict:
@@ -378,11 +366,6 @@ def sample_errors_batch(model: HiddenErrorModel, seed: int, trials: int) -> np.n
         out[lo : lo + len(bits)] = bits
         lo += len(bits)
     return out
-
-
-def sample_errors(model: HiddenErrorModel, seed: int) -> np.ndarray:
-    """Draw one error vector; shape (n,), dtype uint8."""
-    return sample_errors_batch(model, seed, 1)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ __all__ = [
     "mixing_bound",
     "mixing_coefficients",
     "mixing_profile",
-    "sample_field",
     "sample_field_batch",
     "site_marginals",
 ]
@@ -237,8 +236,8 @@ def sample_field_batch(spec: MarkovFieldSpec, seed: int, trials: int) -> np.ndar
     Trial ``t`` consumes the ``t``-th row of a (trials, n) uniform block
     from the Philox stream keyed by ``seed``.  The stream is consumed in row
     order, so the first rows of a larger batch coincide with a smaller batch
-    drawn from the same seed, and ``sample_field`` equals row 0.  The block
-    is drawn and walked ``_STACK_ROWS`` rows at a time.
+    drawn from the same seed.  The block is drawn and walked
+    ``_STACK_ROWS`` rows at a time.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -249,11 +248,6 @@ def sample_field_batch(spec: MarkovFieldSpec, seed: int, trials: int) -> np.ndar
         out[lo : lo + len(u)] = _inverse_cdf_walk(spec, u.T, cols).T
         lo += len(u)
     return out
-
-
-def sample_field(spec: MarkovFieldSpec, seed: int) -> np.ndarray:
-    """Draw one configuration of the chain; shape (n,)."""
-    return sample_field_batch(spec, seed, 1)[0]
 
 
 def correlation_decay_profile(spec: MarkovFieldSpec, site: int) -> np.ndarray:

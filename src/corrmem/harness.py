@@ -27,12 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .adversarial import (
-    ThresholdModelSpec,
-    _tail_and_covariance,
-    as_hidden_model,
-    trigger_probability,
-)
+from .adversarial import ThresholdModelSpec, _tail_and_covariance, trigger_probability
 from .bounds import verify_bound
 from .channel import (
     GlobalThresholdChannel,
@@ -445,9 +440,6 @@ def _run_covariance(cfg, seed_tree, threads):
         err = np.zeros_like(cov)
         trials = None
     else:
-        if isinstance(model, ThresholdModelSpec):
-            # sampled through its hidden-model embedding
-            model = as_hidden_model(model)
         seed = derive_seed(cfg.master_seed, "covariance")
         seed_tree["covariance"] = seed
         trials = _integer(cfg.budget.get("trials", 100_000), "budget.trials", least=1)

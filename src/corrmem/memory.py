@@ -14,11 +14,11 @@ The module also carries the union-bound lifetime guarantee: if every epoch
 fails with probability at most ``exp(-b n)``, then
 ``exp(b n - log n)`` epochs survive together with probability ``1 - 1/n``.
 
-Every function here takes a model of either family and uses only the
-methods both answer: ``n``, ``mean_rate()``, ``lipschitz()``,
-``mixing_bound()``, ``weight_law()``, ``tail(k)`` (exact ``P(sum Y > k)``
-for every integer ``k``), ``covariance()`` (exact, n x n) and
-``sample_weights(gens, count)``.
+Every function here takes a :class:`~corrmem.channel.HiddenErrorModel`, a
+threshold spec included, and uses only its model methods: ``n``,
+``mean_rate()``, ``lipschitz()``, ``mixing_bound()``, ``weight_law()``,
+``tail(k)`` (exact ``P(sum Y > k)`` for every integer ``k``),
+``covariance()`` (exact, n x n) and ``sample_weights(gens, count)``.
 """
 
 import math
@@ -42,7 +42,6 @@ __all__ = [
     "RetentionEstimate",
     "ScalingPoint",
     "ScalingResult",
-    "epoch_step",
     "geometric_ks_statistic",
     "ks_critical_value",
     "lifetime_lower_bound",
@@ -86,13 +85,6 @@ class CodeModel:
         if self.mode == "half_distance":
             return (self.d - 1) // 2
         return self.d - 1
-
-
-def epoch_step(weight: int, code: CodeModel) -> bool:
-    """One epoch: True when an error of this weight is corrected."""
-    if not 0 <= weight <= code.n:
-        raise ValidationError(f"weight {weight} out of range for n={code.n}")
-    return weight <= code.correction_threshold
 
 
 class RetentionEstimate(NamedTuple):

@@ -1,6 +1,7 @@
 """Enumeration oracles for the test suite.
 
-Everything here walks all ``S**n`` latent configurations (or all ``2**n``
+Everything here but :func:`expected_errors`, which reads out one given
+configuration, walks all ``S**n`` latent configurations (or all ``2**n``
 error vectors), so it is capped at :data:`corrmem.field.ENUM_LIMIT` states.
 No production module imports it: every exact quantity the package computes
 comes from a polynomial-time backend, and the tests check each of them
@@ -22,6 +23,7 @@ __all__ = [
     "conditional_weight_table",
     "exact_error_distribution",
     "exact_field_distribution",
+    "expected_errors",
 ]
 
 _CHUNK = 4096
@@ -64,6 +66,18 @@ def all_sequences(alphabet_size: int, n: int, start: int = 0, stop: int | None =
     idx = np.arange(start, stop, dtype=np.int64)
     powers = alphabet_size ** np.arange(n - 1, -1, -1, dtype=np.int64)
     return ((idx[:, None] // powers[None, :]) % alphabet_size).astype(np.uint8)
+
+
+def expected_errors(model: HiddenErrorModel, x) -> float:
+    """Conditional mean number of errors, ``sum_i q_i(1 | x)``, of one configuration."""
+    x = np.asarray(x)
+    if x.shape != (model.n,):
+        raise ValidationError(f"configuration must have shape ({model.n},)")
+    if x.dtype.kind not in "biuf" or np.any(x < 0) or np.any(x != np.floor(x)):
+        raise ValidationError("configuration must hold non-negative integer symbols")
+    if x.max(initial=0) >= model.field.alphabet_size:
+        raise ValidationError("configuration contains symbols outside the alphabet")
+    return float(_site_probabilities(model, x.astype(np.uint8)[:, None]).sum())
 
 
 def _enumerate_chunks(model: HiddenErrorModel):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -6,21 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrmem import (
+    HiddenErrorModel,
     ThresholdModelSpec,
     ValidationError,
-    as_hidden_model,
     covariance_decomposition,
     covariance_matrix,
     exact_covariance,
     marginal_error_rate,
-    reduced_sum_tails,
     retention_upper_bound,
-    sample_threshold_errors,
-    sample_threshold_errors_batch,
+    sample_errors_batch,
     tail_scaling_fit,
     trigger_probability,
 )
-from corrmem.adversarial import weight_distribution
+import corrmem.adversarial as adversarial
+from corrmem.adversarial import _binom_tail_gt, weight_distribution
 
 
 def spec_with_threshold(n, eps, threshold):
@@ -88,6 +89,27 @@ def test_from_threshold_round_trip(n, eps, threshold, exact):
     assert (spec.threshold == threshold) is exact
 
 
+def test_spec_builds_its_field_once_and_only_when_read(monkeypatch):
+    built = []
+    monkeypatch.setattr(adversarial, "MarkovFieldSpec", lambda **kw: built.append(kw["n"]) or object())
+    # an eager field would tile n - 1 kernels: 16 MiB at n = 2**19
+    tracemalloc.start()
+    try:
+        spec = ThresholdModelSpec(n=2**19, eps=0.1, margin_rate=1.0)
+        spec.threshold, spec.resolved_margin, spec.lipschitz(), spec.mixing_bound(), repr(spec)
+        assert spec == ThresholdModelSpec(n=2**19, eps=0.1, margin_rate=1.0)
+        for k in (-1, 0, 2**19 // 10, math.floor(spec.threshold), 2**19):
+            spec.tail(k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert built == []
+    small = ThresholdModelSpec(n=6, eps=0.3, margin=0.5)
+    assert small.field is small.field
+    assert built == [6]
+
+
 # --- trigger probability ---------------------------------------------------
 
 
@@ -140,7 +162,7 @@ def test_trigger_probability_monotone_in_threshold(n, eps, lo, gap):
 
 def test_sampling_all_ones_when_threshold_negative():
     spec = ThresholdModelSpec(n=6, eps=0.2, margin=-10.0)
-    assert sample_threshold_errors_batch(spec, seed=1, trials=100).min() == 1
+    assert sample_errors_batch(spec, seed=1, trials=100).min() == 1
 
 
 def test_sampling_trigger_frequency():
@@ -148,7 +170,7 @@ def test_sampling_trigger_frequency():
     # latent ones, probability 1/2
     spec = spec_with_threshold(3, 0.5, 1.0)
     trials = 10**5
-    draws = sample_threshold_errors_batch(spec, seed=77, trials=trials)
+    draws = sample_errors_batch(spec, seed=77, trials=trials)
     frac = (draws.sum(axis=1) == 3).mean()
     sigma = math.sqrt(0.25 / trials)
     assert abs(frac - 0.5) < 3 * sigma
@@ -156,9 +178,7 @@ def test_sampling_trigger_frequency():
 
 def test_single_draw_is_batch_prefix():
     spec = spec_with_threshold(5, 0.3, 2.0)
-    assert np.array_equal(
-        sample_threshold_errors(spec, 12), sample_threshold_errors_batch(spec, 12, 20)[0]
-    )
+    assert np.array_equal(sample_errors_batch(spec, 12, 1), sample_errors_batch(spec, 12, 20)[:1])
 
 
 # --- marginals -------------------------------------------------------------
@@ -229,7 +249,7 @@ def test_exact_covariance_matches_enumeration_sweep():
 
 def test_exact_covariance_matches_hidden_model_enumeration():
     spec = spec_with_threshold(6, 0.35, 2.0)
-    cov = covariance_matrix(as_hidden_model(spec))
+    cov = covariance_matrix(HiddenErrorModel(spec.field, spec.channel))
     assert exact_covariance(spec) == pytest.approx(cov[2, 4], abs=1e-12)
 
 
@@ -275,6 +295,38 @@ def test_decomposition_sums_to_direct_covariance(n, eps, margin):
 
 
 # --- reduced-sum tails -----------------------------------------------------
+
+
+class ReducedSumTails(NamedTuple):
+    """Tails of latent sums with one or two sites removed.
+
+    ``drop_one`` is ``P(Bin(n-1, eps) > B)`` for trigger threshold B, and
+    ``drop_two`` the same with two sites removed.  The ``hoeffding_*``
+    ceilings are ``exp(-2 (B - m eps)^2 / m)``; a ceiling is ``None`` when
+    the threshold does not exceed the reduced mean (the exponential form
+    does not apply there).
+    """
+
+    drop_one: float
+    drop_two: float
+    hoeffding_drop_one: float | None
+    hoeffding_drop_two: float | None
+
+
+def reduced_sum_tails(spec):
+    """Exact reduced-sum tails with their exponential ceilings."""
+    b = spec.threshold
+
+    def ceiling(m):
+        t = b - m * spec.eps
+        return math.exp(-2.0 * t * t / m) if m >= 1 and t > 0.0 else None
+
+    return ReducedSumTails(
+        drop_one=_binom_tail_gt(spec.n - 1, spec.eps, b),
+        drop_two=_binom_tail_gt(spec.n - 2, spec.eps, b),
+        hoeffding_drop_one=ceiling(spec.n - 1),
+        hoeffding_drop_two=ceiling(spec.n - 2),
+    )
 
 
 def test_reduced_tails_zero_when_trigger_impossible():

@@ -13,7 +13,6 @@ from corrmem import (
     mixing_bound,
     mixing_coefficients,
     mixing_profile,
-    sample_field,
     sample_field_batch,
     site_marginals,
 )
@@ -99,7 +98,7 @@ def test_spec_arrays_are_frozen():
 def test_deterministic_chain_is_constant():
     spec = identity_chain(5)
     for seed in range(20):
-        assert np.array_equal(sample_field(spec, seed), np.zeros(5, dtype=np.uint8))
+        assert np.array_equal(sample_field_batch(spec, seed, 1)[0], np.zeros(5, dtype=np.uint8))
 
 
 def test_single_site_chain_draws_from_initial():
@@ -109,7 +108,7 @@ def test_single_site_chain_draws_from_initial():
         initial=np.array([0.0, 1.0]),
         kernels=np.zeros((0, 2, 2)),
     )
-    assert sample_field(spec, 3).tolist() == [1]
+    assert sample_field_batch(spec, 3, 1)[0].tolist() == [1]
 
 
 def test_uniform_chain_samples_match_uniform_law():
@@ -125,7 +124,7 @@ def test_batch_prefix_stability():
     small = sample_field_batch(spec, seed=9, trials=10)
     large = sample_field_batch(spec, seed=9, trials=100)
     assert np.array_equal(small, large[:10])
-    assert np.array_equal(sample_field(spec, 9), large[0])
+    assert np.array_equal(sample_field_batch(spec, 9, 1)[0], large[0])
 
 
 def test_empirical_law_close_to_exact_for_random_spec():

@@ -773,12 +773,18 @@ def test_cli_exact_threshold_covariance_past_the_enumeration_limit(tmp_path):
 
 OVERSIZED_THRESHOLD = {"type": "threshold", "n": 2**19, "eps": 0.1, "margin": 3.0}
 JUST_TOO_LARGE_CHAIN = {**CHAIN_MODEL, "field": {"theta": 0.5, "n": harness._COVARIANCE_SITE_LIMIT + 1}}
+JUST_TOO_LARGE_THRESHOLD = {**OVERSIZED_THRESHOLD, "n": harness._COVARIANCE_SITE_LIMIT + 1}
 
 
 @pytest.mark.parametrize(
     "model, method",
-    [(OVERSIZED_THRESHOLD, "exact"), (OVERSIZED_THRESHOLD, "mc"), (JUST_TOO_LARGE_CHAIN, "exact")],
-    ids=["threshold-exact", "threshold-mc", "chain-exact"],
+    [
+        (OVERSIZED_THRESHOLD, "exact"),
+        (OVERSIZED_THRESHOLD, "mc"),
+        (JUST_TOO_LARGE_CHAIN, "exact"),
+        (JUST_TOO_LARGE_THRESHOLD, "mc"),
+    ],
+    ids=["threshold-exact", "threshold-mc", "chain-exact", "threshold-mc-just-too-large"],
 )
 def test_cli_oversized_covariance_exit_3_before_allocating(tmp_path, capsys, model, method):
     # an (n, n) array at n = 2**19 would take 2 TiB

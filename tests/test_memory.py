@@ -17,8 +17,8 @@ from corrmem import (
     ThresholdModelSpec,
     ValidationError,
     count_exceedances,
+    covariance_matrix,
     empirical_tail,
-    epoch_step,
     exact_tail,
     geometric_ks_statistic,
     ks_critical_value,
@@ -72,36 +72,39 @@ def test_code_rejects_unknown_mode():
 
 
 # --- epoch step ------------------------------------------------------------
+# an epoch is corrected when its weight is at most the correction threshold
 
 
 def test_epoch_step_weight_zero_corrected():
-    assert epoch_step(0, CodeModel(n=10, k=1, d=5))
+    assert 0 <= CodeModel(n=10, k=1, d=5).correction_threshold
 
 
 def test_epoch_step_full_weight_fails():
-    assert not epoch_step(10, CodeModel(n=10, k=1, d=5))
+    assert not 10 <= CodeModel(n=10, k=1, d=5).correction_threshold
 
 
 def test_epoch_step_half_distance_boundary():
     code = CodeModel(n=20, k=1, d=11)
-    assert epoch_step(5, code)
-    assert not epoch_step(6, code)
+    assert 5 <= code.correction_threshold
+    assert not 6 <= code.correction_threshold
 
 
 def test_epoch_step_rejects_out_of_range_weight():
-    code = CodeModel(n=10, k=1, d=5)
-    with pytest.raises(ValidationError):
-        epoch_step(11, code)
-    with pytest.raises(ValidationError):
-        epoch_step(-1, code)
+    # d is held to [1, n], so the threshold lies in [0, n) and splits the weights 0..n
+    for d in (0, 11):
+        with pytest.raises(ValidationError):
+            CodeModel(n=10, k=1, d=d)
+    for d in (1, 10):
+        for mode in ("half_distance", "full_distance"):
+            assert 0 <= CodeModel(n=10, k=1, d=d, mode=mode).correction_threshold < 10
 
 
-@given(w=st.integers(0, 16), w2=st.integers(0, 16), d=st.integers(1, 16))
-def test_epoch_step_monotone(w, w2, d):
-    code = CodeModel(n=16, k=1, d=d)
-    lo, hi = sorted((w, w2))
-    if not epoch_step(lo, code):
-        assert not epoch_step(hi, code)
+@given(d=st.integers(1, 15), mode=st.sampled_from(["half_distance", "full_distance"]))
+def test_epoch_step_monotone(d, mode):
+    # a larger distance corrects every weight a smaller one does, and full distance every one half distance does
+    lo, hi = (CodeModel(n=16, k=1, d=e, mode=mode).correction_threshold for e in (d, d + 1))
+    assert lo <= hi
+    assert CodeModel(n=16, k=1, d=d).correction_threshold <= CodeModel(n=16, k=1, d=d, mode="full_distance").correction_threshold
 
 
 # --- per-epoch failure probability -----------------------------------------
@@ -379,18 +382,20 @@ def test_scaling_mc_mode_matches_exact_roughly():
 
 
 def test_weight_law_agrees_between_model_families():
-    # a threshold spec and its hidden-model embedding answer every exact
-    # interface method alike, with the trigger below 0, inside [0, n) and
-    # at or above n
-    from corrmem import as_hidden_model
-
+    # a threshold spec's binomial kernels and the table kernels of the same
+    # field and channel answer every exact interface method alike, with the
+    # trigger below 0, inside [0, n) and at or above n; both sample one stream
     for threshold in (-0.5, 0.0, 2.0, 5.5, 6.0, 7.5):
         spec = ThresholdModelSpec.from_threshold(6, 0.3, threshold)
-        embedded = as_hidden_model(spec)
+        embedded = HiddenErrorModel(spec.field, spec.channel)
         for method in ("mean_rate", "lipschitz", "mixing_bound", "weight_law", "covariance"):
             direct, hidden = getattr(spec, method)(), getattr(embedded, method)()
             assert np.shape(direct) == np.shape(hidden)
             assert np.allclose(direct, hidden, rtol=0.0, atol=1e-12), (threshold, method)
+        for k in range(-2, spec.n + 2):
+            assert spec.tail(k) == pytest.approx(embedded.tail(k), rel=0.0, abs=1e-12), (threshold, k)
+        direct, hidden = (covariance_matrix(m, mode="mc", trials=2000, seed=5) for m in (spec, embedded))
+        assert np.array_equal(direct.values, hidden.values) and np.array_equal(direct.stderr, hidden.stderr)
         assert np.array_equal(weight_law(spec), spec.weight_law())
         assert np.array_equal(weight_law(embedded), embedded.weight_law())
 

@@ -23,12 +23,11 @@ from corrmem import (
     count_exceedances,
     covariance_matrix,
     error_rate,
-    expected_errors,
     make_generator,
     sample_errors_batch,
-    sample_threshold_errors_batch,
 )
 from corrmem.channel import _skipped
+from corrmem.oracle import expected_errors
 
 from conftest import chain, random_per_site_model
 
@@ -125,27 +124,6 @@ def test_mc_error_rate_streams_its_per_trial_means():
     # one (2048, 128) uniform block is 2 MiB and the 50 000 per-trial means
     # 0.38 MiB; the (50 000, 64) uint8 error block would be 3.05 MiB more
     assert traced_peak(lambda: error_rate(model, mode="mc", trials=50_000, seed=0)) < 3.5 * 2**20
-
-
-def test_threshold_sampler_holds_one_slice_of_uniforms():
-    spec = ThresholdModelSpec(n=64, eps=0.1, margin=1.0)
-    tracemalloc.start()
-    try:
-        sample_threshold_errors_batch(spec, 0, 200_000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the (200 000, 64) output is 12.2 MiB; the whole uniform block would add 98 MiB
-    assert peak < 24 * 2**20
-
-
-@pytest.mark.parametrize("trials", [1, 100, 1050])
-def test_threshold_sampler_equals_the_whole_block_draw(trials, monkeypatch):
-    spec = ThresholdModelSpec(n=9, eps=0.3, margin=0.2)
-    monkeypatch.setattr(field, "_STACK_ROWS", 100)
-    x = (make_generator(4).random((trials, spec.n)) < spec.eps).astype(np.uint8)
-    x[x.sum(axis=1) > spec.threshold] = 1
-    assert np.array_equal(sample_threshold_errors_batch(spec, 4, trials), x)
 
 
 def int64_covariance(model, seed, trials):

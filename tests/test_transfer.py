@@ -27,7 +27,6 @@ from corrmem import (
     PerSiteChannel,
     ThresholdModelSpec,
     WindowChannel,
-    as_hidden_model,
     correlation_decay_profile,
     covariance_matrix,
     error_rate,
@@ -200,7 +199,7 @@ def test_threshold_channel_covariance_at_three_hundred_sites(threshold):
     # below 0, inside [0, n), and at or above n: the pair pass against the
     # threshold family's closed forms, far past any enumeration
     spec = ThresholdModelSpec.from_threshold(300, 0.1, threshold)
-    cov = covariance_matrix(as_hidden_model(spec))
+    cov = covariance_matrix(HiddenErrorModel(spec.field, spec.channel))
     np.testing.assert_allclose(cov, spec.covariance(), rtol=0, atol=1e-12)
 
 
