@@ -53,7 +53,6 @@ __all__ = [
     "retention_upper_bound",
     "tail_scaling_fit",
     "trigger_probability",
-    "weight_distribution",
 ]
 
 
@@ -155,7 +154,15 @@ class ThresholdModelSpec(HiddenErrorModel):
         return 1.0
 
     def weight_law(self) -> np.ndarray:
-        return weight_distribution(self)
+        """Exact law of the observed error weight, shape (n + 1,).
+
+        Below the trigger the weight is the binomial latent weight; all
+        triggering mass collapses onto weight n.
+        """
+        pmf = _binom_pmf(self.n, self.eps)
+        pmf[max(math.floor(self.threshold) + 1, 0) :] = 0.0
+        pmf[self.n] += trigger_probability(self)
+        return pmf
 
     def covariance(self) -> np.ndarray:
         """Exact (n, n) covariance from one walk: ``Var(Y_i)`` on the diagonal, :func:`exact_covariance` off it."""
@@ -502,18 +509,6 @@ def _binom_pmf(m: int, p: float) -> np.ndarray:
         log_scale, terms = _pmf_walk(m, p, mode - 1, -1, cutoff=0.0)
         out[mode - terms.size : mode] = math.exp(log_scale) * terms[::-1]
     return out
-
-
-def weight_distribution(spec: ThresholdModelSpec) -> np.ndarray:
-    """Exact law of the observed error weight, shape (n + 1,).
-
-    Below the trigger the weight is the binomial latent weight; all
-    triggering mass collapses onto weight n.
-    """
-    pmf = _binom_pmf(spec.n, spec.eps)
-    pmf[max(math.floor(spec.threshold) + 1, 0) :] = 0.0
-    pmf[spec.n] += trigger_probability(spec)
-    return pmf
 
 
 def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:

@@ -49,11 +49,9 @@ __all__ = [
     "CovarianceEstimate",
     "GlobalThresholdChannel",
     "HiddenErrorModel",
-    "MonteCarloScalar",
     "PerSiteChannel",
     "WindowChannel",
     "covariance_matrix",
-    "error_rate",
     "lipschitz_constant",
     "sample_errors_batch",
     "site_error_rates",
@@ -68,7 +66,7 @@ _MIN_MC_TRIALS = 1000
 _READ_CELLS = 8192  # cells of one read-out chunk: 64 KiB each of intp indices and float64 probabilities
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WindowChannel:
     """Error probabilities reading a symmetric window around each site.
 
@@ -127,9 +125,12 @@ class GlobalThresholdChannel:
 ChannelSpec = Union[WindowChannel, GlobalThresholdChannel]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HiddenErrorModel:
-    """A latent Markov field together with a conditional error channel."""
+    """A latent Markov field together with a conditional error channel; models compare by identity.
+
+    Each method is the one path to its quantity: the public functions that answer one ask the model.
+    """
 
     field: MarkovFieldSpec
     channel: ChannelSpec
@@ -154,7 +155,8 @@ class HiddenErrorModel:
         return self.field.n
 
     def mean_rate(self) -> float:
-        return error_rate(self)
+        """Mean per-site error probability ``(1/n) sum_i E[Y_i]``."""
+        return float(site_error_rates(self).mean())
 
     def lipschitz(self) -> float:
         return lipschitz_constant(self)
@@ -163,10 +165,28 @@ class HiddenErrorModel:
         return mixing_bound(mixing_coefficients(self.field))
 
     def weight_law(self) -> np.ndarray:
-        return weight_distribution(self)
+        """Exact law of the total error weight ``sum_i Y_i``, shape (n + 1,).
+
+        The weight pass capped at ``n - 1``, O(n**2 * S**(2r+2)) with no
+        enumeration limit.  A threshold channel's pass stops at its cut
+        ``floor(threshold)``, O(n * (floor(threshold) + 2)), and its last
+        column, the trigger mass, is placed at weight ``n``.
+        """
+        law = _weight_pass(self, self.n - 1)
+        return np.insert(law, law.size - 1, np.zeros(self.n + 1 - law.size))
 
     def covariance(self) -> np.ndarray:
-        return covariance_matrix(self)
+        """Exact (n, n) covariance of the error bits, ``Var(Y_i)`` on the diagonal.
+
+        Table channels use products of centred window kernels in
+        O(n**2 * S**(2r+2)), which never subtract ``E[Y_i] E[Y_j]`` from
+        ``E[Y_i Y_j]``; threshold channels add the trigger, the last column
+        of the weight pass, to the pair pass of :func:`_threshold_joint` in
+        O(n**2 * (floor(threshold) + 1)), unless ``floor(threshold) >= n - 1``
+        makes them the identity, which reads out like a table.  Neither
+        enumerates the latent space.
+        """
+        return _threshold_covariance(self) if _cuts(self) else _lifted_covariance(self)
 
     def tail(self, k: int) -> float:
         """``P(sum Y > k)``: the last column of the weight pass capped at ``k``."""
@@ -188,16 +208,6 @@ class HiddenErrorModel:
             out[lo : lo + len(bits)] = np.count_nonzero(bits, axis=1)
             lo += len(bits)
         return out
-
-
-class MonteCarloScalar(NamedTuple):
-    """A scalar Monte Carlo estimate with a normal 95% confidence interval."""
-
-    value: float
-    stderr: float
-    ci_lo: float
-    ci_hi: float
-    trials: int
 
 
 class CovarianceEstimate(NamedTuple):
@@ -554,29 +564,6 @@ def site_error_rates(model: HiddenErrorModel) -> np.ndarray:
     return (_window_marginals(start, steps) * table).sum(axis=1)
 
 
-def error_rate(model: HiddenErrorModel, mode: str = "exact", trials: int | None = None, seed: int | None = None):
-    """Mean per-site error probability ``(1/n) sum_i E[Y_i]``.
-
-    ``mode="exact"`` returns a float; ``mode="mc"`` samples ``trials`` error
-    vectors and returns a :class:`MonteCarloScalar` with a 95% interval.
-    """
-    if mode == "exact":
-        return float(site_error_rates(model).mean())
-    if mode != "mc":
-        raise ValidationError(f"unknown mode {mode!r}")
-    _require_mc(trials, seed)
-    per_trial = np.concatenate([bits.mean(axis=1) for bits in _trial_bits(model, seed, trials)])
-    value = float(per_trial.mean())
-    stderr = float(per_trial.std(ddof=1) / math.sqrt(trials))
-    return MonteCarloScalar(
-        value=value,
-        stderr=stderr,
-        ci_lo=value - 1.96 * stderr,
-        ci_hi=value + 1.96 * stderr,
-        trials=trials,
-    )
-
-
 def _window_lipschitz(model: HiddenErrorModel) -> float:
     """Largest one-flip change of ``sum_i q_i(1 | x)`` for a table channel.
 
@@ -654,20 +641,15 @@ def _lifted_covariance(model: HiddenErrorModel) -> np.ndarray:
 def covariance_matrix(model: HiddenErrorModel, mode: str = "exact", trials: int | None = None, seed: int | None = None):
     """Covariance matrix of the error bits.
 
-    ``mode="exact"`` returns an (n, n) array whose diagonal holds
-    ``Var(Y_i)``.  Table channels use products of centred
-    window kernels in O(n**2 * S**(2r+2)), which never subtract
-    ``E[Y_i] E[Y_j]`` from ``E[Y_i Y_j]``; threshold channels add the
-    trigger, the last column of the weight pass, to the pair pass of
-    :func:`_threshold_joint` in O(n**2 * (floor(threshold) + 1)), unless
-    ``floor(threshold) >= n - 1`` makes them the identity, which reads out
-    like a table.  Neither enumerates the latent space.
-    ``mode="mc"`` pools exact integer counts over ``trials`` sampled vectors
-    and returns a :class:`CovarianceEstimate` whose ``stderr`` is the
-    asymptotic standard error of each entry.
+    ``mode="exact"`` returns ``model.covariance()``, an (n, n) array whose
+    diagonal holds ``Var(Y_i)``; a threshold spec answers it from its
+    binomial walk.  ``mode="mc"`` pools exact integer counts over ``trials``
+    vectors sampled as :func:`sample_errors_batch` draws them and returns a
+    :class:`CovarianceEstimate` whose ``stderr`` is the asymptotic standard
+    error of each entry.
     """
     if mode == "exact":
-        return _threshold_covariance(model) if _cuts(model) else _lifted_covariance(model)
+        return model.covariance()
     if mode != "mc":
         raise ValidationError(f"unknown mode {mode!r}")
     _require_mc(trials, seed)
@@ -696,12 +678,5 @@ def covariance_matrix(model: HiddenErrorModel, mode: str = "exact", trials: int 
 
 
 def weight_distribution(model: HiddenErrorModel) -> np.ndarray:
-    """Exact law of the total error weight ``sum_i Y_i``, shape (n + 1,).
-
-    The weight pass capped at ``n - 1``, O(n**2 * S**(2r+2)) with no
-    enumeration limit.  A threshold channel's pass stops at its cut
-    ``floor(threshold)``, O(n * (floor(threshold) + 2)), and its last
-    column, the trigger mass, is placed at weight ``n``.
-    """
-    law = _weight_pass(model, model.n - 1)
-    return np.insert(law, law.size - 1, np.zeros(model.n + 1 - law.size))
+    """Exact law of the total error weight ``sum_i Y_i``, shape (n + 1,): ``model.weight_law()``."""
+    return model.weight_law()

@@ -59,7 +59,7 @@ def _as_distribution(vec, name: str) -> np.ndarray:
     return np.clip(arr, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovFieldSpec:
     """Specification of the latent chain.
 
@@ -115,7 +115,7 @@ class MarkovFieldSpec:
         object.__setattr__(self, "kernels", checked)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingProfile:
     """Per-bond mixing coefficients and the derived chain mixing bound.
 

@@ -322,28 +322,18 @@ def _build_code(block: dict, n: int) -> CodeModel:
 # output formatting
 
 
-def _fmt(value) -> str:
-    if type(value) is float:  # most cells: skip the type ladder below
-        return repr(value)
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_csv(path: Path, header: list, rows) -> int:
-    """Write ``header`` and the ``rows`` iterable; return the number of rows."""
+    """Write ``header`` and the ``rows`` iterable; return the number of rows.
+
+    Cells go to ``csv.writer`` as they are: ``None`` is an empty cell, and
+    Python and numpy floats print in their shortest round-trip form.
+    """
     count = 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for count, row in enumerate(rows, 1):
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow(row)
     return count
 
 
@@ -495,7 +485,7 @@ def _run_retention(cfg, seed_tree, threads):
     est = simulate_retention(model, code, max_epochs=max_epochs, trials=trials, seed=seed)
     rows = []
     for t in range(trials):
-        censored = bool(est.censored[t])
+        censored = int(est.censored[t])
         epoch = max_epochs if censored else int(est.failure_epochs[t])
         rows.append((t, epoch, censored))
     summary = {

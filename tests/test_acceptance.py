@@ -20,7 +20,6 @@ from corrmem import (
     chain_tail_bound,
     combined_tail_bound,
     covariance_decomposition,
-    error_rate,
     exact_covariance,
     exact_tail,
     geometric_ks_statistic,
@@ -165,7 +164,7 @@ def test_05_exact_tails_never_exceed_analytic_bounds():
                     channel=PerSiteChannel(table=np.tile(rates, (n, 1))),
                 )
                 c = lipschitz_constant(model)
-                eps = error_rate(model)
+                eps = model.mean_rate()
 
                 # conditional fluctuation around each state's own mean
                 table = conditional_weight_table(model)

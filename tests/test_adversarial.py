@@ -11,6 +11,7 @@ from corrmem import (
     HiddenErrorModel,
     ThresholdModelSpec,
     ValidationError,
+    channel,
     covariance_decomposition,
     covariance_matrix,
     exact_covariance,
@@ -19,9 +20,10 @@ from corrmem import (
     sample_errors_batch,
     tail_scaling_fit,
     trigger_probability,
+    weight_law,
 )
 import corrmem.adversarial as adversarial
-from corrmem.adversarial import _binom_tail_gt, weight_distribution
+from corrmem.adversarial import _binom_tail_gt
 
 
 def spec_with_threshold(n, eps, threshold):
@@ -370,9 +372,26 @@ def test_retention_bound_infinite_when_trigger_impossible():
 # --- weight law ------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ThresholdModelSpec.from_threshold(40, 0.2, -0.5),
+        ThresholdModelSpec.from_threshold(40, 0.2, 11.5),
+        ThresholdModelSpec.from_threshold(40, 0.2, 40.0),
+        ThresholdModelSpec(n=1024, eps=0.1, margin_rate=1.0),
+    ],
+    ids=["below", "inside", "above", "n1024"],
+)
+def test_public_functions_ask_the_spec(spec):
+    # one path per quantity: the public functions return the spec's own answers
+    assert np.array_equal(covariance_matrix(spec), spec.covariance())
+    assert np.array_equal(weight_law(spec), spec.weight_law())
+    assert np.array_equal(channel.weight_distribution(spec), spec.weight_law())
+
+
 def test_weight_distribution_mass_at_n():
     spec = spec_with_threshold(3, 0.5, 1.0)
-    law = weight_distribution(spec)
+    law = spec.weight_law()
     assert law.sum() == pytest.approx(1.0, abs=1e-12)
     # weight 3 collects the trigger mass plus the genuine all-ones draw
     assert law[3] == pytest.approx(0.5, abs=1e-12)

@@ -25,6 +25,7 @@ from corrmem import (
     ValidationError,
     adversarial,
     covariance_decomposition,
+    covariance_matrix,
     exact_covariance,
     log_trigger_probability,
     marginal_error_rate,
@@ -36,7 +37,6 @@ from corrmem.adversarial import (
     _log_pmf,
     _stirlerr,
     _tail_and_covariance,
-    weight_distribution,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -221,6 +221,20 @@ def test_marginal_rate_and_decomposition_pinned(spec):
     assert_moments_match_mpmath(spec)
 
 
+def test_spec_covariance_matrix_matches_mpmath():
+    # 6.3e-16 off the diagonal: the table kernels of the same field and
+    # channel read it 49% low, so covariance_matrix must take the spec's walk
+    spec = ThresholdModelSpec(n=1024, eps=0.1, margin_rate=1.0)
+    k = math.floor(spec.threshold)
+    cov = covariance_matrix(spec)
+    with mpmath.workdps(DIGITS + 30):
+        pair = mp_pair_covariance(spec.n, spec.eps, k)
+        rate = spec.eps + mp_spec_moments(spec.n, spec.eps, k)[0]
+    assert_rel(cov[0, 1], pair, rel=1e-12)
+    assert_rel(cov[-1, 0], pair, rel=1e-12)
+    assert_rel(cov[3, 3], rate * (1 - rate), rel=1e-12)
+
+
 @pytest.mark.parametrize("threshold", [130.0, 70.5], ids=["above-the-mean", "below-the-mean"])
 def test_each_spec_quantity_makes_one_walk(monkeypatch, threshold):
     spec = ThresholdModelSpec.from_threshold(1000, 0.1, threshold)
@@ -243,7 +257,7 @@ def test_each_spec_quantity_makes_one_walk(monkeypatch, threshold):
 def test_weight_distribution_matches_mpmath(n, eps, z):
     spec = ThresholdModelSpec.from_threshold(n, eps, threshold_at(n, eps, z))
     k = math.floor(spec.threshold)
-    law = weight_distribution(spec)
+    law = spec.weight_law()
     with mpmath.workdps(DIGITS):
         pmf = mp_full_pmf(n, eps)
         for j in range(min(k, n) + 1):
@@ -328,7 +342,7 @@ def test_one_walk_gives_the_trigger_probability_and_the_covariance(n, eps, thres
 
 def test_weight_distribution_keeps_every_representable_entry():
     # n = 2^17, eps = 0.1: no entry is cut against the mode, only underflow ends a walk
-    law = weight_distribution(ThresholdModelSpec(n=2**17, eps=0.1, margin=1e4))
+    law = ThresholdModelSpec(n=2**17, eps=0.1, margin=1e4).weight_law()
     nonzero = np.flatnonzero(law)
     assert law[nonzero].min() < 1e-320
     assert np.array_equal(nonzero, np.arange(nonzero[0], nonzero[-1] + 1))

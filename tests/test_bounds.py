@@ -142,9 +142,7 @@ def test_combined_bound_dominates_hidden_model_tail():
     weights = np.arange(13)
     c = lipschitz_constant(model)
     m = mixing_bound(mixing_coefficients(model.field))
-    from corrmem import error_rate
-
-    eps = error_rate(model)
+    eps = model.mean_rate()
     for delta in (0.1, 0.2, 0.3, 0.4):
         tail = float(law[weights > 12 * (eps + delta)].sum())
         assert tail <= combined_tail_bound(eps, delta, 12, c, m) + 1e-12

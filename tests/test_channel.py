@@ -9,11 +9,12 @@ from corrmem import (
     HiddenErrorModel,
     MarkovFieldSpec,
     PerSiteChannel,
+    ThresholdModelSpec,
     ValidationError,
     WindowChannel,
     covariance_matrix,
-    error_rate,
     lipschitz_constant,
+    mixing_profile,
     sample_errors_batch,
     site_error_rates,
 )
@@ -79,6 +80,22 @@ def test_global_threshold_needs_binary_field():
     spec = random_field(rng, 3, alphabet_size=3)
     with pytest.raises(ValidationError):
         HiddenErrorModel(field=spec, channel=GlobalThresholdChannel(threshold=1.0))
+
+
+def test_models_built_alike_compare_by_identity():
+    # the array-holding specs compare and hash by identity, so == never
+    # compares arrays; a threshold spec compares by its four parameters
+    def build():
+        field = chain(4, 0.3)
+        window = WindowChannel(radius=1, table=np.full((4, 8), 0.1))
+        per_site = PerSiteChannel(table=np.tile([0.05, 0.15], (4, 1)))
+        return field, mixing_profile(field), window, per_site, HiddenErrorModel(field, per_site)
+
+    for a, b in zip(build(), build()):
+        assert a == a and a != b and not a == b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+    spec, twin = (ThresholdModelSpec(n=4, eps=0.2, margin=0.5) for _ in range(2))
+    assert spec == twin and hash(spec) == hash(twin) and len({spec, twin}) == 1
 
 
 # --- sampling --------------------------------------------------------------
@@ -174,31 +191,16 @@ def test_exact_law_overflow_guard():
 
 def test_error_rate_zero_channel():
     model = HiddenErrorModel(field=chain(5, 0.25), channel=PerSiteChannel(table=np.zeros((5, 2))))
-    assert error_rate(model) == 0.0
+    assert model.mean_rate() == 0.0
 
 
 def test_error_rate_identity_channel_iid_field():
     model = HiddenErrorModel(field=iid_bernoulli_field(6, 0.2), channel=identity_channel(6))
-    assert error_rate(model) == pytest.approx(0.2, abs=1e-12)
+    assert model.mean_rate() == pytest.approx(0.2, abs=1e-12)
 
 
 def test_error_rate_threshold_example():
-    assert error_rate(threshold_model(3, 0.5, 1.0)) == pytest.approx(5.0 / 8.0, abs=1e-12)
-
-
-def test_error_rate_mc_agrees_with_exact():
-    rng = np.random.default_rng(17)
-    model = random_per_site_model(rng, 6)
-    exact = error_rate(model)
-    est = error_rate(model, mode="mc", trials=200_000, seed=13)
-    assert abs(est.value - exact) < 4 * est.stderr + 1e-9
-
-
-def test_error_rate_mc_rejects_tiny_trial_count():
-    rng = np.random.default_rng(18)
-    model = random_per_site_model(rng, 4)
-    with pytest.raises(ValidationError):
-        error_rate(model, mode="mc", trials=10, seed=1)
+    assert threshold_model(3, 0.5, 1.0).mean_rate() == pytest.approx(5.0 / 8.0, abs=1e-12)
 
 
 # --- conditional mean errors -----------------------------------------------

@@ -224,6 +224,14 @@ def test_covariance_run_streams_its_rows(tmp_path):
     assert peak < 5 * n * n * 8
 
 
+def test_csv_cells_are_written_as_they_are(tmp_path):
+    # None is an empty cell; Python and numpy floats take their shortest form
+    path = tmp_path / "cells.csv"
+    rows = [(None, np.float64(0.1), 1e-20, np.int64(3), 1, "dominated"), (0, math.inf, np.float64(2.5e16), -0.0, 0.1 + 0.2, "")]
+    assert harness._write_csv(path, ["a", "b", "c", "d", "e", "f"], iter(rows)) == 2
+    assert path.read_text() == "a,b,c,d,e,f\n,0.1,1e-20,3,1,dominated\n0,inf,2.5e+16,-0.0,0.30000000000000004,\n"
+
+
 def test_covariance_threshold_exact_uses_exchangeability(tmp_path):
     cfg = parse_config(
         {

@@ -22,7 +22,6 @@ from corrmem import (
     WindowChannel,
     count_exceedances,
     covariance_matrix,
-    error_rate,
     make_generator,
     sample_errors_batch,
 )
@@ -119,11 +118,11 @@ def test_stacked_sample_weights_hold_one_block_of_uniforms():
     assert traced_peak(lambda: model.sample_weights(gens, 64)) < 3 * 2**20
 
 
-def test_mc_error_rate_streams_its_per_trial_means():
+def test_mc_covariance_streams_its_trials():
     model = HiddenErrorModel(field=chain(64, 0.5), channel=PerSiteChannel(table=np.tile([0.05, 0.15], (64, 1))))
-    # one (2048, 128) uniform block is 2 MiB and the 50 000 per-trial means
-    # 0.38 MiB; the (50 000, 64) uint8 error block would be 3.05 MiB more
-    assert traced_peak(lambda: error_rate(model, mode="mc", trials=50_000, seed=0)) < 3.5 * 2**20
+    # one (2048, 128) uniform block is 2 MiB and its (2048, 64) float error
+    # bits 1 MiB; the (50 000, 64) uint8 error block would be 3.05 MiB more
+    assert traced_peak(lambda: covariance_matrix(model, mode="mc", trials=50_000, seed=0)) < 5 * 2**20
 
 
 def int64_covariance(model, seed, trials):

@@ -29,7 +29,6 @@ from corrmem import (
     WindowChannel,
     correlation_decay_profile,
     covariance_matrix,
-    error_rate,
     lipschitz_constant,
     site_error_rates,
     site_marginals,
@@ -119,7 +118,7 @@ def test_weight_law_rates_and_covariance_match_error_vector_law(params):
 
     np.testing.assert_allclose(weight_distribution(model), weights, rtol=0, atol=TOL)
     np.testing.assert_allclose(site_error_rates(model), rates, rtol=0, atol=TOL)
-    assert error_rate(model) == pytest.approx(rates.mean(), rel=0, abs=TOL)
+    assert model.mean_rate() == pytest.approx(rates.mean(), rel=0, abs=TOL)
     np.testing.assert_allclose(covariance_matrix(model), cov, rtol=0, atol=TOL)
     # every tail is the last column of its own capped pass, off the range too
     tails = [model.tail(k) for k in range(-2, n + 2)]
@@ -177,7 +176,7 @@ def test_window_weight_law_at_two_thousand_sites():
     )
     law = weight_law(model)
     assert law.sum() == pytest.approx(1.0, abs=1e-10)
-    assert law @ np.arange(n + 1) == pytest.approx(n * error_rate(model), rel=1e-9, abs=0)
+    assert law @ np.arange(n + 1) == pytest.approx(n * model.mean_rate(), rel=1e-9, abs=0)
     # below, at and far above the mean weight of 280, down to 1e-244 and to 0
     for k in (0, 280, 600, 1000, 1999):
         assert model.tail(k) == pytest.approx(math.fsum(law[k + 1 :].tolist()), rel=1e-12, abs=0)
