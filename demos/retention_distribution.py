@@ -15,15 +15,14 @@ from corrmem import (
     geometric_ks_statistic,
     ks_critical_value,
     lifetime_lower_bound,
-    retention_upper_bound,
     simulate_retention,
-    trigger_probability,
 )
 
 
 def main():
     spec = ThresholdModelSpec(n=64, eps=0.1, margin=0.575)
-    p = trigger_probability(spec)
+    moments = spec.moments()
+    p = moments.trigger_prob
     code = CodeModel(n=64, k=1, d=23)  # corrects weight <= 11 = floor(B)
     print(f"threshold spec: n = 64, eps = 0.1, B = {spec.threshold:.2f}")
     print(f"exact trigger probability P(A) = {p:.5f}; 1/P(A) = {1.0 / p:.2f}")
@@ -34,7 +33,7 @@ def main():
     est = simulate_retention(spec, code, max_epochs=1000, trials=trials, seed=0)
     print(f"simulated {trials} retention trials (seed 0):")
     print(f"  mean lifetime  {est.mean:8.2f} +/- {est.stderr:.2f}")
-    print(f"  ceiling        {retention_upper_bound(spec):8.2f}")
+    print(f"  ceiling        {moments.retention_upper_bound:8.2f}")
     print(f"  censored       {est.censored_count}")
 
     stat = geometric_ks_statistic(est.failure_epochs, p)

@@ -6,18 +6,7 @@ decays polynomially in n when the threshold margin grows like sqrt(log n)
 -- fast enough to look independent, slow enough to matter forever.
 """
 
-import math
-
-import numpy as np
-
-from corrmem import (
-    ThresholdModelSpec,
-    covariance_decomposition,
-    exact_covariance,
-    retention_upper_bound,
-    tail_scaling_fit,
-    trigger_probability,
-)
+from corrmem import ThresholdModelSpec, tail_scaling_fit
 
 
 def main():
@@ -26,7 +15,7 @@ def main():
     print(f"{'n':>6} {'a=0.6':>12} {'a=1.0':>12} {'a=2.0':>12}")
     sizes = [256, 1024, 4096, 16384]
     for n in sizes:
-        row = [exact_covariance(ThresholdModelSpec(n=n, eps=eps, margin_rate=a)) for a in (0.6, 1.0, 2.0)]
+        row = [ThresholdModelSpec(n=n, eps=eps, margin_rate=a).moments().covariance for a in (0.6, 1.0, 2.0)]
         print(f"{n:>6} " + " ".join(f"{v:>12.3e}" for v in row))
 
     fit = tail_scaling_fit(
@@ -41,11 +30,11 @@ def main():
     print()
     print("where does the covariance come from?  split by trigger state (n = 64):")
     spec = ThresholdModelSpec(n=64, eps=eps, margin_rate=1.0)
-    dec = covariance_decomposition(spec)
-    print(f"  P(trigger)        = {dec.trigger_prob:.3e}")
-    print(f"  conditional term  = {dec.conditional_term:+.3e}")
-    print(f"  between-state term = {dec.between_term:+.3e}")
-    print(f"  total             = {dec.total:+.3e}")
+    m = spec.moments()
+    print(f"  P(trigger)        = {m.trigger_prob:.3e}")
+    print(f"  conditional term  = {m.conditional_term:+.3e}")
+    print(f"  between-state term = {m.between_term:+.3e}")
+    print(f"  total             = {m.covariance:+.3e}")
     print("  the between-state term carries essentially all of it: conditioned")
     print("  on the trigger outcome, sites are nearly independent again.")
 
@@ -53,10 +42,10 @@ def main():
     print("explicit margins can also be tuned to a target trigger rate:")
     for margin in (0.3, 0.575, 1.0):
         spec = ThresholdModelSpec(n=64, eps=eps, margin=margin)
-        p = trigger_probability(spec)
+        m = spec.moments()
         print(
             f"  margin {margin:>5.3f}: B = {spec.threshold:>6.2f}, "
-            f"P(trigger) = {p:.4f}, mean lifetime ceiling = {retention_upper_bound(spec):8.1f}"
+            f"P(trigger) = {m.trigger_prob:.4f}, mean lifetime ceiling = {m.retention_upper_bound:8.1f}"
         )
 
 

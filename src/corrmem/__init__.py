@@ -33,19 +33,7 @@ from .channel import (
     sample_errors_batch,
     site_error_rates,
 )
-from .adversarial import (
-    CovarianceDecomposition,
-    MarginalErrorRate,
-    TailScalingFit,
-    ThresholdModelSpec,
-    covariance_decomposition,
-    exact_covariance,
-    log_trigger_probability,
-    marginal_error_rate,
-    retention_upper_bound,
-    tail_scaling_fit,
-    trigger_probability,
-)
+from .adversarial import TailScalingFit, ThresholdModelSpec, ThresholdMoments, tail_scaling_fit
 from .memory import (
     CodeModel,
     LifetimeBound,
@@ -88,14 +76,12 @@ __all__ = [
     "ENUM_LIMIT",
     "CodeModel",
     "ConfigError",
-    "CovarianceDecomposition",
     "CovarianceEstimate",
     "EnumerationLimitError",
     "ExperimentConfig",
     "GlobalThresholdChannel",
     "HiddenErrorModel",
     "LifetimeBound",
-    "MarginalErrorRate",
     "MarkovFieldSpec",
     "MixingProfile",
     "PerSiteChannel",
@@ -108,6 +94,7 @@ __all__ = [
     "TailReport",
     "TailScalingFit",
     "ThresholdModelSpec",
+    "ThresholdMoments",
     "ValidationError",
     "WindowChannel",
     "bundled_verification_suite",
@@ -117,11 +104,9 @@ __all__ = [
     "combined_tail_bound",
     "correlation_decay_profile",
     "count_exceedances",
-    "covariance_decomposition",
     "covariance_matrix",
     "derive_seed",
     "empirical_tail",
-    "exact_covariance",
     "exact_tail",
     "geometric_ks_statistic",
     "hoeffding_conditional_bound",
@@ -129,15 +114,12 @@ __all__ = [
     "lifetime_lower_bound",
     "lipschitz_constant",
     "load_config",
-    "log_trigger_probability",
     "make_generator",
-    "marginal_error_rate",
     "mixing_bound",
     "mixing_coefficients",
     "mixing_profile",
     "parse_config",
     "per_epoch_failure_prob",
-    "retention_upper_bound",
     "run",
     "sample_errors_batch",
     "sample_field_batch",
@@ -147,7 +129,6 @@ __all__ = [
     "site_marginals",
     "symmetric_binary_field",
     "tail_scaling_fit",
-    "trigger_probability",
     "verify_bound",
     "weight_law",
 ]

@@ -16,9 +16,10 @@ the terms between anchors with the pmf ratio recurrence, and walks outward
 from the threshold, where the terms only shrink, until they fall below
 2^-60 of the running sum.  Tails are carried as a log scale times a sum, so
 they stay accurate far below 1e-16 and resolve in
-:func:`log_trigger_probability` even below 1e-308.  One walk gives the
+``moments().log_trigger_prob`` even below 1e-308.  One walk gives the
 trigger probability, the deviation ``dev = E[Y_i] - eps`` and the pair
-covariance, and the decomposition of that covariance follows from them.
+covariance, and the decomposition of that covariance follows from them:
+:meth:`ThresholdModelSpec.moments` returns all of them in one record.
 With the threshold above the mean the walk covers the trigger side (else
 the calm side), where ``dev = sum_{m > floor(B)} w_m (1 - m/n)`` and
 
@@ -42,17 +43,10 @@ from .errors import ValidationError
 from .field import MarkovFieldSpec
 
 __all__ = [
-    "CovarianceDecomposition",
-    "MarginalErrorRate",
     "TailScalingFit",
     "ThresholdModelSpec",
-    "covariance_decomposition",
-    "exact_covariance",
-    "log_trigger_probability",
-    "marginal_error_rate",
-    "retention_upper_bound",
+    "ThresholdMoments",
     "tail_scaling_fit",
-    "trigger_probability",
 ]
 
 
@@ -60,6 +54,38 @@ def _iid_field(spec: "ThresholdModelSpec") -> MarkovFieldSpec:
     """i.i.d. Bernoulli(eps) latent bits: ``n - 1`` kernels whose rows are both the initial law."""
     initial = np.array([1.0 - spec.eps, spec.eps])
     return MarkovFieldSpec(n=spec.n, alphabet_size=2, initial=initial, kernels=np.tile(initial, (spec.n - 1, 2, 1)))
+
+
+class ThresholdMoments(NamedTuple):
+    """Every moment of a threshold spec, from one binomial walk; no moment takes a site.
+
+    ``trigger_prob`` is ``p = P(W > B)`` and ``log_trigger_prob`` its log
+    (``-inf`` if no weight triggers), finite far below the float range.
+    ``rate = eps + deviation`` is ``E[Y_i]``, and ``deviation = E[1 - X_i;
+    trigger]`` (``p + E[X_i; calm] - eps`` below the mean) is at most ``p``.
+    ``covariance`` is ``Cov(Y_i, Y_j)`` of distinct sites (0.0 at ``n = 1``):
+    above the mean the form in the module docstring; below it ``(1 - s0)(s0
+    - 2 s1) + s2 - s1^2``, with the calm mass ``s0`` and ``s1 = sum w_m
+    q_m``, ``s2 = sum w_m q_m (m - 1) / (n - 1)`` over ``m <= floor(B)``,
+    ``q_m = m / n``.  It splits by the trigger into ``conditional_term =
+    (1 - p) Cov(X_i, X_j | calm)`` and ``between_term = p (1 - p) (1 -
+    E[X_i | calm])^2``, at most ``p (1 - p)``.  Above the mean, with ``d =
+    q_m - eps`` and ``h = d^2 - q_m (1 - q_m) / (n - 1)``, the conditional
+    term is ``-sum w_m h - (sum w_m d)^2 / (1 - p)`` over ``m > floor(B)``.
+    """
+
+    trigger_prob: float
+    log_trigger_prob: float
+    rate: float
+    deviation: float
+    covariance: float
+    conditional_term: float
+    between_term: float
+
+    @property
+    def retention_upper_bound(self) -> float:
+        """``1 / p``, the exact mean epochs to the first trigger, which no decoder outlives; ``inf`` if ``p`` is 0."""
+        return math.inf if self.trigger_prob == 0.0 else 1.0 / self.trigger_prob
 
 
 @dataclasses.dataclass(frozen=True)
@@ -146,8 +172,18 @@ class ThresholdModelSpec(HiddenErrorModel):
         """Trigger threshold ``n * eps + sqrt(n) * margin``."""
         return self.n * self.eps + math.sqrt(self.n) * self.resolved_margin
 
+    def moments(self) -> ThresholdMoments:
+        """Every moment of the spec, from one walk of :func:`_tail_and_covariance`."""
+        log_scale, mass, dev, cov, conditional, between = _tail_and_covariance(self.n, self.eps, self.threshold)
+        log_p = log_scale + math.log(mass) if mass > 0.0 else -math.inf
+        return ThresholdMoments(math.exp(log_scale) * mass, log_p, self.eps + dev, dev, cov, conditional, between)
+
     def mean_rate(self) -> float:
-        return marginal_error_rate(self).value
+        return self.moments().rate
+
+    def site_rates(self) -> np.ndarray:
+        """``mean_rate()`` at every site: the sites are exchangeable."""
+        return np.full(self.n, self.mean_rate())
 
     def mixing_bound(self) -> float:
         """1: the latent bits are i.i.d."""
@@ -161,14 +197,14 @@ class ThresholdModelSpec(HiddenErrorModel):
         """
         pmf = _binom_pmf(self.n, self.eps)
         pmf[max(math.floor(self.threshold) + 1, 0) :] = 0.0
-        pmf[self.n] += trigger_probability(self)
+        pmf[self.n] += self.moments().trigger_prob
         return pmf
 
     def covariance(self) -> np.ndarray:
-        """Exact (n, n) covariance from one walk: ``Var(Y_i)`` on the diagonal, :func:`exact_covariance` off it."""
-        _, _, dev, pair, *_ = _tail_and_covariance(self.n, self.eps, self.threshold)
-        cov = np.full((self.n, self.n), pair)
-        np.fill_diagonal(cov, (self.eps + dev) * (1.0 - self.eps - dev))
+        """Exact (n, n) covariance from one walk: ``Var(Y_i)`` on the diagonal, the pair covariance off it."""
+        m = self.moments()
+        cov = np.full((self.n, self.n), m.covariance)
+        np.fill_diagonal(cov, (self.eps + m.deviation) * (1.0 - self.eps - m.deviation))
         return cov
 
     def tail(self, k: int) -> float:
@@ -189,29 +225,6 @@ class ThresholdModelSpec(HiddenErrorModel):
             return np.empty(0, dtype=np.intp)
         latent = np.concatenate([gen.binomial(self.n, self.eps, size=count) for gen in gens])
         return np.where(latent <= self.threshold, latent, self.n)
-
-
-class MarginalErrorRate(NamedTuple):
-    """Exact ``E[Y_i]`` with its deviation from eps and the trigger probability."""
-
-    value: float
-    deviation: float
-    trigger_prob: float
-
-
-class CovarianceDecomposition(NamedTuple):
-    """Pair covariance split by conditioning on the trigger indicator.
-
-    ``conditional_term`` is the expected conditional covariance given the
-    indicator, ``between_term`` the covariance of the conditional means, and
-    ``total`` the unconditional covariance, which their sum equals.  The
-    between term can never exceed ``p (1 - p)`` for trigger probability p.
-    """
-
-    conditional_term: float
-    between_term: float
-    total: float
-    trigger_prob: float
 
 
 class TailScalingFit(NamedTuple):
@@ -378,8 +391,8 @@ def _tail_and_covariance(m: int, eps: float, t: float):
 
     Returns ``(log_scale, mass, dev, cov, conditional, between)``: the
     trigger probability ``exp(log_scale) * mass``, ``dev = E[Y_i] - eps``,
-    ``Cov(Y_i, Y_j)`` and its :class:`CovarianceDecomposition` terms (the
-    last three 0 when ``m < 2``), each summed from the threshold away from
+    ``Cov(Y_i, Y_j)`` and its :class:`ThresholdMoments` decomposition terms
+    (the last three 0 when ``m < 2``), each summed from the threshold away from
     the mean: over the trigger side above the mean, else the calm side.
     """
     k = math.floor(t)
@@ -397,7 +410,7 @@ def _tail_and_covariance(m: int, eps: float, t: float):
         if m < 2:
             return log_scale, mass, corr, 0.0, 0.0, 0.0
         g = 1.0 - 2.0 * eps * (1.0 - q) - q * (weights - 1) / (m - 1)
-        # The form in covariance_decomposition; a calm set {W = 0} holds constant errors.
+        # The form in ThresholdMoments; a calm set {W = 0} holds constant errors.
         p, d = math.exp(log_scale) * mass, q - eps
         h = d * d - q * (1.0 - q) / (m - 1)
         conditional = 0.0 if k == 0 else -float(w @ h) - float(w @ d) ** 2 / (1.0 - p)
@@ -422,81 +435,6 @@ def _binom_tail_gt(m: int, eps: float, t: float) -> float:
     """``P(Bin(m, eps) > t)``."""
     log_scale, mass, *_ = _tail_and_covariance(m, eps, t)
     return math.exp(log_scale) * mass
-
-
-def log_trigger_probability(spec: ThresholdModelSpec) -> float:
-    """Natural log of :func:`trigger_probability`; ``-inf`` when no weight triggers.
-
-    Resolves probabilities far below the smallest positive float.
-    """
-    log_scale, mass, *_ = _tail_and_covariance(spec.n, spec.eps, spec.threshold)
-    return log_scale + math.log(mass) if mass > 0.0 else -math.inf
-
-
-def trigger_probability(spec: ThresholdModelSpec) -> float:
-    """Exact probability that the latent weight exceeds the trigger threshold."""
-    return _binom_tail_gt(spec.n, spec.eps, spec.threshold)
-
-
-def marginal_error_rate(spec: ThresholdModelSpec, site: int = 0) -> MarginalErrorRate:
-    """Exact single-site error probability ``eps + dev``, from one walk.
-
-    It reads the walk's trigger probability and ``dev = E[1 - X_i; trigger]``
-    (as ``P(trigger) + E[X_i; calm] - eps`` below the mean), which is at
-    most the trigger probability.  The sites are exchangeable, so the value
-    does not depend on ``site``.
-    """
-    if not 0 <= site < spec.n:
-        raise ValidationError(f"site {site} out of range for n={spec.n}")
-    log_scale, mass, dev, *_ = _tail_and_covariance(spec.n, spec.eps, spec.threshold)
-    return MarginalErrorRate(value=spec.eps + dev, deviation=dev, trigger_prob=math.exp(log_scale) * mass)
-
-
-def exact_covariance(spec: ThresholdModelSpec, i: int = 0, j: int = 1) -> float:
-    """Exact ``Cov(Y_i, Y_j)`` for distinct sites, summed on one side of the threshold.
-
-    The sites are exchangeable, so the value is the same for every pair.
-    Above the mean it takes the form in the module docstring; below it, with
-    the calm mass ``s0`` and moments ``s1 = sum w_m q_m`` and ``s2 = sum w_m
-    q_m (m - 1) / (n - 1)`` over ``m <= floor(B)``, ``q_m = m / n``, it is
-    ``(1 - s0)(s0 - 2 s1) + s2 - s1^2``.  Either way it keeps full relative
-    precision far below the 1e-16 resolution of the moment difference.
-    """
-    return covariance_decomposition(spec, i, j).total
-
-
-def covariance_decomposition(spec: ThresholdModelSpec, i: int = 0, j: int = 1) -> CovarianceDecomposition:
-    """Split the pair covariance by conditioning on the trigger indicator, from one walk.
-
-    Given a trigger the errors are all ones, so with ``p = P(trigger)`` and
-    ``mu = E[X_i | calm] = (eps + dev - p) / (1 - p)`` the between term is
-    ``p (1 - p) (1 - mu)^2`` and the conditional term ``(1 - p) Cov(X_i, X_j
-    | calm)``, read off the calm moments below the mean.  Above it, with
-    ``d = m/n - eps`` and ``h = d^2 - (m/n)(1 - m/n) / (n - 1)`` (binomial
-    means 0), it is ``-sum w_m h(m) - (sum w_m d)^2 / (1 - p)`` over ``m >
-    floor(B)``, every term O(p).  ``total`` is :func:`exact_covariance`.
-    """
-    n = spec.n
-    if n < 2:
-        raise ValidationError("pair covariance requires n >= 2")
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise ValidationError("sites must be distinct and in range")
-    log_scale, mass, _, cov, conditional, between = _tail_and_covariance(n, spec.eps, spec.threshold)
-    return CovarianceDecomposition(conditional, between, cov, math.exp(log_scale) * mass)
-
-
-def retention_upper_bound(spec: ThresholdModelSpec) -> float:
-    """Mean epochs until the first trigger: ``1 / P(trigger)``.
-
-    The first triggering epoch is geometric, so this is both the exact mean
-    and the ceiling on how long correction can possibly retain the state
-    once only the trigger defeats it.  Returns ``inf`` when the trigger
-    probability underflows to zero.
-    """
-    p = trigger_probability(spec)
-    if p == 0.0:
-        return math.inf
-    return 1.0 / p
 
 
 def _binom_pmf(m: int, p: float) -> np.ndarray:
@@ -525,7 +463,7 @@ def tail_scaling_fit(specs) -> TailScalingFit:
     """Fit ``log P(trigger)`` against squared margin over a family of specs.
 
     Requires at least four specs with non-degenerate margins, each of
-    which can trigger; the logs come from :func:`log_trigger_probability`,
+    which can trigger; the logs come from ``moments().log_trigger_prob``,
     so probabilities below the smallest positive float still fit.  With the
     square-root-log margin schedule the retention ceiling grows
     polynomially in n; the fitted growth order is reported when the whole
@@ -534,7 +472,7 @@ def tail_scaling_fit(specs) -> TailScalingFit:
     specs = list(specs)
     if len(specs) < 4:
         raise ValidationError("tail_scaling_fit requires a grid of at least 4 specs")
-    ys = np.array([log_trigger_probability(s) for s in specs])
+    ys = np.array([s.moments().log_trigger_prob for s in specs])
     if np.any(np.isneginf(ys)):
         raise ValidationError("a spec on the grid can never trigger (threshold at or above n)")
     xs = np.array([s.resolved_margin**2 for s in specs])

@@ -36,7 +36,6 @@ from .errors import EnumerationLimitError, ValidationError
 from .field import (
     ENUM_LIMIT,
     MarkovFieldSpec,
-    _cdf_columns,
     _inverse_cdf_walk,
     mixing_bound,
     mixing_coefficients,
@@ -154,9 +153,23 @@ class HiddenErrorModel:
         """Number of sites; a cached, non-data descriptor, so a subclass may store ``n`` itself."""
         return self.field.n
 
+    def site_rates(self) -> np.ndarray:
+        """Exact per-site error probabilities ``E[Y_i]``, shape (n,).
+
+        Table channels read the window marginals of the lifted chain in
+        O(n * S**(2r+2)).  Threshold channels add the trigger ``P(W > B)``, the
+        last column of the weight pass, to row 0 of :func:`_threshold_joint`,
+        ``P(X_i = 1, W <= B)``: O(n * (floor(threshold) + 2)).  Identity
+        threshold channels (``floor(B) >= n - 1``) read out like a table.
+        """
+        if _cuts(self):
+            return self.tail(math.floor(self.channel.threshold)) + _threshold_joint(self, pairs=False)[0]
+        start, steps, table = _lift(self)
+        return (_window_marginals(start, steps) * table).sum(axis=1)
+
     def mean_rate(self) -> float:
         """Mean per-site error probability ``(1/n) sum_i E[Y_i]``."""
-        return float(site_error_rates(self).mean())
+        return float(self.site_rates().mean())
 
     def lipschitz(self) -> float:
         return lipschitz_constant(self)
@@ -334,11 +347,10 @@ def _error_bits(model: HiddenErrorModel, blocks):
     block before the bits are yielded, so a producer may draw every block
     into one buffer: a slice holds one block of uniforms at a time.
     """
-    cols = _cdf_columns(model.field)
     step = max(1, _READ_CELLS // model.n)
     blocks = iter(blocks)
     for walk in blocks:
-        x = _inverse_cdf_walk(model.field, walk.T, cols)
+        x = _inverse_cdf_walk(model.field, walk.T)
         err = next(blocks)
         bits = np.empty(err.shape, dtype=bool)
         for lo in range(0, len(err), step):
@@ -550,18 +562,8 @@ def _threshold_covariance(model: HiddenErrorModel) -> np.ndarray:
 
 
 def site_error_rates(model: HiddenErrorModel) -> np.ndarray:
-    """Exact per-site error probabilities ``E[Y_i]``, shape (n,).
-
-    Table channels read the window marginals of the lifted chain in
-    O(n * S**(2r+2)).  Threshold channels add the trigger ``P(W > B)``, the
-    last column of the weight pass, to row 0 of :func:`_threshold_joint`,
-    ``P(X_i = 1, W <= B)``: O(n * (floor(threshold) + 2)).  Identity
-    threshold channels (``floor(B) >= n - 1``) read out like a table.
-    """
-    if _cuts(model):
-        return model.tail(math.floor(model.channel.threshold)) + _threshold_joint(model, pairs=False)[0]
-    start, steps, table = _lift(model)
-    return (_window_marginals(start, steps) * table).sum(axis=1)
+    """Exact per-site error probabilities ``E[Y_i]``, shape (n,): ``model.site_rates()``."""
+    return model.site_rates()
 
 
 def _window_lipschitz(model: HiddenErrorModel) -> float:

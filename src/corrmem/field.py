@@ -15,6 +15,7 @@ chain law lives in :mod:`corrmem.oracle`, for the tests.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -114,6 +115,20 @@ class MarkovFieldSpec:
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "kernels", checked)
 
+    @cached_property
+    def _cdf_columns(self) -> np.ndarray:
+        """CDF columns ``c < S - 1`` of each site given the site before it, built on first read.
+
+        Entry ``[i, c, a]`` is ``P(X_i <= c | X_{i-1} = a)``; site 0 reads the
+        initial law whatever ``a``.  Shape (n, S - 1, S), so each column is one
+        contiguous row to gather from.
+        """
+        s = self.alphabet_size
+        laws = np.concatenate([np.tile(self.initial, (1, s, 1)), self.kernels])
+        cols = np.ascontiguousarray(np.cumsum(laws, axis=2)[:, :, :-1].transpose(0, 2, 1))
+        cols.setflags(write=False)
+        return cols
+
 
 @dataclass(frozen=True, eq=False)
 class MixingProfile:
@@ -187,33 +202,19 @@ def site_marginals(spec: MarkovFieldSpec) -> np.ndarray:
     return out
 
 
-def _cdf_columns(spec: MarkovFieldSpec) -> np.ndarray:
-    """CDF columns ``c < S - 1`` of each site given the site before it.
-
-    Entry ``[i, c, a]`` is ``P(X_i <= c | X_{i-1} = a)``; site 0 reads the
-    initial law whatever ``a``.  Shape (n, S - 1, S), so each column is one
-    contiguous row to gather from.
-    """
-    s = spec.alphabet_size
-    laws = np.concatenate([np.tile(spec.initial, (1, s, 1)), spec.kernels])
-    return np.ascontiguousarray(np.cumsum(laws, axis=2)[:, :, :-1].transpose(0, 2, 1))
-
-
-def _inverse_cdf_walk(spec: MarkovFieldSpec, u: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+def _inverse_cdf_walk(spec: MarkovFieldSpec, u: np.ndarray) -> np.ndarray:
     """Map a site-major (n, rows) uniform block to chain samples by inverse CDF.
 
     Site ``i`` takes the number of CDF columns ``c < S - 1`` of the row
     picked by site ``i - 1`` that lie at or below its uniform.  Cumulative
     sums never decrease, so this equals counting all ``S`` columns and
     clipping at ``S - 1``, even when a row's last column falls just short
-    of 1.  ``cols`` is :func:`_cdf_columns` of ``spec``, built here if not
-    given.  Returns site-major uint8 symbols, one contiguous row per site.
+    of 1.  The columns are ``spec._cdf_columns``, built once per field.
+    Returns site-major uint8 symbols, one contiguous row per site.
     """
-    if cols is None:
-        cols = _cdf_columns(spec)
     x = np.empty(u.shape, dtype=np.uint8)
     prev = np.zeros(u.shape[1], dtype=np.uint8)
-    for i, site in enumerate(cols):
+    for i, site in enumerate(spec._cdf_columns):
         nxt = x[i]
         np.less_equal(site[0].take(prev), u[i], out=nxt.view(np.bool_))
         for column in site[1:]:
@@ -241,11 +242,10 @@ def sample_field_batch(spec: MarkovFieldSpec, seed: int, trials: int) -> np.ndar
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    cols = _cdf_columns(spec)
     out = np.empty((trials, spec.n), dtype=np.uint8)
     lo = 0
     for u in _uniform_slices(make_generator(seed), trials, spec.n):
-        out[lo : lo + len(u)] = _inverse_cdf_walk(spec, u.T, cols).T
+        out[lo : lo + len(u)] = _inverse_cdf_walk(spec, u.T).T
         lo += len(u)
     return out
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .adversarial import ThresholdModelSpec, _tail_and_covariance, trigger_probability
+from .adversarial import ThresholdModelSpec
 from .bounds import verify_bound
 from .channel import (
     GlobalThresholdChannel,
@@ -453,18 +453,8 @@ def _run_adversarial_scan(cfg, seed_tree, threads):
     def one(point):
         n, a = point
         spec = ThresholdModelSpec(n=n, eps=eps, margin_rate=a)
-        log_scale, mass, _, cov, *_ = _tail_and_covariance(n, eps, spec.threshold)
-        p = math.exp(log_scale) * mass
-        return (
-            n,
-            eps,
-            a,
-            spec.resolved_margin,
-            spec.threshold,
-            p,
-            cov,
-            math.inf if p == 0.0 else 1.0 / p,
-        )
+        m = spec.moments()
+        return n, eps, a, spec.resolved_margin, spec.threshold, m.trigger_prob, m.covariance, m.retention_upper_bound
 
     points = [(n, a) for n in sizes for a in rates]
     rows = _parallel_map(one, points, threads)
@@ -495,9 +485,9 @@ def _run_retention(cfg, seed_tree, threads):
         "trials": est.trials,
     }
     if isinstance(model, ThresholdModelSpec):
-        p = trigger_probability(model)
-        summary["trigger_prob"] = p
-        summary["retention_upper_bound"] = math.inf if p == 0.0 else 1.0 / p
+        m = model.moments()
+        summary["trigger_prob"] = m.trigger_prob
+        summary["retention_upper_bound"] = m.retention_upper_bound
     return ["trial", "failure_epoch", "censored"], rows, summary, 0
 
 

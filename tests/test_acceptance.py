@@ -19,8 +19,6 @@ from corrmem import (
     ThresholdModelSpec,
     chain_tail_bound,
     combined_tail_bound,
-    covariance_decomposition,
-    exact_covariance,
     exact_tail,
     geometric_ks_statistic,
     hoeffding_conditional_bound,
@@ -34,7 +32,6 @@ from corrmem import (
     scaling_experiment,
     simulate_retention,
     symmetric_binary_field,
-    trigger_probability,
 )
 from corrmem.oracle import (
     all_sequences,
@@ -75,7 +72,7 @@ def test_01_pair_covariance_decays_like_inverse_square_or_faster():
     slopes = []
     for a in (1.0, 2.0, 3.0, 4.0):
         covs = np.array(
-            [exact_covariance(ThresholdModelSpec(n=int(n), eps=0.1, margin_rate=a)) for n in sizes]
+            [ThresholdModelSpec(n=int(n), eps=0.1, margin_rate=a).moments().covariance for n in sizes]
         )
         if np.any(covs <= 0.0):  # underflowed past double precision
             continue
@@ -92,7 +89,7 @@ def test_02_retention_time_matches_geometric_ceiling():
     # KS test against the geometric at the 1% level; budget 60 s
     started = time.monotonic()
     spec = ThresholdModelSpec(n=64, eps=0.1, margin=0.575)
-    p = trigger_probability(spec)
+    p = spec.moments().trigger_prob
     assert 0.01 <= p <= 0.1  # exact trigger mass in the calibrated window
     code = CodeModel(n=64, k=1, d=23)
     assert code.correction_threshold >= spec.threshold - 1e-9
@@ -122,7 +119,7 @@ def test_03_sampling_and_covariance_match_enumeration_oracles():
 
     worst_gap = 0.0
     for spec in adversarial_sweep():
-        gap = abs(exact_covariance(spec) - enumerated_pair_covariance(spec))
+        gap = abs(spec.moments().covariance - enumerated_pair_covariance(spec))
         worst_gap = max(worst_gap, gap)
     assert worst_gap <= 1e-10
     assert time.monotonic() - started < 120.0
@@ -134,10 +131,9 @@ def test_04_covariance_decomposition_identity_holds():
     # P(A)(1 - P(A)); budget 5 s
     started = time.monotonic()
     for spec in adversarial_sweep():
-        dec = covariance_decomposition(spec)
+        dec = spec.moments()
         scale = max(abs(dec.conditional_term), abs(dec.between_term))
-        assert abs(dec.conditional_term + dec.between_term - dec.total) <= 1e-12 * scale
-        assert abs(dec.total - exact_covariance(spec)) <= 1e-12 * scale
+        assert abs(dec.conditional_term + dec.between_term - dec.covariance) <= 1e-12 * scale
         assert dec.between_term <= dec.trigger_prob * (1.0 - dec.trigger_prob) + 1e-15
     assert time.monotonic() - started < 5.0
 

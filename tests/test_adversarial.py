@@ -12,14 +12,10 @@ from corrmem import (
     ThresholdModelSpec,
     ValidationError,
     channel,
-    covariance_decomposition,
     covariance_matrix,
-    exact_covariance,
-    marginal_error_rate,
-    retention_upper_bound,
     sample_errors_batch,
+    site_error_rates,
     tail_scaling_fit,
-    trigger_probability,
     weight_law,
 )
 import corrmem.adversarial as adversarial
@@ -117,18 +113,18 @@ def test_spec_builds_its_field_once_and_only_when_read(monkeypatch):
 
 def test_trigger_probability_exact_corner():
     # only the all-ones state exceeds 3 of 4
-    assert trigger_probability(spec_with_threshold(4, 0.5, 3.0)) == pytest.approx(
+    assert spec_with_threshold(4, 0.5, 3.0).moments().trigger_prob == pytest.approx(
         1.0 / 16.0, abs=1e-15
     )
 
 
 def test_trigger_probability_threshold_at_or_above_n():
-    assert trigger_probability(spec_with_threshold(5, 0.3, 5.0)) == 0.0
-    assert trigger_probability(spec_with_threshold(5, 0.3, 7.5)) == 0.0
+    assert spec_with_threshold(5, 0.3, 5.0).moments().trigger_prob == 0.0
+    assert spec_with_threshold(5, 0.3, 7.5).moments().trigger_prob == 0.0
 
 
 def test_trigger_probability_negative_threshold():
-    assert trigger_probability(spec_with_threshold(5, 0.3, -1.0)) == 1.0
+    assert spec_with_threshold(5, 0.3, -1.0).moments().trigger_prob == 1.0
 
 
 def test_trigger_probability_matches_enumeration():
@@ -144,7 +140,7 @@ def test_trigger_probability_matches_enumeration():
                     for v in range(2**n)
                     if bin(v).count("1") > spec.threshold
                 )
-                assert trigger_probability(spec) == pytest.approx(total, abs=1e-12)
+                assert spec.moments().trigger_prob == pytest.approx(total, abs=1e-12)
 
 
 @given(
@@ -154,8 +150,8 @@ def test_trigger_probability_matches_enumeration():
     gap=st.floats(0.1, 5.0),
 )
 def test_trigger_probability_monotone_in_threshold(n, eps, lo, gap):
-    p_lo = trigger_probability(spec_with_threshold(n, eps, lo))
-    p_hi = trigger_probability(spec_with_threshold(n, eps, lo + gap))
+    p_lo = spec_with_threshold(n, eps, lo).moments().trigger_prob
+    p_hi = spec_with_threshold(n, eps, lo + gap).moments().trigger_prob
     assert p_hi <= p_lo + 1e-12
 
 
@@ -187,56 +183,41 @@ def test_single_draw_is_batch_prefix():
 
 
 def test_marginal_error_rate_enumeration_example():
-    rate = marginal_error_rate(spec_with_threshold(3, 0.5, 1.0))
-    assert rate.value == pytest.approx(5.0 / 8.0, abs=1e-12)
+    assert spec_with_threshold(3, 0.5, 1.0).moments().rate == pytest.approx(5.0 / 8.0, abs=1e-12)
 
 
 def test_marginal_error_rate_trivial_when_trigger_impossible():
-    rate = marginal_error_rate(spec_with_threshold(6, 0.3, 6.0))
-    assert rate.value == pytest.approx(0.3, abs=1e-15)
-    assert rate.deviation == pytest.approx(0.0, abs=1e-15)
+    m = spec_with_threshold(6, 0.3, 6.0).moments()
+    assert m.rate == pytest.approx(0.3, abs=1e-15)
+    assert m.deviation == pytest.approx(0.0, abs=1e-15)
 
 
 @given(n=st.integers(2, 30), eps=st.floats(0.05, 0.95), margin=st.floats(-3.0, 3.0))
 def test_marginal_deviation_bounded_by_trigger_probability(n, eps, margin):
     spec = ThresholdModelSpec(n=n, eps=eps, margin=margin)
-    rate = marginal_error_rate(spec)
-    assert rate.deviation <= rate.trigger_prob + 1e-12
+    m = spec.moments()
+    assert m.deviation <= m.trigger_prob + 1e-12
 
 
 # --- pair covariance -------------------------------------------------------
 
 
 def test_exact_covariance_frozen_example():
-    assert exact_covariance(spec_with_threshold(3, 0.5, 1.0)) == pytest.approx(
+    assert spec_with_threshold(3, 0.5, 1.0).moments().covariance == pytest.approx(
         7.0 / 64.0, abs=1e-15
     )
 
 
 def test_exact_covariance_zero_when_trigger_impossible():
-    assert exact_covariance(spec_with_threshold(4, 0.2, 4.0)) == 0.0
+    assert spec_with_threshold(4, 0.2, 4.0).moments().covariance == 0.0
 
 
 def test_exact_covariance_zero_when_trigger_is_all_ones_state():
     # threshold 2 of 3: the trigger only fires at the all-ones state, where
     # the rewrite changes nothing, so Y = X exactly
-    assert exact_covariance(spec_with_threshold(3, 0.5, 2.0)) == pytest.approx(
+    assert spec_with_threshold(3, 0.5, 2.0).moments().covariance == pytest.approx(
         0.0, abs=1e-15
     )
-
-
-def test_exact_covariance_rejects_equal_sites():
-    with pytest.raises(ValidationError):
-        exact_covariance(spec_with_threshold(3, 0.5, 1.0), 1, 1)
-
-
-def test_exact_covariance_site_independent():
-    spec = ThresholdModelSpec(n=7, eps=0.3, margin=0.4)
-    base = exact_covariance(spec, 0, 1)
-    for i in range(7):
-        for j in range(7):
-            if i != j:
-                assert exact_covariance(spec, i, j) == base
 
 
 def test_exact_covariance_matches_enumeration_sweep():
@@ -244,7 +225,7 @@ def test_exact_covariance_matches_enumeration_sweep():
         for eps in (0.1, 0.3, 0.5, 0.7):
             for threshold in (-0.5, 0.0, 1.0, n / 2.0, n - 1.0):
                 spec = spec_with_threshold(n, eps, threshold)
-                assert exact_covariance(spec) == pytest.approx(
+                assert spec.moments().covariance == pytest.approx(
                     enumerated_pair_covariance(n, eps, spec.threshold), abs=1e-10
                 )
 
@@ -252,7 +233,7 @@ def test_exact_covariance_matches_enumeration_sweep():
 def test_exact_covariance_matches_hidden_model_enumeration():
     spec = spec_with_threshold(6, 0.35, 2.0)
     cov = covariance_matrix(HiddenErrorModel(spec.field, spec.channel))
-    assert exact_covariance(spec) == pytest.approx(cov[2, 4], abs=1e-12)
+    assert spec.moments().covariance == pytest.approx(cov[2, 4], abs=1e-12)
 
 
 # --- covariance decomposition ----------------------------------------------
@@ -260,10 +241,10 @@ def test_exact_covariance_matches_hidden_model_enumeration():
 
 def test_decomposition_identity_and_between_ceiling():
     spec = spec_with_threshold(3, 0.5, 1.0)
-    dec = covariance_decomposition(spec)
-    assert dec.total == pytest.approx(7.0 / 64.0, abs=1e-12)
+    dec = spec.moments()
+    assert dec.covariance == pytest.approx(7.0 / 64.0, abs=1e-12)
     assert dec.conditional_term + dec.between_term == pytest.approx(
-        dec.total, abs=1e-12
+        dec.covariance, abs=1e-12
     )
     assert dec.between_term <= dec.trigger_prob * (1 - dec.trigger_prob) + 1e-12
 
@@ -272,26 +253,26 @@ def test_decomposition_cancelling_terms():
     # threshold 2 of 3 at eps 1/2: total covariance is exactly zero, but the
     # two terms are not — they cancel at +-1/28 (conditioning on the trigger
     # still splits the state space even though the rewrite is a no-op there)
-    dec = covariance_decomposition(spec_with_threshold(3, 0.5, 2.0))
-    assert dec.total == pytest.approx(0.0, abs=1e-15)
+    dec = spec_with_threshold(3, 0.5, 2.0).moments()
+    assert dec.covariance == pytest.approx(0.0, abs=1e-15)
     assert dec.between_term == pytest.approx(1.0 / 28.0, abs=1e-12)
     assert dec.conditional_term == pytest.approx(-1.0 / 28.0, abs=1e-12)
 
 
 def test_decomposition_trivial_when_trigger_impossible():
-    dec = covariance_decomposition(spec_with_threshold(4, 0.25, 4.0))
-    assert (dec.conditional_term, dec.between_term, dec.total) == (0.0, 0.0, 0.0)
+    dec = spec_with_threshold(4, 0.25, 4.0).moments()
+    assert (dec.conditional_term, dec.between_term, dec.covariance) == (0.0, 0.0, 0.0)
     assert dec.trigger_prob == 0.0
 
 
 @given(n=st.integers(2, 24), eps=st.floats(0.05, 0.95), margin=st.floats(-2.0, 3.0))
 def test_decomposition_sums_to_direct_covariance(n, eps, margin):
     spec = ThresholdModelSpec(n=n, eps=eps, margin=margin)
-    dec = covariance_decomposition(spec)
+    dec = spec.moments()
     # relative to the larger term: an absolute 1e-12 would pass any gap in a deep tail
     scale = max(abs(dec.conditional_term), abs(dec.between_term))
     assert dec.conditional_term + dec.between_term == pytest.approx(
-        exact_covariance(spec), rel=0.0, abs=1e-12 * scale
+        dec.covariance, rel=0.0, abs=1e-12 * scale
     )
     assert dec.between_term <= dec.trigger_prob * (1 - dec.trigger_prob) + 1e-12
 
@@ -354,19 +335,19 @@ def test_reduced_tails_below_hoeffding_ceiling():
 
 
 def test_retention_bound_corner():
-    assert retention_upper_bound(spec_with_threshold(4, 0.5, 3.0)) == pytest.approx(16.0)
+    assert spec_with_threshold(4, 0.5, 3.0).moments().retention_upper_bound == pytest.approx(16.0)
 
 
 def test_retention_bound_certain_trigger():
-    assert retention_upper_bound(spec_with_threshold(4, 0.5, -1.0)) == pytest.approx(1.0)
+    assert spec_with_threshold(4, 0.5, -1.0).moments().retention_upper_bound == pytest.approx(1.0)
 
 
 def test_retention_bound_half():
-    assert retention_upper_bound(spec_with_threshold(3, 0.5, 1.0)) == pytest.approx(2.0)
+    assert spec_with_threshold(3, 0.5, 1.0).moments().retention_upper_bound == pytest.approx(2.0)
 
 
 def test_retention_bound_infinite_when_trigger_impossible():
-    assert retention_upper_bound(spec_with_threshold(3, 0.5, 3.0)) == math.inf
+    assert spec_with_threshold(3, 0.5, 3.0).moments().retention_upper_bound == math.inf
 
 
 # --- weight law ------------------------------------------------------------
@@ -387,6 +368,7 @@ def test_public_functions_ask_the_spec(spec):
     assert np.array_equal(covariance_matrix(spec), spec.covariance())
     assert np.array_equal(weight_law(spec), spec.weight_law())
     assert np.array_equal(channel.weight_distribution(spec), spec.weight_law())
+    assert np.array_equal(site_error_rates(spec), np.full(spec.n, spec.mean_rate()))
 
 
 def test_weight_distribution_mass_at_n():

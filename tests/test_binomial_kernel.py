@@ -20,18 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrmem import (
-    ThresholdModelSpec,
-    ValidationError,
-    adversarial,
-    covariance_decomposition,
-    covariance_matrix,
-    exact_covariance,
-    log_trigger_probability,
-    marginal_error_rate,
-    tail_scaling_fit,
-    trigger_probability,
-)
+from corrmem import ThresholdModelSpec, ValidationError, adversarial, covariance_matrix, tail_scaling_fit
 from corrmem.adversarial import (
     _binom_tail_gt,
     _log_pmf,
@@ -137,7 +126,7 @@ def test_exact_covariance_matches_mpmath(n, eps, z):
         want = mp_pair_covariance(n, eps, k)
     if want < mpmath.mpf("1e-300"):
         return
-    assert_rel(exact_covariance(spec), want)
+    assert_rel(spec.moments().covariance, want)
 
 
 def mp_calm_terms(m, p, k):
@@ -176,20 +165,19 @@ def assert_moments_match_mpmath(spec):
     with mpmath.workdps(DIGITS + spare):
         dev, conditional, between = mp_spec_moments(spec.n, spec.eps, k)
         value = spec.eps + dev
-    rate = marginal_error_rate(spec)
-    dec = covariance_decomposition(spec)
+    m = spec.moments()
     for got, want in [
-        (rate.value, value),
-        (rate.deviation, dev),
-        (dec.conditional_term, conditional),
-        (dec.between_term, between),
+        (m.rate, value),
+        (m.deviation, dev),
+        (m.conditional_term, conditional),
+        (m.between_term, between),
     ]:
         if want == 0:
             assert got == 0.0, (got, spec)
         elif abs(want) > mpmath.mpf("1e-300"):
             assert_rel(got, want, rel=1e-12)
-    scale = max(abs(dec.conditional_term), abs(dec.between_term))
-    assert abs(dec.total - exact_covariance(spec)) <= 1e-12 * scale
+    scale = max(abs(m.conditional_term), abs(m.between_term))
+    assert abs(m.conditional_term + m.between_term - m.covariance) <= 1e-12 * scale
 
 
 @settings(max_examples=40, deadline=None)
@@ -241,12 +229,7 @@ def test_each_spec_quantity_makes_one_walk(monkeypatch, threshold):
     walks = []
     real = adversarial._pmf_walk
     monkeypatch.setattr(adversarial, "_pmf_walk", lambda *args, **kw: walks.append(args) or real(*args, **kw))
-    for quantity in (
-        spec.mean_rate,
-        spec.covariance,
-        lambda: marginal_error_rate(spec),
-        lambda: covariance_decomposition(spec),
-    ):
+    for quantity in (spec.moments, spec.mean_rate, spec.site_rates, spec.covariance):
         walks.clear()
         quantity()
         assert len(walks) == 1
@@ -328,16 +311,36 @@ def test_log_pmf_holds_deep_in_the_tail():
     ],
 )
 def test_one_walk_gives_the_trigger_probability_and_the_covariance(n, eps, threshold):
-    spec = ThresholdModelSpec.from_threshold(n, eps, threshold)
-    log_scale, mass, dev, cov, *_ = _tail_and_covariance(n, eps, spec.threshold)
-    assert (math.exp(log_scale) * mass).hex() == trigger_probability(spec).hex()
-    assert dev.hex() == marginal_error_rate(spec).deviation.hex()
-    if n < 2:
-        assert cov == 0.0
-        with pytest.raises(ValidationError, match="n >= 2"):
-            exact_covariance(spec)
-    else:
-        assert cov.hex() == exact_covariance(spec).hex()
+    assert_moments_are_the_walk(ThresholdModelSpec.from_threshold(n, eps, threshold))
+
+
+def assert_moments_are_the_walk(spec):
+    """Each field of ``spec.moments()`` is the raw walk's value, bit for bit."""
+    log_scale, mass, dev, cov, conditional, between = _tail_and_covariance(spec.n, spec.eps, spec.threshold)
+    p = math.exp(log_scale) * mass
+    got = spec.moments()
+    want = {
+        "trigger_prob": p,
+        "log_trigger_prob": log_scale + math.log(mass) if mass > 0.0 else -math.inf,
+        "rate": spec.eps + dev,
+        "deviation": dev,
+        "covariance": cov,
+        "conditional_term": conditional,
+        "between_term": between,
+        "retention_upper_bound": math.inf if p == 0.0 else 1.0 / p,
+    }
+    for name, value in want.items():
+        assert getattr(got, name).hex() == value.hex(), (name, spec)
+    if spec.n < 2:
+        assert got.covariance == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 64, 257, 1024, 4096])
+def test_every_moment_is_the_walk_bit_for_bit(n):
+    for eps in (0.01, 0.1, 0.3, 0.7):
+        assert_moments_are_the_walk(ThresholdModelSpec(n=n, eps=eps, margin_rate=1.0))
+        for margin in range(-50, 41, 5):
+            assert_moments_are_the_walk(ThresholdModelSpec(n=n, eps=eps, margin=margin))
 
 
 def test_weight_distribution_keeps_every_representable_entry():
@@ -352,8 +355,8 @@ def test_weight_distribution_keeps_every_representable_entry():
 def test_log_trigger_probability_resolves_below_the_float_range():
     # margin rate 6: every trigger probability lies below 1e-308
     specs = [ThresholdModelSpec(n=2**k, eps=0.1, margin_rate=6.0) for k in (10, 13, 16, 19)]
-    logs = [log_trigger_probability(s) for s in specs]
-    assert all(trigger_probability(s) == 0.0 for s in specs)
+    logs = [s.moments().log_trigger_prob for s in specs]
+    assert all(s.moments().trigger_prob == 0.0 for s in specs)
     with mpmath.workdps(DIGITS):
         for spec, got in zip(specs, logs):
             want = mpmath.log(mp_tail_gt(spec.n, spec.eps, spec.threshold))
@@ -364,8 +367,8 @@ def test_log_trigger_probability_resolves_below_the_float_range():
 
 
 def test_log_trigger_probability_edges():
-    assert log_trigger_probability(ThresholdModelSpec.from_threshold(8, 0.3, 8.0)) == -math.inf
-    assert log_trigger_probability(ThresholdModelSpec.from_threshold(8, 0.3, -0.5)) == 0.0
+    assert ThresholdModelSpec.from_threshold(8, 0.3, 8.0).moments().log_trigger_prob == -math.inf
+    assert ThresholdModelSpec.from_threshold(8, 0.3, -0.5).moments().log_trigger_prob == 0.0
 
 
 def test_tail_scaling_fit_refuses_only_impossible_triggers():

@@ -25,10 +25,8 @@ from corrmem import (
     lifetime_lower_bound,
     make_generator,
     per_epoch_failure_prob,
-    retention_upper_bound,
     scaling_experiment,
     simulate_retention,
-    trigger_probability,
     verify_bound,
     weight_law,
 )
@@ -212,12 +210,12 @@ def test_retention_unit_channel_fails_immediately():
 def test_retention_geometric_mean_matches_ceiling():
     # trigger probability exactly 1/16; tau=3 blocks every non-trigger epoch
     spec = ThresholdModelSpec.from_threshold(4, 0.5, 3.0)
-    assert trigger_probability(spec) == pytest.approx(1.0 / 16.0)
+    assert spec.moments().trigger_prob == pytest.approx(1.0 / 16.0)
     code = CodeModel(n=4, k=1, d=4, mode="full_distance")
     est = simulate_retention(spec, code, max_epochs=2000, trials=3000, seed=11)
     assert est.censored_count == 0
     assert abs(est.mean - 16.0) < 3.0 * est.stderr
-    bound = retention_upper_bound(spec)
+    bound = spec.moments().retention_upper_bound
     assert est.mean <= bound * (1.0 + 3.0 * est.stderr / est.mean)
 
 

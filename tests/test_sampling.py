@@ -150,6 +150,17 @@ def test_walk_short_row_at_largest_uniform_takes_last_symbol():
     assert reference_walk(spec, u).tolist() == expected
 
 
+def test_a_field_builds_its_cdf_table_once():
+    # retention samples one stack of trials per call, so every call must reuse the field's table
+    model = HiddenErrorModel(chain(12, 0.5), PerSiteChannel(table=np.tile([0.1, 0.4], (12, 1))))
+    sample_errors_batch(model, 1, 8)
+    table = model.field._cdf_columns
+    sample_field_batch(model.field, 2, 8)
+    simulate_retention(model, CodeModel(n=12, k=1, d=5), max_epochs=20, trials=40, seed=3)
+    assert model.field._cdf_columns is table
+    assert not table.flags.writeable
+
+
 def biased_field(n):
     """Binary chain that mostly sits at 0 (stationary P(1) = 1/6)."""
     kernel = [[0.9, 0.1], [0.5, 0.5]]
