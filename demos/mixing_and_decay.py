@@ -9,7 +9,8 @@ import numpy as np
 
 from corrmem import (
     correlation_decay_profile,
-    mixing_profile,
+    mixing_bound,
+    mixing_coefficients,
     symmetric_binary_field,
 )
 
@@ -20,10 +21,10 @@ def main():
     print(f"{'theta':>6} {'m_bound':>8}   influence of site 0 on sites 1..6")
     for theta in (0.0, 0.2, 0.4, 0.6, 0.8, 0.95):
         spec = symmetric_binary_field(n, theta)
-        profile = mixing_profile(spec)
+        bound = mixing_bound(mixing_coefficients(spec))
         decay = correlation_decay_profile(spec, site=0)[:6]
         decay_str = " ".join(f"{v:.4f}" for v in decay)
-        print(f"{theta:>6.2f} {profile.bound:>8.3f}   {decay_str}")
+        print(f"{theta:>6.2f} {bound:>8.3f}   {decay_str}")
 
     print()
     print("the influence column is exactly theta^k: one-step memory compounds")
@@ -41,11 +42,11 @@ def main():
     spec = MarkovFieldSpec(
         n=n, alphabet_size=2, initial=np.array([0.5, 0.5]), kernels=kernels
     )
-    profile = mixing_profile(spec)
+    theta = mixing_coefficients(spec)
     print()
     print(f"random inhomogeneous chain: theta in [{thetas.min():.2f}, {thetas.max():.2f}]")
-    print(f"  mixing coefficients: {np.array2string(profile.theta, precision=2)}")
-    print(f"  chain constant m = {profile.bound:.3f} (always within [1, n])")
+    print(f"  mixing coefficients: {np.array2string(theta, precision=2)}")
+    print(f"  chain constant m = {mixing_bound(theta):.3f} (always within [1, n])")
 
 
 if __name__ == "__main__":

@@ -14,11 +14,9 @@ from .rng import derive_seed, make_generator
 from .field import (
     ENUM_LIMIT,
     MarkovFieldSpec,
-    MixingProfile,
     correlation_decay_profile,
     mixing_bound,
     mixing_coefficients,
-    mixing_profile,
     sample_field_batch,
     site_marginals,
 )
@@ -28,10 +26,8 @@ from .channel import (
     HiddenErrorModel,
     PerSiteChannel,
     WindowChannel,
-    covariance_matrix,
-    lipschitz_constant,
     sample_errors_batch,
-    site_error_rates,
+    sampled_covariance,
 )
 from .adversarial import TailScalingFit, ThresholdModelSpec, ThresholdMoments, tail_scaling_fit
 from .memory import (
@@ -43,7 +39,6 @@ from .memory import (
     geometric_ks_statistic,
     ks_critical_value,
     lifetime_lower_bound,
-    per_epoch_failure_prob,
     scaling_experiment,
     simulate_retention,
 )
@@ -83,7 +78,6 @@ __all__ = [
     "HiddenErrorModel",
     "LifetimeBound",
     "MarkovFieldSpec",
-    "MixingProfile",
     "PerSiteChannel",
     "ResourceLimitError",
     "RetentionEstimate",
@@ -104,7 +98,6 @@ __all__ = [
     "combined_tail_bound",
     "correlation_decay_profile",
     "count_exceedances",
-    "covariance_matrix",
     "derive_seed",
     "empirical_tail",
     "exact_tail",
@@ -112,20 +105,17 @@ __all__ = [
     "hoeffding_conditional_bound",
     "ks_critical_value",
     "lifetime_lower_bound",
-    "lipschitz_constant",
     "load_config",
     "make_generator",
     "mixing_bound",
     "mixing_coefficients",
-    "mixing_profile",
     "parse_config",
-    "per_epoch_failure_prob",
     "run",
     "sample_errors_batch",
     "sample_field_batch",
+    "sampled_covariance",
     "scaling_experiment",
     "simulate_retention",
-    "site_error_rates",
     "site_marginals",
     "symmetric_binary_field",
     "tail_scaling_fit",

@@ -31,7 +31,7 @@ import numpy as np
 
 from .channel import HiddenErrorModel, _require_mc
 from .errors import ValidationError
-from .rng import make_generator
+from .rng import _integer, make_generator
 
 __all__ = [
     "TailEstimate",
@@ -114,10 +114,9 @@ def combined_tail_bound(eps: float, delta: float, n: int, c: float, m: float) ->
 
 def clopper_pearson(count: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
     """Two-sided Clopper-Pearson interval for a binomial proportion."""
-    if not 0 <= count <= trials:
+    trials = _integer(trials, "trials", 1)
+    if not 0 <= _integer(count, "count") <= trials:
         raise ValidationError("count must lie in [0, trials]")
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
     if not 0.0 < confidence < 1.0:
         raise ValidationError("confidence must lie in (0, 1)")
     # Imported here, not at module level: scipy.special takes longer to
@@ -188,8 +187,7 @@ def count_exceedances(model, gen: "np.random.Generator", trials: int, threshold:
     _check_model(model)
     if math.isnan(threshold):
         raise ValidationError("tail threshold must not be NaN")
-    if not isinstance(trials, (int, np.integer)) or trials < 0:
-        raise ValidationError("trials must be a non-negative integer")
+    trials = _integer(trials, "trials", 0)
     count = 0
     for done in range(0, trials, _MC_BLOCK):
         weights = model.sample_weights([gen], min(_MC_BLOCK, trials - done))
@@ -207,7 +205,7 @@ def exact_tail(model, threshold: float) -> float:
 
 def empirical_tail(model, threshold: float, trials: int, seed: int) -> TailEstimate:
     """Monte Carlo ``P(sum Y > threshold)`` with a Clopper-Pearson interval."""
-    _require_mc(trials, seed)
+    trials = _require_mc(trials, seed)
     exceedances = count_exceedances(model, make_generator(seed), trials, threshold)
     lo, hi = clopper_pearson(exceedances, trials)
     return TailEstimate(

@@ -40,7 +40,7 @@ from .field import (
     mixing_bound,
     mixing_coefficients,
 )
-from .rng import make_generator
+from .rng import _integer, make_generator
 
 __all__ = [
     "MAX_WINDOW_RADIUS",
@@ -50,10 +50,8 @@ __all__ = [
     "HiddenErrorModel",
     "PerSiteChannel",
     "WindowChannel",
-    "covariance_matrix",
-    "lipschitz_constant",
     "sample_errors_batch",
-    "site_error_rates",
+    "sampled_covariance",
     "weight_distribution",
 ]
 
@@ -172,7 +170,19 @@ class HiddenErrorModel:
         return float(self.site_rates().mean())
 
     def lipschitz(self) -> float:
-        return lipschitz_constant(self)
+        """Hamming-Lipschitz constant of the conditional mean error count.
+
+        Threshold channels follow the trigger rule of :func:`_trigger_lipschitz`;
+        radius-0 tables give the largest per-site oscillation of the error
+        probability; wider windows enumerate only the ``S**min(n, 4r + 1)``
+        neighbourhood of each flip.
+        """
+        c = self.channel
+        if isinstance(c, GlobalThresholdChannel):
+            return _trigger_lipschitz(self.n, c.threshold)
+        if c.radius == 0:
+            return float((c.table.max(axis=1) - c.table.min(axis=1)).max())
+        return _window_lipschitz(self)
 
     def mixing_bound(self) -> float:
         return mixing_bound(mixing_coefficients(self.field))
@@ -231,12 +241,12 @@ class CovarianceEstimate(NamedTuple):
     trials: int
 
 
-def _require_mc(trials: int | None, seed: int | None) -> None:
-    """Reject a Monte Carlo request with too few trials or no seed."""
-    if trials is None or trials < _MIN_MC_TRIALS:
-        raise ValidationError(f"Monte Carlo mode requires trials >= {_MIN_MC_TRIALS}")
+def _require_mc(trials: int | None, seed: int | None) -> int:
+    """``trials`` as an int; ValidationError for a Monte Carlo request with too few trials or no seed."""
+    trials = _integer(trials, "trials", _MIN_MC_TRIALS)
     if seed is None:
         raise ValidationError("Monte Carlo mode requires a seed")
+    return trials
 
 
 def _window_codes(x: np.ndarray, s: int, r: int) -> np.ndarray:
@@ -288,9 +298,7 @@ def _skipped(bitgen: "np.random.Philox", doubles: int) -> dict:
 
 def _epoch_rows(gens, count: int) -> int:
     """Rows of a ``sample_weights`` call, ``len(gens) * count``, once ``count`` is checked."""
-    if not isinstance(count, (int, np.integer)) or count < 0:
-        raise ValidationError("count must be a non-negative integer")
-    return len(gens) * int(count)
+    return len(gens) * _integer(count, "count", 0)
 
 
 def _epoch_blocks(gen: "np.random.Generator", count: int, n: int):
@@ -380,8 +388,7 @@ def sample_errors_batch(model: HiddenErrorModel, seed: int, trials: int) -> np.n
     concatenation of single-trial draws.  The stream is drawn ``_STACK_ROWS``
     trials at a time and read out in chunks of ``_READ_CELLS`` cells.
     """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    trials = _integer(trials, "trials", 1)
     out = np.empty((trials, model.n), dtype=np.uint8)
     lo = 0
     for bits in _trial_bits(model, seed, trials):
@@ -561,11 +568,6 @@ def _threshold_covariance(model: HiddenErrorModel) -> np.ndarray:
     return cov
 
 
-def site_error_rates(model: HiddenErrorModel) -> np.ndarray:
-    """Exact per-site error probabilities ``E[Y_i]``, shape (n,): ``model.site_rates()``."""
-    return model.site_rates()
-
-
 def _window_lipschitz(model: HiddenErrorModel) -> float:
     """Largest one-flip change of ``sum_i q_i(1 | x)`` for a table channel.
 
@@ -593,22 +595,6 @@ def _window_lipschitz(model: HiddenErrorModel) -> float:
         view = psi.reshape(s ** (k - lo), s, s ** (hi - k))
         best = max(best, float((view.max(axis=1) - view.min(axis=1)).max()))
     return best
-
-
-def lipschitz_constant(model: HiddenErrorModel) -> float:
-    """Hamming-Lipschitz constant of the conditional mean error count.
-
-    Threshold channels follow the trigger rule of :func:`_trigger_lipschitz`;
-    radius-0 tables give the largest per-site oscillation of the error
-    probability; wider windows enumerate only the ``S**min(n, 4r + 1)``
-    neighbourhood of each flip.
-    """
-    c = model.channel
-    if isinstance(c, GlobalThresholdChannel):
-        return _trigger_lipschitz(model.n, c.threshold)
-    if c.radius == 0:
-        return float((c.table.max(axis=1) - c.table.min(axis=1)).max())
-    return _window_lipschitz(model)
 
 
 def _lifted_covariance(model: HiddenErrorModel) -> np.ndarray:
@@ -640,21 +626,15 @@ def _lifted_covariance(model: HiddenErrorModel) -> np.ndarray:
     return cov
 
 
-def covariance_matrix(model: HiddenErrorModel, mode: str = "exact", trials: int | None = None, seed: int | None = None):
-    """Covariance matrix of the error bits.
+def sampled_covariance(model: HiddenErrorModel, trials: int, seed: int) -> CovarianceEstimate:
+    """Monte Carlo covariance matrix of the error bits; the exact one is ``model.covariance()``.
 
-    ``mode="exact"`` returns ``model.covariance()``, an (n, n) array whose
-    diagonal holds ``Var(Y_i)``; a threshold spec answers it from its
-    binomial walk.  ``mode="mc"`` pools exact integer counts over ``trials``
-    vectors sampled as :func:`sample_errors_batch` draws them and returns a
+    Pools exact integer counts over ``trials`` vectors sampled as
+    :func:`sample_errors_batch` draws them and returns a
     :class:`CovarianceEstimate` whose ``stderr`` is the asymptotic standard
     error of each entry.
     """
-    if mode == "exact":
-        return model.covariance()
-    if mode != "mc":
-        raise ValidationError(f"unknown mode {mode!r}")
-    _require_mc(trials, seed)
+    trials = _require_mc(trials, seed)
     # Integer counts below 2**53, so float64 (and BLAS) sums them exactly.
     counts = np.zeros(model.n)
     joint = np.zeros((model.n, model.n))

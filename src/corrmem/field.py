@@ -20,17 +20,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .rng import make_generator
+from .rng import _integer, make_generator
 
 __all__ = [
     "ENUM_LIMIT",
     "PROB_ATOL",
     "MarkovFieldSpec",
-    "MixingProfile",
     "correlation_decay_profile",
     "mixing_bound",
     "mixing_coefficients",
-    "mixing_profile",
     "sample_field_batch",
     "site_marginals",
 ]
@@ -130,29 +128,6 @@ class MarkovFieldSpec:
         return cols
 
 
-@dataclass(frozen=True, eq=False)
-class MixingProfile:
-    """Per-bond mixing coefficients and the derived chain mixing bound.
-
-    ``theta[i]`` is half the largest L1 distance between two rows of
-    ``kernels[i]``; ``bound`` equals ``1 + max_i sum_{k>=i} prod_{j=i..k}
-    theta[j]`` and always lies in ``[1, n]``.
-    """
-
-    theta: np.ndarray
-    bound: float
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        if np.any(theta < 0.0) or np.any(theta > 1.0):
-            raise ValidationError("mixing coefficients must lie in [0, 1]")
-        n = theta.size + 1
-        if not (1.0 - 1e-12 <= self.bound <= n + 1e-9):
-            raise ValidationError("mixing bound must lie in [1, n]")
-        theta.setflags(write=False)
-        object.__setattr__(self, "theta", theta)
-
-
 def mixing_coefficients(spec: MarkovFieldSpec) -> np.ndarray:
     """Per-bond mixing coefficients of the chain.
 
@@ -177,7 +152,8 @@ def mixing_bound(theta) -> float:
     empty coefficient sequence (a single-site chain).
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.size and (theta.min() < 0.0 or theta.max() > 1.0):
+    # written as "inside" so that NaN, which compares false, fails
+    if not np.all((theta >= 0.0) & (theta <= 1.0)):
         raise ValidationError("mixing coefficients must lie in [0, 1]")
     best = 0.0
     tail = 0.0
@@ -185,12 +161,6 @@ def mixing_bound(theta) -> float:
         tail = float(t) * (1.0 + tail)
         best = max(best, tail)
     return 1.0 + best
-
-
-def mixing_profile(spec: MarkovFieldSpec) -> MixingProfile:
-    """Mixing coefficients of ``spec`` together with the chain bound."""
-    theta = mixing_coefficients(spec)
-    return MixingProfile(theta=theta, bound=mixing_bound(theta))
 
 
 def site_marginals(spec: MarkovFieldSpec) -> np.ndarray:
@@ -240,8 +210,7 @@ def sample_field_batch(spec: MarkovFieldSpec, seed: int, trials: int) -> np.ndar
     drawn from the same seed.  The block is drawn and walked
     ``_STACK_ROWS`` rows at a time.
     """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    trials = _integer(trials, "trials", 1)
     out = np.empty((trials, spec.n), dtype=np.uint8)
     lo = 0
     for u in _uniform_slices(make_generator(seed), trials, spec.n):

@@ -8,7 +8,8 @@ is a complete, diff-able record of the experiment.  Every run writes
   shortest round-trip float formatting; identical config and seed produce a
   byte-identical file, independent of the worker count;
 * ``<kind>.summary.json`` — the echoed config, the resolved seed tree,
-  the library version, wall-clock time, and kind-specific aggregates.
+  the library version, wall-clock time, and kind-specific aggregates; a
+  value that is not finite, such as the mean of no observed failures, is ``null``.
 
 Grid points are shared out among worker threads when ``threads > 1``;
 results are collected in grid order, so parallelism never changes output.
@@ -34,7 +35,7 @@ from .channel import (
     HiddenErrorModel,
     PerSiteChannel,
     WindowChannel,
-    covariance_matrix,
+    sampled_covariance,
 )
 from .errors import ResourceLimitError, ValidationError
 from .field import MarkovFieldSpec, mixing_coefficients, mixing_bound
@@ -337,16 +338,15 @@ def _write_csv(path: Path, header: list, rows) -> int:
     return count
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+def _plain(obj):
+    """``obj`` in JSON's values: numpy scalars and arrays as Python ones, and a NaN or infinite float as None (null)."""
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(value) for value in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _parallel_map(fn, items, threads: int) -> list:
@@ -433,7 +433,7 @@ def _run_covariance(cfg, seed_tree, threads):
         seed = derive_seed(cfg.master_seed, "covariance")
         seed_tree["covariance"] = seed
         trials = _integer(cfg.budget.get("trials", 100_000), "budget.trials", least=1)
-        est = covariance_matrix(model, mode="mc", trials=trials, seed=seed)
+        est = sampled_covariance(model, trials, seed)
         cov, err = est.values, est.stderr
     # rows stream from the matrices to the writer, one matrix row at a time
     rows = (
@@ -660,7 +660,7 @@ def run(cfg: ExperimentConfig, threads: int = 1) -> RunResult:
         "summary": summary,
     }
     with open(summary_path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=_json_default, sort_keys=True)
+        json.dump(_plain(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return RunResult(
         exit_code=exit_code,

@@ -34,7 +34,7 @@ from .bounds import _check_model, empirical_tail, exact_tail
 # Unused here, but kept bound: the benchmark's tracer tests read this name.
 from .channel import weight_distribution as _hidden_weight_distribution
 from .errors import ValidationError
-from .rng import derive_seed, make_generator
+from .rng import _integer, derive_seed, make_generator
 
 __all__ = [
     "CodeModel",
@@ -45,7 +45,6 @@ __all__ = [
     "geometric_ks_statistic",
     "ks_critical_value",
     "lifetime_lower_bound",
-    "per_epoch_failure_prob",
     "scaling_experiment",
     "simulate_retention",
 ]
@@ -151,24 +150,6 @@ class ScalingResult(NamedTuple):
     status: str
 
 
-def per_epoch_failure_prob(model, code: CodeModel, mode: str = "exact", trials: int | None = None, seed: int | None = None):
-    """Probability that one epoch's error weight exceeds the threshold.
-
-    This is the tail of the weight law at the code's correction threshold.
-    ``mode="exact"`` returns :func:`~corrmem.bounds.exact_tail` there, a
-    float; ``mode="mc"`` returns :func:`~corrmem.bounds.empirical_tail`
-    there, a :class:`~corrmem.bounds.TailEstimate` with a Clopper-Pearson
-    interval.
-    """
-    if _check_model(model).n != code.n:
-        raise ValidationError("model and code sizes differ")
-    if mode == "exact":
-        return exact_tail(model, code.correction_threshold)
-    if mode == "mc":
-        return empirical_tail(model, code.correction_threshold, trials, seed)
-    raise ValidationError(f"unknown mode {mode!r}")
-
-
 def simulate_retention(model, code: CodeModel, max_epochs: int, trials: int, seed: int) -> RetentionEstimate:
     """Simulate epochs until the first uncorrectable error, per trial.
 
@@ -186,10 +167,8 @@ def simulate_retention(model, code: CodeModel, max_epochs: int, trials: int, see
     """
     if _check_model(model).n != code.n:
         raise ValidationError("model and code sizes differ")
-    if max_epochs < 1:
-        raise ValidationError("max_epochs must be >= 1")
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    max_epochs = _integer(max_epochs, "max_epochs", 1)
+    trials = _integer(trials, "trials", 1)
     tau = code.correction_threshold
     pool = max(1, _field._STACK_ROWS // min(_EPOCH_BLOCK, max_epochs))
     epochs = np.zeros(trials, dtype=np.int64)
@@ -336,13 +315,16 @@ def scaling_experiment(points, mode: str = "exact", trials: int | None = None, s
         raise ValidationError("Monte Carlo mode requires a seed")
     rows = []
     for idx, (model, code) in enumerate(points):
+        if model.n != code.n:
+            raise ValidationError("model and code sizes differ")
         n, g = model.n, model.mixing_bound() - 1.0
         mixing_sum, rescaled = (g, n / (g * g)) if g > 0.0 else (None, None)
+        # the per-epoch failure probability: the weight's tail at the correction threshold
         if mode == "exact":
-            p = per_epoch_failure_prob(model, code)
+            p = exact_tail(model, code.correction_threshold)
             sampled = dict(resolved=p > 0.0, trials=None, failures=None, ci_lo=None, ci_hi=None)
         else:
-            est = per_epoch_failure_prob(model, code, "mc", trials, derive_seed(seed, "scaling-point", idx))
+            est = empirical_tail(model, code.correction_threshold, trials, derive_seed(seed, "scaling-point", idx))
             p = est.value
             sampled = dict(
                 resolved=est.exceedances >= 10,

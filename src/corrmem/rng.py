@@ -46,10 +46,14 @@ def derive_seed(master_seed: int, label: str, index: int = 0) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _integer(value, name: str) -> int:
+def _integer(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int if it is an integer, not a bool, of at least ``least`` when given; the check of every count."""
     # a plain int skips the slower ABC check: seeds are derived per trial
-    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-        raise ValidationError(f"{name} must be an integer")
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)) or (
+        least is not None and value < least
+    ):
+        what = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}.get(least, f"an integer >= {least}")
+        raise ValidationError(f"{name} must be {what}")
     return int(value)
 
 

@@ -23,7 +23,6 @@ from corrmem import (
     geometric_ks_statistic,
     hoeffding_conditional_bound,
     ks_critical_value,
-    lipschitz_constant,
     mixing_bound,
     mixing_coefficients,
     parse_config,
@@ -159,7 +158,7 @@ def test_05_exact_tails_never_exceed_analytic_bounds():
                     field=field,
                     channel=PerSiteChannel(table=np.tile(rates, (n, 1))),
                 )
-                c = lipschitz_constant(model)
+                c = model.lipschitz()
                 eps = model.mean_rate()
 
                 # conditional fluctuation around each state's own mean

@@ -12,9 +12,7 @@ from corrmem import (
     ThresholdModelSpec,
     ValidationError,
     channel,
-    covariance_matrix,
     sample_errors_batch,
-    site_error_rates,
     tail_scaling_fit,
     weight_law,
 )
@@ -232,7 +230,7 @@ def test_exact_covariance_matches_enumeration_sweep():
 
 def test_exact_covariance_matches_hidden_model_enumeration():
     spec = spec_with_threshold(6, 0.35, 2.0)
-    cov = covariance_matrix(HiddenErrorModel(spec.field, spec.channel))
+    cov = HiddenErrorModel(spec.field, spec.channel).covariance()
     assert spec.moments().covariance == pytest.approx(cov[2, 4], abs=1e-12)
 
 
@@ -364,11 +362,12 @@ def test_retention_bound_infinite_when_trigger_impossible():
     ids=["below", "inside", "above", "n1024"],
 )
 def test_public_functions_ask_the_spec(spec):
-    # one path per quantity: the public functions return the spec's own answers
-    assert np.array_equal(covariance_matrix(spec), spec.covariance())
+    # one path per quantity: the public functions return the spec's own answers, and its
+    # covariance is its moments' pair covariance, not the generic kernels' reading
+    assert np.array_equal(spec.covariance()[0, 1:], np.full(spec.n - 1, spec.moments().covariance))
     assert np.array_equal(weight_law(spec), spec.weight_law())
     assert np.array_equal(channel.weight_distribution(spec), spec.weight_law())
-    assert np.array_equal(site_error_rates(spec), np.full(spec.n, spec.mean_rate()))
+    assert np.array_equal(spec.site_rates(), np.full(spec.n, spec.mean_rate()))
 
 
 def test_weight_distribution_mass_at_n():

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrmem import ThresholdModelSpec, ValidationError, adversarial, covariance_matrix, tail_scaling_fit
+from corrmem import ThresholdModelSpec, ValidationError, adversarial, tail_scaling_fit
 from corrmem.adversarial import (
     _binom_tail_gt,
     _log_pmf,
@@ -211,10 +211,10 @@ def test_marginal_rate_and_decomposition_pinned(spec):
 
 def test_spec_covariance_matrix_matches_mpmath():
     # 6.3e-16 off the diagonal: the table kernels of the same field and
-    # channel read it 49% low, so covariance_matrix must take the spec's walk
+    # channel read it 49% low, so covariance() must take the spec's walk
     spec = ThresholdModelSpec(n=1024, eps=0.1, margin_rate=1.0)
     k = math.floor(spec.threshold)
-    cov = covariance_matrix(spec)
+    cov = spec.covariance()
     with mpmath.workdps(DIGITS + 30):
         pair = mp_pair_covariance(spec.n, spec.eps, k)
         rate = spec.eps + mp_spec_moments(spec.n, spec.eps, k)[0]

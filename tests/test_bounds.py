@@ -18,7 +18,6 @@ from corrmem import (
     empirical_tail,
     exact_tail,
     hoeffding_conditional_bound,
-    lipschitz_constant,
     mixing_bound,
     mixing_coefficients,
     verify_bound,
@@ -140,7 +139,7 @@ def test_combined_bound_dominates_hidden_model_tail():
     model = chain_model(12, 0.5, [0.05, 0.15])
     law = weight_law(model)
     weights = np.arange(13)
-    c = lipschitz_constant(model)
+    c = model.lipschitz()
     m = mixing_bound(mixing_coefficients(model.field))
     eps = model.mean_rate()
     for delta in (0.1, 0.2, 0.3, 0.4):
@@ -294,7 +293,7 @@ def test_verify_bound_report_parameters_resolved():
     model = chain_model(8, 0.25, [0.1, 0.2])
     report = verify_bound(model, delta=0.3, method="exact")
     assert report.n == 8
-    assert report.c == pytest.approx(lipschitz_constant(model))
+    assert report.c == pytest.approx(model.lipschitz())
     assert report.m == pytest.approx(mixing_bound(mixing_coefficients(model.field)))
     assert report.threshold == pytest.approx(8 * (report.eps + 0.3))
     assert report.rate_constant == pytest.approx(

@@ -12,11 +12,8 @@ from corrmem import (
     ThresholdModelSpec,
     ValidationError,
     WindowChannel,
-    covariance_matrix,
-    lipschitz_constant,
-    mixing_profile,
     sample_errors_batch,
-    site_error_rates,
+    sampled_covariance,
 )
 from corrmem.channel import weight_distribution
 from corrmem.oracle import brute_force_lipschitz, conditional_weight_table, exact_error_distribution, expected_errors
@@ -89,7 +86,7 @@ def test_models_built_alike_compare_by_identity():
         field = chain(4, 0.3)
         window = WindowChannel(radius=1, table=np.full((4, 8), 0.1))
         per_site = PerSiteChannel(table=np.tile([0.05, 0.15], (4, 1)))
-        return field, mixing_profile(field), window, per_site, HiddenErrorModel(field, per_site)
+        return field, window, per_site, HiddenErrorModel(field, per_site)
 
     for a, b in zip(build(), build()):
         assert a == a and a != b and not a == b
@@ -172,7 +169,7 @@ def test_exact_law_marginals_match_site_error_rates():
     rng = np.random.default_rng(11)
     model = random_per_site_model(rng, 7)
     law = exact_error_distribution(model).reshape((2,) * 7)
-    rates = site_error_rates(model)
+    rates = model.site_rates()
     for i in range(7):
         axes = tuple(a for a in range(7) if a != i)
         assert law.sum(axis=axes)[1] == pytest.approx(rates[i], abs=1e-10)
@@ -230,14 +227,14 @@ def test_expected_errors_rejects_bad_symbols():
 
 def test_lipschitz_identity_channel():
     model = HiddenErrorModel(field=iid_bernoulli_field(4, 0.3), channel=identity_channel(4))
-    assert lipschitz_constant(model) == pytest.approx(1.0)
+    assert model.lipschitz() == pytest.approx(1.0)
 
 
 def test_lipschitz_constant_channel_is_zero():
     model = HiddenErrorModel(
         field=chain(5, 0.5), channel=PerSiteChannel(table=np.full((5, 2), 0.37))
     )
-    assert lipschitz_constant(model) == 0.0
+    assert model.lipschitz() == 0.0
     assert brute_force_lipschitz(model) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -252,7 +249,7 @@ def test_lipschitz_threshold_example():
 def test_lipschitz_per_site_closed_form_matches_brute_force(seed, n):
     rng = np.random.default_rng(seed)
     model = random_per_site_model(rng, n)
-    closed = lipschitz_constant(model)
+    closed = model.lipschitz()
     brute = brute_force_lipschitz(model)
     assert closed == pytest.approx(brute, abs=1e-10)
 
@@ -274,20 +271,20 @@ def test_covariance_independent_model_off_diagonal_zero():
     rng = np.random.default_rng(3)
     table = rng.random((6, 2))
     model = HiddenErrorModel(field=chain(6, 0.0), channel=PerSiteChannel(table=table))
-    cov = covariance_matrix(model)
+    cov = model.covariance()
     off = cov - np.diag(np.diag(cov))
     assert np.max(np.abs(off)) < 1e-10
 
 
 def test_covariance_threshold_example():
-    cov = covariance_matrix(threshold_model(3, 0.5, 1.0))
+    cov = threshold_model(3, 0.5, 1.0).covariance()
     assert cov[0, 1] == pytest.approx(7.0 / 64.0, abs=1e-12)
 
 
 def test_covariance_symmetric_psd():
     rng = np.random.default_rng(23)
     model = random_per_site_model(rng, 7)
-    cov = covariance_matrix(model)
+    cov = model.covariance()
     assert np.allclose(cov, cov.T, atol=1e-12)
     eigs = np.linalg.eigvalsh(cov)
     assert eigs.min() > -1e-8
@@ -296,16 +293,16 @@ def test_covariance_symmetric_psd():
 def test_covariance_diagonal_is_bernoulli_variance():
     rng = np.random.default_rng(29)
     model = random_per_site_model(rng, 5)
-    cov = covariance_matrix(model)
-    mu = site_error_rates(model)
+    cov = model.covariance()
+    mu = model.site_rates()
     assert np.allclose(np.diag(cov), mu * (1 - mu), atol=1e-12)
 
 
 def test_covariance_mc_within_four_stderr_of_exact():
     rng = np.random.default_rng(37)
     model = random_per_site_model(rng, 6)
-    exact = covariance_matrix(model)
-    est = covariance_matrix(model, mode="mc", trials=300_000, seed=41)
+    exact = model.covariance()
+    est = sampled_covariance(model, trials=300_000, seed=41)
     gap = np.abs(est.values - exact)
     assert np.all(gap <= 4.0 * est.stderr + 1e-9)
 
@@ -314,7 +311,7 @@ def test_covariance_mc_rejects_tiny_trial_count():
     rng = np.random.default_rng(43)
     model = random_per_site_model(rng, 4)
     with pytest.raises(ValidationError):
-        covariance_matrix(model, mode="mc", trials=100, seed=1)
+        sampled_covariance(model, trials=100, seed=1)
 
 
 # --- weight law ------------------------------------------------------------

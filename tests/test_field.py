@@ -12,7 +12,6 @@ from corrmem import (
     correlation_decay_profile,
     mixing_bound,
     mixing_coefficients,
-    mixing_profile,
     sample_field_batch,
     site_marginals,
 )
@@ -220,13 +219,13 @@ def test_mixing_bound_all_ones():
 
 
 def test_mixing_bound_rejects_bad_theta():
-    with pytest.raises(ValidationError):
-        mixing_bound(np.array([0.5, 1.5]))
+    for theta in ([0.5, 1.5], [np.nan]):
+        with pytest.raises(ValidationError):
+            mixing_bound(np.array(theta))
 
 
 def test_mixing_profile_bounds_range():
-    prof = mixing_profile(chain(12, 0.75))
-    assert 1.0 <= prof.bound <= 12.0
+    assert 1.0 <= mixing_bound(mixing_coefficients(chain(12, 0.75))) <= 12.0
 
 
 @given(

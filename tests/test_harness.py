@@ -386,6 +386,31 @@ def test_retention_threshold_summary_reports_ceiling(tmp_path):
     assert payload["summary"]["retention_upper_bound"] == pytest.approx(16.0)
 
 
+def strict_json(text):
+    """``text`` parsed as JSON, refusing the NaN and Infinity tokens that strict parsers reject."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "model, trials, nulls",
+    [
+        ({**CHAIN_MODEL, "channel": {"type": "per_site", "rates": [0.0, 0.0]}}, 8, {"mean", "stderr"}),
+        ({**CHAIN_MODEL, "channel": {"type": "per_site", "rates": [1.0, 1.0]}}, 1, {"stderr"}),
+        ({"type": "threshold", "n": 8, "eps": 0.5, "margin": 10.0}, 8, {"retention_upper_bound"}),
+    ],
+    ids=["all-censored", "one-failure", "never-triggers"],
+)
+def test_summary_writes_values_that_are_not_finite_as_null(tmp_path, model, trials, nulls):
+    data = {"kind": "retention", "out": str(tmp_path), "model": model, "code": {"d": 3}}
+    result = run(parse_config({**data, "budget": {"trials": trials, "max_epochs": 20}}))
+    summary = strict_json(Path(result.summary_path).read_text())["summary"]
+    assert {key for key, value in summary.items() if value is None} == nulls
+
+
 def test_tails_run_and_summary(tmp_path):
     cfg = parse_config(
         {

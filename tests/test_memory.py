@@ -17,14 +17,14 @@ from corrmem import (
     ThresholdModelSpec,
     ValidationError,
     count_exceedances,
-    covariance_matrix,
+    derive_seed,
     empirical_tail,
     exact_tail,
     geometric_ks_statistic,
     ks_critical_value,
     lifetime_lower_bound,
     make_generator,
-    per_epoch_failure_prob,
+    sampled_covariance,
     scaling_experiment,
     simulate_retention,
     verify_bound,
@@ -105,12 +105,12 @@ def test_epoch_step_monotone(d, mode):
     assert CodeModel(n=16, k=1, d=d).correction_threshold <= CodeModel(n=16, k=1, d=d, mode="full_distance").correction_threshold
 
 
-# --- per-epoch failure probability -----------------------------------------
+# --- per-epoch failure probability: the weight's tail at the code's threshold
 
 
 def test_failure_prob_zero_channel():
     model = iid_per_site_model(6, 0.5, 0.0)
-    assert per_epoch_failure_prob(model, CodeModel(n=6, k=1, d=3)) == 0.0
+    assert exact_tail(model, CodeModel(n=6, k=1, d=3).correction_threshold) == 0.0
 
 
 def test_failure_prob_threshold_enumeration_example():
@@ -119,21 +119,21 @@ def test_failure_prob_threshold_enumeration_example():
     spec = ThresholdModelSpec.from_threshold(3, 0.5, 1.0)
     code = CodeModel(n=3, k=1, d=3, mode="full_distance")
     assert code.correction_threshold == 2
-    assert per_epoch_failure_prob(spec, code) == pytest.approx(0.5, abs=1e-12)
+    assert exact_tail(spec, code.correction_threshold) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_failure_prob_binomial_oracle():
     model = iid_per_site_model(10, 0.5, 0.1)  # field irrelevant, q constant
     code = CodeModel(n=10, k=1, d=6, mode="full_distance")  # tau = 5
     expected = float(stats.binom.sf(5, 10, 0.1))
-    assert per_epoch_failure_prob(model, code) == pytest.approx(expected, abs=1e-12)
+    assert exact_tail(model, code.correction_threshold) == pytest.approx(expected, abs=1e-12)
 
 
 def test_failure_prob_certain_trigger_is_one():
     # negative threshold: every epoch triggers, every epoch exceeds tau=3
     spec = ThresholdModelSpec.from_threshold(4, 0.5, -1.0)
     code = CodeModel(n=4, k=1, d=4, mode="full_distance")
-    assert per_epoch_failure_prob(spec, code) == pytest.approx(1.0)
+    assert exact_tail(spec, code.correction_threshold) == pytest.approx(1.0)
 
 
 def test_failure_prob_mc_agrees_with_exact():
@@ -141,21 +141,24 @@ def test_failure_prob_mc_agrees_with_exact():
     for trial in range(5):
         model = random_per_site_model(rng, 8)
         code = CodeModel(n=8, k=1, d=int(rng.integers(1, 9)))
-        exact = per_epoch_failure_prob(model, code)
-        est = per_epoch_failure_prob(model, code, mode="mc", trials=40_000, seed=trial)
+        exact = exact_tail(model, code.correction_threshold)
+        est = empirical_tail(model, code.correction_threshold, trials=40_000, seed=trial)
         sigma = math.sqrt(max(exact * (1 - exact), 1e-12) / est.trials)
         assert abs(est.value - exact) < 4 * sigma + 1e-9
 
 
 def test_failure_prob_is_the_tail_at_the_correction_threshold():
+    # the failure probability a scaling point reports, exact or sampled
     rng = np.random.default_rng(17)
-    for model in (random_per_site_model(rng, 8), ThresholdModelSpec.from_threshold(8, 0.3, 4.5)):
+    for family in (lambda n: random_per_site_model(rng, n), lambda n: ThresholdModelSpec.from_threshold(n, 0.3, 4.5)):
         for d in (1, 4, 8):
-            code = CodeModel(n=8, k=1, d=d, mode="full_distance")
-            tau = code.correction_threshold
-            assert per_epoch_failure_prob(model, code) == exact_tail(model, tau)
-            sampled = per_epoch_failure_prob(model, code, mode="mc", trials=2000, seed=d)
-            assert sampled == empirical_tail(model, tau, trials=2000, seed=d)
+            points = [(family(n), CodeModel(n=n, k=1, d=min(d, n), mode="full_distance")) for n in (5, 6, 7, 8)]
+            exact, sampled = scaling_experiment(points), scaling_experiment(points, "mc", trials=2000, seed=d)
+            for idx, ((model, code), e, s) in enumerate(zip(points, exact.points, sampled.points)):
+                tau = code.correction_threshold
+                assert e.p_fail == exact_tail(model, tau)
+                want = empirical_tail(model, tau, trials=2000, seed=derive_seed(d, "scaling-point", idx))
+                assert (s.p_fail, s.failures, s.ci_lo, s.ci_hi) == (want.value, want.exceedances, want.ci_lo, want.ci_hi)
 
 
 @pytest.mark.parametrize("family", ["hidden", "threshold"])
@@ -184,9 +187,9 @@ def test_failure_prob_mc_requires_seed_and_trials():
     model = iid_per_site_model(4, 0.5, 0.1)
     code = CodeModel(n=4, k=1, d=3)
     with pytest.raises(ValidationError):
-        per_epoch_failure_prob(model, code, mode="mc", trials=50, seed=1)
+        empirical_tail(model, code.correction_threshold, trials=50, seed=1)
     with pytest.raises(ValidationError):
-        per_epoch_failure_prob(model, code, mode="mc", trials=5000)
+        empirical_tail(model, code.correction_threshold, trials=5000, seed=None)
 
 
 # --- retention simulation ---------------------------------------------------
@@ -368,6 +371,15 @@ def test_scaling_requires_four_sizes():
         scaling_experiment(scaling_points((8, 12, 16), 0.5, 0.1, 0.4))
 
 
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_scaling_rejects_a_model_and_code_of_different_sizes(mode):
+    points = scaling_points((8, 12, 16, 20), 0.5, 0.1, 0.4)
+    model, code = points[2]
+    points[2] = (model, CodeModel(n=code.n + 1, k=1, d=code.d))
+    with pytest.raises(ValidationError, match="sizes differ"):
+        scaling_experiment(points, mode, trials=1000, seed=0)
+
+
 def test_scaling_mc_mode_matches_exact_roughly():
     points = scaling_points((8, 12, 16, 20), 0.5, 0.3, 0.5)
     exact = scaling_experiment(points)
@@ -392,7 +404,7 @@ def test_weight_law_agrees_between_model_families():
             assert np.allclose(direct, hidden, rtol=0.0, atol=1e-12), (threshold, method)
         for k in range(-2, spec.n + 2):
             assert spec.tail(k) == pytest.approx(embedded.tail(k), rel=0.0, abs=1e-12), (threshold, k)
-        direct, hidden = (covariance_matrix(m, mode="mc", trials=2000, seed=5) for m in (spec, embedded))
+        direct, hidden = (sampled_covariance(m, trials=2000, seed=5) for m in (spec, embedded))
         assert np.array_equal(direct.values, hidden.values) and np.array_equal(direct.stderr, hidden.stderr)
         assert np.array_equal(weight_law(spec), spec.weight_law())
         assert np.array_equal(weight_law(embedded), embedded.weight_law())
@@ -414,10 +426,10 @@ ENTRY_POINTS = {
     "exact_tail": lambda m: exact_tail(m, 1.0),
     "empirical_tail": lambda m: empirical_tail(m, 1.0, trials=1000, seed=0),
     "count_exceedances": lambda m: count_exceedances(m, make_generator(0), 1000, 1.0),
-    "per_epoch_failure_prob": lambda m: per_epoch_failure_prob(m, _CODE),
     "simulate_retention": lambda m: simulate_retention(m, _CODE, max_epochs=10, trials=10, seed=0),
     "verify_bound": lambda m: verify_bound(m, 0.1, method="exact"),
     "scaling_experiment": lambda m: scaling_experiment([(m, _CODE)] * 4),
+    "scaling_experiment_mc": lambda m: scaling_experiment([(m, _CODE)] * 4, "mc", trials=1000, seed=0),
 }
 
 

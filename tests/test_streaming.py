@@ -15,15 +15,19 @@ import pytest
 
 import corrmem.field as field
 from corrmem import (
+    CodeModel,
     HiddenErrorModel,
     PerSiteChannel,
     ThresholdModelSpec,
     ValidationError,
     WindowChannel,
+    clopper_pearson,
     count_exceedances,
-    covariance_matrix,
     make_generator,
     sample_errors_batch,
+    sample_field_batch,
+    sampled_covariance,
+    simulate_retention,
 )
 from corrmem.channel import _skipped
 from corrmem.oracle import expected_errors
@@ -122,7 +126,7 @@ def test_mc_covariance_streams_its_trials():
     model = HiddenErrorModel(field=chain(64, 0.5), channel=PerSiteChannel(table=np.tile([0.05, 0.15], (64, 1))))
     # one (2048, 128) uniform block is 2 MiB and its (2048, 64) float error
     # bits 1 MiB; the (50 000, 64) uint8 error block would be 3.05 MiB more
-    assert traced_peak(lambda: covariance_matrix(model, mode="mc", trials=50_000, seed=0)) < 5 * 2**20
+    assert traced_peak(lambda: sampled_covariance(model, trials=50_000, seed=0)) < 5 * 2**20
 
 
 def int64_covariance(model, seed, trials):
@@ -141,7 +145,7 @@ def int64_covariance(model, seed, trials):
 def test_covariance_mc_pools_slices_exactly(name):
     model = random_per_site_model(np.random.default_rng(3), 6) if name == "per-site" else window_model(7)
     # 5 000 trials: two full 2048-row slices and a short one
-    est = covariance_matrix(model, mode="mc", trials=5000, seed=17)
+    est = sampled_covariance(model, trials=5000, seed=17)
     values, stderr = int64_covariance(model, 17, 5000)
     assert np.array_equal(est.values, values)
     assert np.array_equal(est.stderr, stderr)
@@ -163,6 +167,27 @@ def test_expected_errors_accepts_integer_valued_floats():
 def test_count_exceedances_rejects_trials_that_are_not_non_negative_integers(trials):
     with pytest.raises(ValidationError, match="non-negative integer"):
         count_exceedances(window_model(5), make_generator(0), trials, 1.0)
+
+
+COUNTED = {
+    "simulate_retention-max_epochs": lambda k: simulate_retention(window_model(5), CodeModel(n=5, k=1, d=3), k, 10, 0),
+    "simulate_retention-trials": lambda k: simulate_retention(window_model(5), CodeModel(n=5, k=1, d=3), 10, k, 0),
+    "sample_errors_batch": lambda k: sample_errors_batch(window_model(5), 0, k),
+    "sample_field_batch": lambda k: sample_field_batch(chain(5, 0.5), 0, k),
+    "sampled_covariance": lambda k: sampled_covariance(window_model(5), k, 0),
+    "count_exceedances": lambda k: count_exceedances(window_model(5), make_generator(0), k, 1.0),
+    "sample_weights": lambda k: window_model(5).sample_weights([make_generator(0)], k),
+    "threshold-sample_weights": lambda k: ThresholdModelSpec(n=5, eps=0.2, margin=0.5).sample_weights([make_generator(0)], k),
+    "clopper_pearson-count": lambda k: clopper_pearson(k, 5000),
+    "clopper_pearson-trials": lambda k: clopper_pearson(1, k),
+}
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, 1000.5, 2000.0, np.float64(3.0), True, "3"], ids=repr)
+@pytest.mark.parametrize("call", sorted(COUNTED))
+def test_every_count_is_checked_as_an_integer(call, count):
+    with pytest.raises(ValidationError, match="integer"):
+        COUNTED[call](count)
 
 
 def test_count_exceedances_of_no_trials_is_zero():

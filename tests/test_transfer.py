@@ -28,9 +28,6 @@ from corrmem import (
     ThresholdModelSpec,
     WindowChannel,
     correlation_decay_profile,
-    covariance_matrix,
-    lipschitz_constant,
-    site_error_rates,
     site_marginals,
     symmetric_binary_field,
     weight_law,
@@ -117,9 +114,9 @@ def test_weight_law_rates_and_covariance_match_error_vector_law(params):
     np.fill_diagonal(cov, rates * (1.0 - rates))
 
     np.testing.assert_allclose(weight_distribution(model), weights, rtol=0, atol=TOL)
-    np.testing.assert_allclose(site_error_rates(model), rates, rtol=0, atol=TOL)
+    np.testing.assert_allclose(model.site_rates(), rates, rtol=0, atol=TOL)
     assert model.mean_rate() == pytest.approx(rates.mean(), rel=0, abs=TOL)
-    np.testing.assert_allclose(covariance_matrix(model), cov, rtol=0, atol=TOL)
+    np.testing.assert_allclose(model.covariance(), cov, rtol=0, atol=TOL)
     # every tail is the last column of its own capped pass, off the range too
     tails = [model.tail(k) for k in range(-2, n + 2)]
     expected = [weights[max(k + 1, 0) :].sum() for k in range(-2, n + 2)]
@@ -137,14 +134,14 @@ def test_per_site_rates_equal_site_marginal_read_out(seed, n, alphabet_size):
         field=sparse_field(rng, n, alphabet_size), channel=PerSiteChannel(table=table)
     )
     expected = (site_marginals(model.field) * table).sum(axis=1)
-    assert np.array_equal(site_error_rates(model), expected)
+    assert np.array_equal(model.site_rates(), expected)
 
 
 @settings(max_examples=150, deadline=None)
 @given(models())
 def test_lipschitz_auto_matches_brute_force(params):
     model = random_model(*params)
-    auto = lipschitz_constant(model)
+    auto = model.lipschitz()
     assert auto == pytest.approx(brute_force_lipschitz(model), rel=0, abs=TOL)
 
 
@@ -188,7 +185,7 @@ def test_covariance_has_no_cancellation_at_long_lags():
         field=symmetric_binary_field(n, 0.1),
         channel=PerSiteChannel(table=np.tile([0.05, 0.15], (n, 1))),
     )
-    cov = covariance_matrix(model)
+    cov = model.covariance()
     for k in range(1, n):
         assert cov[0, k] == pytest.approx(0.0025 * 0.1**k, rel=1e-12, abs=0)
 
@@ -198,7 +195,7 @@ def test_threshold_channel_covariance_at_three_hundred_sites(threshold):
     # below 0, inside [0, n), and at or above n: the pair pass against the
     # threshold family's closed forms, far past any enumeration
     spec = ThresholdModelSpec.from_threshold(300, 0.1, threshold)
-    cov = covariance_matrix(HiddenErrorModel(spec.field, spec.channel))
+    cov = HiddenErrorModel(spec.field, spec.channel).covariance()
     np.testing.assert_allclose(cov, spec.covariance(), rtol=0, atol=1e-12)
 
 
@@ -212,14 +209,14 @@ def test_identity_threshold_channel_reads_out_like_a_table(monkeypatch, offset):
     calls = []
     real = corrmem.channel._threshold_joint
     monkeypatch.setattr(corrmem.channel, "_threshold_joint", lambda *args, **kw: calls.append(args) or real(*args, **kw))
-    rates, cov = site_error_rates(model), covariance_matrix(model)
+    rates, cov = model.site_rates(), model.covariance()
     if offset < -1.0:
         assert len(calls) == 2
         return
     assert not calls
     table = HiddenErrorModel(field=field, channel=PerSiteChannel(table=np.tile([0.0, 1.0], (n, 1))))
-    np.testing.assert_allclose(rates, site_error_rates(table), rtol=0, atol=1e-15)
-    np.testing.assert_allclose(cov, covariance_matrix(table), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rates, table.site_rates(), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(cov, table.covariance(), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -228,8 +225,8 @@ def test_threshold_below_zero_fires_on_every_configuration(seed):
     # 0, even where the chain's total mass does not round to 1
     field = sparse_field(np.random.default_rng(seed), 40, 2)
     model = HiddenErrorModel(field=field, channel=GlobalThresholdChannel(threshold=-0.5))
-    assert np.array_equal(site_error_rates(model), np.ones(40))
-    assert np.array_equal(covariance_matrix(model), np.zeros((40, 40)))
+    assert np.array_equal(model.site_rates(), np.ones(40))
+    assert np.array_equal(model.covariance(), np.zeros((40, 40)))
 
 
 def test_exact_threshold_covariance_leaves_the_oracle_unimported(tmp_path):
