@@ -3,7 +3,8 @@
 Every experiment kind is driven by one JSON object; ``corrmem <kind>
 --config file.json`` and the in-process ``run`` below produce identical
 bytes for identical seeds, whatever the worker count.  This builds two
-configs in a temp directory, runs them, and shows what lands on disk.
+configs in a temp directory, runs them, shows what lands on disk, and
+removes the directory on exit.
 """
 
 import json
@@ -21,9 +22,7 @@ def show(path, limit=6):
         print(f"    ... ({len(lines) - limit} more rows)")
 
 
-def main():
-    out = Path(tempfile.mkdtemp(prefix="corrmem-demo-"))
-
+def main(out):
     tails = {
         "kind": "tails",
         "master_seed": 42,
@@ -65,8 +64,9 @@ def main():
     a = (out / "tails" / "tails.csv").read_bytes()
     b = Path(rerun.csv_path).read_bytes()
     print(f"tails rerun with 8 threads byte-identical: {a == b}")
-    print(f"(outputs under {out})")
+    print(f"(outputs under {out}, removed on exit)")
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory(prefix="corrmem-demo-") as tmp:
+        main(Path(tmp))

@@ -41,6 +41,7 @@ import numpy as np
 from .channel import GlobalThresholdChannel, HiddenErrorModel, _epoch_rows
 from .errors import ValidationError
 from .field import MarkovFieldSpec
+from .rng import _integer
 
 __all__ = [
     "TailScalingFit",
@@ -120,8 +121,7 @@ class ThresholdModelSpec(HiddenErrorModel):
 
     def __post_init__(self):
         """Validate the parameters; the field is binary by construction, so the field checks do not run."""
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValidationError("n must be a positive integer")
+        object.__setattr__(self, "n", _integer(self.n, "n", 1))
         eps = float(self.eps)
         if not 0.0 < eps < 1.0:
             raise ValidationError("eps must lie strictly between 0 and 1")
@@ -147,8 +147,7 @@ class ThresholdModelSpec(HiddenErrorModel):
         ulps that gives ``threshold`` is taken, else one that gives its floor.
         A margin whose threshold overflows is never taken while one does not.
         """
-        if n < 1:
-            raise ValidationError("n must be a positive integer")
+        n = _integer(n, "n", 1)
         eps, target = float(eps), float(threshold)
         margin = (target - n * eps) / math.sqrt(n)
 

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import HiddenErrorModel, _require_mc
+from .channel import _check_model, _require_mc
 from .errors import ValidationError
 from .rng import _integer, make_generator
 
@@ -164,13 +164,6 @@ class TailReport(NamedTuple):
     vacuous: bool
     verdict: str
     method: str
-
-
-def _check_model(model):
-    """``model`` itself if it is a :class:`HiddenErrorModel` (a threshold spec is one); else ValidationError."""
-    if not isinstance(model, HiddenErrorModel):
-        raise ValidationError(f"unsupported model type {type(model).__name__}")
-    return model
 
 
 def weight_law(model) -> np.ndarray:

@@ -31,11 +31,11 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from . import field as _field
 from .errors import EnumerationLimitError, ValidationError
 from .field import (
     ENUM_LIMIT,
     MarkovFieldSpec,
+    _blocks,
     _inverse_cdf_walk,
     mixing_bound,
     mixing_coefficients,
@@ -77,8 +77,7 @@ class WindowChannel:
     table: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.radius, int) or self.radius < 0:
-            raise ValidationError("window radius must be a non-negative integer")
+        object.__setattr__(self, "radius", _integer(self.radius, "window radius", 0))
         if self.radius > MAX_WINDOW_RADIUS:
             raise ValidationError(
                 f"window radius {self.radius} exceeds the supported maximum "
@@ -227,10 +226,17 @@ class HiddenErrorModel:
         if not out.size:
             return out
         lo = 0
-        for bits in _error_bits(self, _stacked_blocks(gens, count, self.n)):
+        for bits in _error_bits(self, _blocks(gens, count, self.n, parts=2)):
             out[lo : lo + len(bits)] = np.count_nonzero(bits, axis=1)
             lo += len(bits)
         return out
+
+
+def _check_model(model):
+    """``model`` itself if it is a :class:`HiddenErrorModel` (a threshold spec is one); else ValidationError."""
+    if not isinstance(model, HiddenErrorModel):
+        raise ValidationError(f"unsupported model type {type(model).__name__}")
+    return model
 
 
 class CovarianceEstimate(NamedTuple):
@@ -277,73 +283,9 @@ def _site_probabilities(model: HiddenErrorModel, x: np.ndarray) -> np.ndarray:
     return c.table.take(code + np.arange(0, code.shape[0] * width, width)[:, None])
 
 
-def _skipped(bitgen: "np.random.Philox", doubles: int) -> dict:
-    """The state ``bitgen`` would reach after ``doubles`` more doubles; ``bitgen`` is untouched.
-
-    Philox emits four 64-bit words per counter step and ``advance`` moves
-    the counter in O(1), so only the words left in the current block and
-    the words into the last block are drawn, on a side generator.
-    """
-    if not isinstance(bitgen, np.random.Philox):
-        raise ValidationError("streamed draws need a Philox generator, as make_generator returns")
-    side = np.random.Philox(key=0)
-    side.state = state = bitgen.state
-    head = min(doubles, 4 - state["buffer_pos"])
-    side.random_raw(head)
-    if doubles > head:
-        side.advance((doubles - head) // 4)
-        side.random_raw((doubles - head) % 4)
-    return side.state
-
-
 def _epoch_rows(gens, count: int) -> int:
     """Rows of a ``sample_weights`` call, ``len(gens) * count``, once ``count`` is checked."""
     return len(gens) * _integer(count, "count", 0)
-
-
-def _epoch_blocks(gen: "np.random.Generator", count: int, n: int):
-    """The uniform blocks of ``count`` epochs from ``gen``, ``_STACK_ROWS`` epochs at a time.
-
-    The stream holds a (count, n) walk block and then a (count, n) error
-    block.  For each slice this draws the slice's rows of the walk block and
-    then those of the error block into one buffer, through two cursors, the
-    second started ``count * n`` doubles ahead.  ``gen`` is switched between
-    them and ends where drawing both blocks whole would have left it.
-    """
-    rows = _field._STACK_ROWS
-    bitgen = gen.bit_generator
-    walk, error = bitgen.state, _skipped(bitgen, count * n)
-    buf = np.empty((min(rows, count), n))
-    for lo in range(0, count, rows):
-        block = buf[: min(rows, count - lo)]
-        bitgen.state = walk
-        yield gen.random(block.shape, out=block)
-        walk, bitgen.state = bitgen.state, error
-        yield gen.random(block.shape, out=block)
-        error = bitgen.state
-
-
-def _stacked_blocks(gens, count: int, n: int):
-    """Walk and error blocks of ``count`` epochs from each of ``gens`` in turn.
-
-    Blocks of at most ``_STACK_ROWS`` rows are drawn into the rows of one
-    buffer of up to that many rows, generator by generator: the walk blocks,
-    then the error blocks.  Longer ones are streamed by :func:`_epoch_blocks`.
-    """
-    rows = _field._STACK_ROWS
-    if count > rows:
-        for gen in gens:
-            yield from _epoch_blocks(gen, count, n)
-        return
-    per = rows // count
-    buf = np.empty((min(per, len(gens)) * count, n))
-    for lo in range(0, len(gens), per):
-        group = gens[lo : lo + per]
-        block = buf[: len(group) * count]
-        for _ in range(2):
-            for gen, part in zip(group, block.reshape(len(group), count, n)):
-                gen.random(part.shape, out=part)
-            yield block
 
 
 def _error_bits(model: HiddenErrorModel, blocks):
@@ -375,7 +317,7 @@ def _trial_bits(model: HiddenErrorModel, seed: int, trials: int):
     stream is split into its walk and error halves.
     """
     n = model.n
-    slices = _field._uniform_slices(make_generator(seed), trials, 2 * n)
+    slices = _blocks([make_generator(seed)], trials, 2 * n)
     return _error_bits(model, (half for u in slices for half in (u[:, :n], u[:, n:])))
 
 
@@ -388,8 +330,9 @@ def sample_errors_batch(model: HiddenErrorModel, seed: int, trials: int) -> np.n
     concatenation of single-trial draws.  The stream is drawn ``_STACK_ROWS``
     trials at a time and read out in chunks of ``_READ_CELLS`` cells.
     """
+    n = _check_model(model).n
     trials = _integer(trials, "trials", 1)
-    out = np.empty((trials, model.n), dtype=np.uint8)
+    out = np.empty((trials, n), dtype=np.uint8)
     lo = 0
     for bits in _trial_bits(model, seed, trials):
         out[lo : lo + len(bits)] = bits
@@ -634,6 +577,7 @@ def sampled_covariance(model: HiddenErrorModel, trials: int, seed: int) -> Covar
     :class:`CovarianceEstimate` whose ``stderr`` is the asymptotic standard
     error of each entry.
     """
+    _check_model(model)
     trials = _require_mc(trials, seed)
     # Integer counts below 2**53, so float64 (and BLAS) sums them exactly.
     counts = np.zeros(model.n)

@@ -82,13 +82,11 @@ class MarkovFieldSpec:
     kernels: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValidationError("n must be a positive integer")
-        if not isinstance(self.alphabet_size, int) or self.alphabet_size < 2:
-            raise ValidationError("alphabet_size must be an integer >= 2")
-        if self.alphabet_size > 256:
+        object.__setattr__(self, "n", _integer(self.n, "n", 1))
+        s = _integer(self.alphabet_size, "alphabet_size", 2)
+        if s > 256:
             raise ValidationError("alphabets larger than 256 symbols are not supported")
-        s = self.alphabet_size
+        object.__setattr__(self, "alphabet_size", s)
         initial = _as_distribution(self.initial, "initial")
         if initial.shape != (s,):
             raise ValidationError(
@@ -137,11 +135,11 @@ def mixing_coefficients(spec: MarkovFieldSpec) -> np.ndarray:
     has coefficient 0; a permutation kernel has coefficient 1.
     """
     kernels = spec.kernels
-    if kernels.shape[0] == 0:
-        return np.zeros(0)
-    diffs = np.abs(kernels[:, :, None, :] - kernels[:, None, :, :]).sum(axis=-1)
-    theta = 0.5 * diffs.max(axis=(1, 2))
-    return np.clip(theta, 0.0, 1.0)
+    widest = np.zeros(len(kernels))
+    # one reference row at a time keeps the temporary at (n - 1, S, S)
+    for a in range(spec.alphabet_size):
+        np.maximum(widest, np.abs(kernels - kernels[:, a : a + 1]).sum(axis=2).max(axis=1), out=widest)
+    return np.clip(0.5 * widest, 0.0, 1.0)
 
 
 def mixing_bound(theta) -> float:
@@ -193,12 +191,58 @@ def _inverse_cdf_walk(spec: MarkovFieldSpec, u: np.ndarray) -> np.ndarray:
     return x
 
 
-def _uniform_slices(gen: "np.random.Generator", rows: int, width: int):
-    """A row-major (rows, width) uniform block from ``gen``, ``_STACK_ROWS`` rows at a time, in one buffer."""
-    buf = np.empty((min(_STACK_ROWS, rows), width))
-    for lo in range(0, rows, _STACK_ROWS):
-        u = buf[: min(_STACK_ROWS, rows - lo)]
-        yield gen.random(u.shape, out=u)
+def _skipped(bitgen: "np.random.Philox", doubles: int) -> dict:
+    """The state ``bitgen`` would reach after ``doubles`` more doubles; ``bitgen`` is untouched.
+
+    Philox emits four 64-bit words per counter step and ``advance`` moves
+    the counter in O(1), so only the words left in the current block and
+    the words into the last block are drawn, on a side generator.
+    """
+    if not isinstance(bitgen, np.random.Philox):
+        raise ValidationError("streamed draws need a Philox generator, as make_generator returns")
+    side = np.random.Philox(key=0)
+    side.state = state = bitgen.state
+    head = min(doubles, 4 - state["buffer_pos"])
+    side.random_raw(head)
+    if doubles > head:
+        side.advance((doubles - head) // 4)
+        side.random_raw((doubles - head) % 4)
+    return side.state
+
+
+def _blocks(gens, count: int, width: int, parts: int = 1):
+    """Row slices of ``parts`` consecutive (count, width) uniform blocks, ``count > 0``, from each of ``gens`` in turn.
+
+    Every slice is drawn into one buffer of at most ``_STACK_ROWS`` rows.
+    Blocks that fit are stacked across generators, and each stack yields its
+    part-0 rows, then its part-1 rows, and so on.  A longer block is cut
+    into slices of ``_STACK_ROWS`` rows, each part read through its own
+    cursor on the generator, part ``p`` started ``p * count * width``
+    doubles ahead; the last part's cursor is read last, so the generator
+    ends where drawing every part whole would have left it.
+    """
+    rows = _STACK_ROWS
+    if count <= rows:
+        per = rows // count
+        buf = np.empty((min(per, len(gens)) * count, width))
+        for lo in range(0, len(gens), per):
+            group = gens[lo : lo + per]
+            block = buf[: len(group) * count]
+            for _ in range(parts):
+                for gen, part in zip(group, block.reshape(len(group), count, width)):
+                    gen.random(part.shape, out=part)
+                yield block
+        return
+    buf = np.empty((rows, width))
+    for gen in gens:
+        bitgen = gen.bit_generator
+        cursors = [bitgen.state] + [_skipped(bitgen, p * count * width) for p in range(1, parts)]
+        for lo in range(0, count, rows):
+            block = buf[: min(rows, count - lo)]
+            for p in range(parts):
+                bitgen.state = cursors[p]
+                yield gen.random(block.shape, out=block)
+                cursors[p] = bitgen.state
 
 
 def sample_field_batch(spec: MarkovFieldSpec, seed: int, trials: int) -> np.ndarray:
@@ -210,10 +254,12 @@ def sample_field_batch(spec: MarkovFieldSpec, seed: int, trials: int) -> np.ndar
     drawn from the same seed.  The block is drawn and walked
     ``_STACK_ROWS`` rows at a time.
     """
+    if not isinstance(spec, MarkovFieldSpec):
+        raise ValidationError(f"unsupported field type {type(spec).__name__}")
     trials = _integer(trials, "trials", 1)
     out = np.empty((trials, spec.n), dtype=np.uint8)
     lo = 0
-    for u in _uniform_slices(make_generator(seed), trials, spec.n):
+    for u in _blocks([make_generator(seed)], trials, spec.n):
         out[lo : lo + len(u)] = _inverse_cdf_walk(spec, u.T).T
         lo += len(u)
     return out

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import field as _field
 from .adversarial import _line_fit
-from .bounds import _check_model, empirical_tail, exact_tail
+from .bounds import empirical_tail, exact_tail
+from .channel import _check_model
 # Unused here, but kept bound: the benchmark's tracer tests read this name.
 from .channel import weight_distribution as _hidden_weight_distribution
 from .errors import ValidationError
@@ -67,12 +68,14 @@ class CodeModel:
     mode: str = "half_distance"
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValidationError("n must be a positive integer")
-        if not isinstance(self.k, int) or not 0 <= self.k < self.n:
+        n = _integer(self.n, "n", 1)
+        k, d = _integer(self.k, "k"), _integer(self.d, "d")
+        if not 0 <= k < n:
             raise ValidationError("k must be an integer with 0 <= k < n")
-        if not isinstance(self.d, int) or not 1 <= self.d <= self.n:
+        if not 1 <= d <= n:
             raise ValidationError("d must be an integer with 1 <= d <= n")
+        for name, value in (("n", n), ("k", k), ("d", d)):
+            object.__setattr__(self, name, value)
         if self.mode not in ("half_distance", "full_distance"):
             raise ValidationError(
                 f"mode must be 'half_distance' or 'full_distance', got {self.mode!r}"
@@ -272,8 +275,7 @@ def lifetime_lower_bound(n: int, distance_fraction: float, confidence: float | N
     overall failure probability below ``1 - confidence``.  The default
     confidence ``1 - 1/n`` gives ``exp(distance_fraction * n - log n)``.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError("n must be a positive integer")
+    n = _integer(n, "n", 1)
     b = float(distance_fraction)
     if not 0.0 < b < 1.0:
         raise ValidationError("distance_fraction must lie strictly between 0 and 1")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,21 @@ def test_mixing_coefficient_identity_kernel_is_one():
 def test_mixing_coefficient_quarter_flip():
     # flip probability 0.25 -> half the row gap is 0.5
     assert mixing_coefficients(chain(3, 0.5))[0] == pytest.approx(0.5)
+
+
+def test_mixing_coefficients_stay_small_and_equal_the_broadcast_formula():
+    spec = random_field(np.random.default_rng(8), 32, alphabet_size=64)
+    tracemalloc.start()
+    try:
+        theta = mixing_coefficients(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (31, 64, 64, 64) difference array of all row pairs would be 62 MiB
+    assert peak < 16 * 2**20
+    k = spec.kernels
+    pairs = np.abs(k[:, :, None, :] - k[:, None, :, :]).sum(axis=-1)
+    assert np.array_equal(theta, np.clip(0.5 * pairs.max(axis=(1, 2)), 0.0, 1.0))
 
 
 def test_mixing_bound_iid():

@@ -1,11 +1,12 @@
 """Streamed sampling: skip-ahead cursors, bounded memory and exact pooling.
 
-Samplers draw and read out their uniforms ``field._STACK_ROWS`` rows at a
-time.  An epoch block (a walk block, then an error block) longer than that
-is read through two cursors on the caller's generator, the second placed by
-``Philox.advance``.  Every block is drawn into one reused buffer and read
-out site by site; these tests hold the cursors to the whole-block draw and
-the memory to that one block of uniforms.
+Every sampler draws its uniforms through one slicer, ``field._blocks``, in
+slices of at most ``field._STACK_ROWS`` rows.  Blocks that fit are stacked
+across generators into one buffer.  A longer block is cut into slices, and
+when a generator supplies several consecutive blocks (an epoch's walk block,
+then its error block), each is read through its own cursor, placed by
+``Philox.advance``.  These tests hold the cursors to the whole-block draw and
+the memory to that one buffer of uniforms.
 """
 
 import tracemalloc
@@ -17,19 +18,21 @@ import corrmem.field as field
 from corrmem import (
     CodeModel,
     HiddenErrorModel,
+    MarkovFieldSpec,
     PerSiteChannel,
     ThresholdModelSpec,
     ValidationError,
     WindowChannel,
     clopper_pearson,
     count_exceedances,
+    lifetime_lower_bound,
     make_generator,
     sample_errors_batch,
     sample_field_batch,
     sampled_covariance,
     simulate_retention,
 )
-from corrmem.channel import _skipped
+from corrmem.field import _blocks, _skipped
 from corrmem.oracle import expected_errors
 
 from conftest import chain, random_per_site_model
@@ -61,17 +64,36 @@ def test_skip_refuses_a_generator_that_is_not_philox():
         _skipped(np.random.PCG64(1), 10)
 
 
-@pytest.mark.parametrize("count", [64, 250, 700])
-def test_streamed_epochs_leave_the_generator_where_a_whole_draw_would(count, monkeypatch):
-    model = window_model(9)
-    # 100-row slices: one slice, three with a short one, and seven
+def by_first_column(rows):
+    return rows[np.argsort(rows[:, 0])]
+
+
+# two parts are an epoch's walk and error blocks, as sample_weights draws them
+@pytest.mark.parametrize(
+    "count, parts",
+    [
+        pytest.param(count, parts, id=str(count) if parts == 2 else f"{count}-one-part")
+        for parts in (2, 1)
+        for count in (30, 64, 100, 101, 250, 700)
+    ],
+)
+def test_streamed_epochs_leave_the_generator_where_a_whole_draw_would(count, parts, monkeypatch):
+    # 100-row slices: stacks of three and of one generator, one whole slice,
+    # then two with a short one, three and seven
     monkeypatch.setattr(field, "_STACK_ROWS", 100)
-    gen = make_generator(5)
-    gen.random(3)
-    model.sample_weights([gen], count)
-    after = make_generator(5)
-    after.random(3 + 2 * count * model.n)
-    assert np.array_equal(gen.random(5), after.random(5))
+    gens = [make_generator(seed) for seed in range(3)]
+    for gen in gens:
+        gen.random(3)
+    drawn = np.concatenate([block.copy() for block in _blocks(gens, count, 9, parts)])
+    whole = [make_generator(seed) for seed in range(3)]
+    for w in whole:
+        w.random(3)
+    wanted = np.concatenate([w.random((parts * count, 9)) for w in whole])
+    # every row of every generator's blocks is drawn once, and one part's in stream order
+    assert np.array_equal(by_first_column(drawn), by_first_column(wanted))
+    assert parts == 2 or np.array_equal(drawn, wanted)
+    for gen, w in zip(gens, whole):
+        assert np.array_equal(gen.random(5), w.random(5))
 
 
 @pytest.mark.parametrize("count", [30, 64, 250])
@@ -180,6 +202,15 @@ COUNTED = {
     "threshold-sample_weights": lambda k: ThresholdModelSpec(n=5, eps=0.2, margin=0.5).sample_weights([make_generator(0)], k),
     "clopper_pearson-count": lambda k: clopper_pearson(k, 5000),
     "clopper_pearson-trials": lambda k: clopper_pearson(1, k),
+    "MarkovFieldSpec-n": lambda k: MarkovFieldSpec(n=k, alphabet_size=2, initial=[0.5, 0.5], kernels=chain(5, 0.5).kernels),
+    "MarkovFieldSpec-alphabet_size": lambda k: MarkovFieldSpec(n=5, alphabet_size=k, initial=[0.5, 0.5], kernels=chain(5, 0.5).kernels),
+    "ThresholdModelSpec-n": lambda k: ThresholdModelSpec(n=k, eps=0.2, margin=0.5),
+    "ThresholdModelSpec.from_threshold-n": lambda k: ThresholdModelSpec.from_threshold(k, 0.1, 3.0),
+    "CodeModel-n": lambda k: CodeModel(n=k, k=0, d=1),
+    "CodeModel-k": lambda k: CodeModel(n=5, k=k, d=1),
+    "CodeModel-d": lambda k: CodeModel(n=5, k=0, d=k),
+    "WindowChannel-radius": lambda k: WindowChannel(radius=k, table=np.full((5, 8), 0.1)),
+    "lifetime_lower_bound-n": lambda k: lifetime_lower_bound(k, 0.3),
 }
 
 
@@ -188,6 +219,28 @@ COUNTED = {
 def test_every_count_is_checked_as_an_integer(call, count):
     with pytest.raises(ValidationError, match="integer"):
         COUNTED[call](count)
+
+
+def test_numpy_sizes_are_accepted_as_ints():
+    spec = MarkovFieldSpec(n=np.int64(5), alphabet_size=np.uint8(2), initial=[0.5, 0.5], kernels=chain(5, 0.5).kernels)
+    code = CodeModel(n=np.int64(5), k=np.int32(1), d=np.int16(3))
+    sizes = (spec.n, spec.alphabet_size, code.n, code.k, code.d, ThresholdModelSpec(n=np.int64(5), eps=0.2, margin=0.5).n)
+    assert sizes == (5, 2, 5, 1, 3, 5)
+    assert all(type(size) is int for size in sizes)
+    assert type(WindowChannel(radius=np.int64(1), table=np.full((5, 8), 0.1)).radius) is int
+
+
+NON_MODEL_SAMPLERS = {
+    "sampled_covariance": lambda: sampled_covariance("not a model", 1000, 0),
+    "sample_errors_batch": lambda: sample_errors_batch("not a model", 0, 10),
+    "sample_field_batch": lambda: sample_field_batch("x", 0, 10),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NON_MODEL_SAMPLERS))
+def test_samplers_reject_what_is_not_a_model(call):
+    with pytest.raises(ValidationError, match="unsupported (model|field) type str"):
+        NON_MODEL_SAMPLERS[call]()
 
 
 def test_count_exceedances_of_no_trials_is_zero():
