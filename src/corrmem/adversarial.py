@@ -212,6 +212,7 @@ class ThresholdModelSpec(HiddenErrorModel):
         Weights strictly between ``floor(B)`` and ``n`` carry no mass, so
         from ``floor(B)`` up to ``n`` the tail is the trigger probability.
         """
+        k = _integer(k, "k")
         return 0.0 if k >= self.n else _binom_tail_gt(self.n, self.eps, min(k, self.threshold))
 
     def sample_weights(self, gens, count: int) -> np.ndarray:

@@ -62,8 +62,7 @@ def hoeffding_conditional_bound(beta: float, n: int) -> float:
     """
     if beta < 0.0:
         raise ValidationError("beta must be non-negative")
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    n = _integer(n, "n", 1)
     return 2.0 * math.exp(-(beta**2) * n)
 
 
@@ -86,8 +85,7 @@ def chain_tail_bound(beta: float, n: int, c: float, m: float) -> float:
     """
     if beta < 0.0:
         raise ValidationError("beta must be non-negative")
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    n = _integer(n, "n", 1)
     if c < 0.0:
         raise ValidationError("c must be non-negative")
     if m < 1.0:

@@ -35,8 +35,10 @@ from .errors import EnumerationLimitError, ValidationError
 from .field import (
     ENUM_LIMIT,
     MarkovFieldSpec,
+    _advance,
     _blocks,
     _inverse_cdf_walk,
+    _window_marginals,
     mixing_bound,
     mixing_coefficients,
 )
@@ -212,6 +214,7 @@ class HiddenErrorModel:
 
     def tail(self, k: int) -> float:
         """``P(sum Y > k)``: the last column of the weight pass capped at ``k``."""
+        k = _integer(k, "k")
         if not 0 <= k < self.n:
             return 1.0 if k < 0 else 0.0
         return float(_weight_pass(self, k)[-1])
@@ -378,19 +381,6 @@ def _lift(model: HiddenErrorModel):
     return start, steps, table
 
 
-def _advance(alpha: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Slide window-indexed mass (axis 0) one site to the right."""
-    s = kernel.shape[0]
-    if alpha.shape[0] == s:
-        return kernel.T @ alpha
-    # Drop the leftmost symbol, then append the next one; the new symbol
-    # depends on the last symbol of the window, ``suffix % s``.
-    tail = alpha.reshape(s, -1, *alpha.shape[1:]).sum(axis=0)
-    rows = kernel[np.arange(tail.shape[0]) % s]
-    moved = tail[:, None] * rows.reshape(rows.shape + (1,) * (alpha.ndim - 1))
-    return moved.reshape(alpha.shape)
-
-
 def _pull(col: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Conditional expectation one site back: ``(T col)(w)`` for (W, m) ``col``."""
     s = kernel.shape[0]
@@ -399,14 +389,6 @@ def _pull(col: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     nxt = col.reshape(-1, s, col.shape[1])
     rows = kernel[np.arange(nxt.shape[0]) % s]
     return np.tile(np.einsum("kb,kbm->km", rows, nxt), (s, 1))
-
-
-def _window_marginals(start: np.ndarray, steps) -> np.ndarray:
-    """Law of the window at every site, shape (n, W)."""
-    out = [start]
-    for kernel in steps:
-        out.append(_advance(out[-1], kernel))
-    return np.array(out)
 
 
 def _add_bit(law: np.ndarray, q: np.ndarray) -> None:

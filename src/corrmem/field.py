@@ -163,11 +163,28 @@ def mixing_bound(theta) -> float:
 
 def site_marginals(spec: MarkovFieldSpec) -> np.ndarray:
     """Marginal distribution of each site, shape (n, alphabet_size)."""
-    out = np.empty((spec.n, spec.alphabet_size))
-    out[0] = spec.initial
-    for i, kernel in enumerate(spec.kernels):
-        out[i + 1] = out[i] @ kernel
-    return out
+    return _window_marginals(spec.initial, spec.kernels)
+
+
+def _advance(alpha: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Slide window-indexed mass (axis 0) one site to the right."""
+    s = kernel.shape[0]
+    if alpha.shape[0] == s:
+        return kernel.T @ alpha
+    # Drop the leftmost symbol, then append the next one; the new symbol
+    # depends on the last symbol of the window, ``suffix % s``.
+    tail = alpha.reshape(s, -1, *alpha.shape[1:]).sum(axis=0)
+    rows = kernel[np.arange(tail.shape[0]) % s]
+    moved = tail[:, None] * rows.reshape(rows.shape + (1,) * (alpha.ndim - 1))
+    return moved.reshape(alpha.shape)
+
+
+def _window_marginals(start: np.ndarray, steps) -> np.ndarray:
+    """Law of the window at every site, shape (n, W)."""
+    out = [start]
+    for kernel in steps:
+        out.append(_advance(out[-1], kernel))
+    return np.array(out)
 
 
 def _inverse_cdf_walk(spec: MarkovFieldSpec, u: np.ndarray) -> np.ndarray:
@@ -278,13 +295,9 @@ def correlation_decay_profile(spec: MarkovFieldSpec, site: int) -> np.ndarray:
     """
     if spec.alphabet_size != 2:
         raise ValidationError("correlation_decay_profile requires a binary field")
+    site = _integer(site, "site")
     if not 0 <= site < spec.n:
         raise ValidationError(f"site {site} out of range for n={spec.n}")
-    out = np.zeros(spec.n - 1 - site)
     if site_marginals(spec)[site].min() <= 0.0:
-        return out
-    gap = np.array([-1.0, 1.0])
-    for k, kernel in enumerate(spec.kernels[site:]):
-        gap = gap @ kernel
-        out[k] = abs(gap[1])
-    return out
+        return np.zeros(spec.n - 1 - site)
+    return np.abs(_window_marginals(np.array([-1.0, 1.0]), spec.kernels[site:])[1:, 1])

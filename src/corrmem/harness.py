@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, rng
 from .adversarial import ThresholdModelSpec
 from .bounds import verify_bound
 from .channel import (
@@ -75,6 +75,7 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed"))
         # seeds are u64: a larger one would quietly run as itself mod 2**64
         _require(0 <= self.master_seed < 1 << 64, "master_seed must lie in [0, 2**64)")
 
@@ -123,13 +124,12 @@ def parse_config(data: dict, kind: str | None = None) -> ExperimentConfig:
     extra = set(data) - known
     if extra:
         raise ConfigError(f"unknown config field(s): {sorted(extra)}")
-    seed = _integer(data.get("master_seed", 0), "master_seed")
     for block in ("model", "code", "grid", "budget", "params"):
         if block in data and not isinstance(data[block], dict):
             raise ConfigError(f"config field {block!r} must be an object")
     cfg = ExperimentConfig(
         kind=resolved,
-        master_seed=seed,
+        master_seed=data.get("master_seed", 0),
         out=str(data.get("out", ".")),
         model=data.get("model"),
         code=data.get("code"),
@@ -157,14 +157,13 @@ def _number(value, name: str) -> float:
 
 
 def _integer(value, name: str, least: int | None = None) -> int:
-    """An integer or an integral float as an int, at least ``least`` if given."""
+    """:func:`rng._integer` of an integer or an integral float, raising a ``ConfigError``."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    valid = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    if not valid or (least is not None and value < least):
-        bound = {None: "an", 0: "a non-negative", 1: "a positive"}[least]
-        raise ConfigError(f"{name} must be {bound} integer")
-    return int(value)
+    try:
+        return rng._integer(value, name, least)
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _list_of(read, value, name: str, least: int = 0) -> list:
@@ -637,8 +636,7 @@ def run(cfg: ExperimentConfig, threads: int = 1) -> RunResult:
     4 when ``verify-all`` finds a violated bound.  Validation and resource
     errors propagate as exceptions for the caller to map to exit codes.
     """
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
+    threads = _integer(threads, "threads", 1)
     started = time.monotonic()
     seed_tree: dict = {"master_seed": cfg.master_seed}
     header, rows, summary, exit_code = _RUNNERS[cfg.kind](cfg, seed_tree, threads)

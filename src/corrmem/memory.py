@@ -224,11 +224,11 @@ def geometric_ks_statistic(failure_epochs, p: float) -> float:
     """
     if not 0.0 < p <= 1.0:
         raise ValidationError("p must lie in (0, 1]")
-    epochs = np.asarray(failure_epochs, dtype=np.int64)
-    if epochs.size == 0 or epochs.min() < 1:
+    epochs = np.asarray(failure_epochs)
+    if epochs.dtype.kind not in "iu" or epochs.size == 0 or epochs.min() < 1:
         raise ValidationError("failure epochs must be positive integers")
     t_max = int(epochs.max())
-    counts = np.bincount(epochs, minlength=t_max + 1)[1:]
+    counts = np.bincount(epochs.astype(np.intp), minlength=t_max + 1)[1:]
     emp = np.cumsum(counts) / epochs.size
     t = np.arange(1, t_max + 1)
     geom = 1.0 - (1.0 - p) ** t
@@ -256,8 +256,7 @@ def ks_critical_value(samples: int, alpha: float = 0.01) -> float:
     The root of ``P(K > x) = alpha``, bisected to adjacent floats.  Since
     ``P(K > x) < 2 exp(-2 x^2)``, it lies below ``sqrt(log(2 / alpha) / 2)``.
     """
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
+    samples = _integer(samples, "samples", 1)
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must lie in (0, 1)")
     lo, hi = 0.0, math.sqrt(math.log(2.0 / alpha) / 2.0)

@@ -68,6 +68,17 @@ def test_parse_rejects_bad_master_seed():
     with pytest.raises(ConfigError, match="master_seed"):
         parse_config({"kind": "verify-all", "master_seed": 2**64 + 5})
     assert parse_config({"kind": "verify-all", "master_seed": 2**64 - 1}).master_seed == 2**64 - 1
+    for seed in (True, 2.5, "3"):
+        with pytest.raises(ConfigError, match="master_seed must be an integer"):
+            harness.ExperimentConfig(kind="verify-all", master_seed=seed)
+        with pytest.raises(ConfigError, match="master_seed must be an integer"):
+            parse_config({"kind": "verify-all", "master_seed": seed})
+
+
+def test_an_integral_master_seed_reads_as_an_int():
+    for cfg in (harness.ExperimentConfig(kind="verify-all", master_seed=7.0), parse_config({"kind": "verify-all", "master_seed": 7.0})):
+        assert cfg.master_seed == 7 and type(cfg.master_seed) is int
+    assert type(harness.ExperimentConfig(kind="verify-all", master_seed=np.uint64(7)).master_seed) is int
 
 
 def test_parse_rejects_non_object_block():
@@ -525,6 +536,15 @@ def test_verify_all_byte_identical_across_threads(tmp_path):
     assert runs[0][1]["threads"] == 1 and runs[2][1]["threads"] == 8
 
 
+@pytest.mark.parametrize("threads", [True, 2.5, "3", 0], ids=repr)
+def test_threads_is_checked_as_a_positive_integer(tmp_path, threads):
+    cfg = parse_config({"kind": "mixing", "out": str(tmp_path), "model": {"field": {"theta": 0.3}}, "grid": {"n_values": [4]}})
+    with pytest.raises(ConfigError, match="threads must be a positive integer"):
+        run(cfg, threads=threads)
+    assert not (tmp_path / "mixing.csv").exists()
+    assert run(cfg, threads=2).exit_code == 0
+
+
 def test_seeded_tails_byte_identical_across_threads(tmp_path):
     data = {
         "kind": "tails",
@@ -631,6 +651,11 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     code = main(["tails", "--config", path])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_zero_threads_exit_2(tmp_path, capsys):
+    assert main(["verify-all", "--out", str(tmp_path), "--threads", "0"]) == 2
+    assert "threads must be a positive integer" in capsys.readouterr().err
 
 
 def test_cli_kind_mismatch_exit_2(tmp_path, capsys):

@@ -276,6 +276,19 @@ def test_geometric_ks_rejects_censored_zeros():
         geometric_ks_statistic(np.array([0, 3, 5]), 0.5)
 
 
+@pytest.mark.parametrize("epochs", [[2.7, 3.9], [2.0, 3.0], [True, True], []], ids=repr)
+def test_geometric_ks_rejects_what_is_not_an_integer_array(epochs):
+    # [2.7, 3.9] once read as [2, 3]
+    with pytest.raises(ValidationError, match="failure epochs must be positive integers"):
+        geometric_ks_statistic(epochs, 0.5)
+
+
+def test_geometric_ks_reads_any_integer_dtype():
+    expected = geometric_ks_statistic([2, 3], 0.5)
+    for dtype in (np.int8, np.uint16, np.int64, np.uint64):
+        assert geometric_ks_statistic(np.array([2, 3], dtype=dtype), 0.5) == expected
+
+
 def _mp_kolmogorov_root(alpha, guess):
     # the alternating series alone, summed at 40 digits and solved by secant;
     # for x > 0.3 its terms past k = 60 are below 1e-280

@@ -23,8 +23,13 @@ from corrmem import (
     ThresholdModelSpec,
     ValidationError,
     WindowChannel,
+    chain_tail_bound,
     clopper_pearson,
+    combined_tail_bound,
+    correlation_decay_profile,
     count_exceedances,
+    hoeffding_conditional_bound,
+    ks_critical_value,
     lifetime_lower_bound,
     make_generator,
     sample_errors_batch,
@@ -211,6 +216,13 @@ COUNTED = {
     "CodeModel-d": lambda k: CodeModel(n=5, k=0, d=k),
     "WindowChannel-radius": lambda k: WindowChannel(radius=k, table=np.full((5, 8), 0.1)),
     "lifetime_lower_bound-n": lambda k: lifetime_lower_bound(k, 0.3),
+    "hoeffding_conditional_bound-n": lambda k: hoeffding_conditional_bound(0.1, k),
+    "chain_tail_bound-n": lambda k: chain_tail_bound(0.1, k, 1.0, 2.0),
+    "combined_tail_bound-n": lambda k: combined_tail_bound(0.1, 0.2, k, 1.0, 2.0),
+    "ks_critical_value-samples": lambda k: ks_critical_value(k),
+    "tail-k": lambda k: window_model(5).tail(k),
+    "threshold-tail-k": lambda k: ThresholdModelSpec(n=5, eps=0.2, margin=0.5).tail(k),
+    "correlation_decay_profile-site": lambda k: correlation_decay_profile(chain(5, 0.5), k),
 }
 
 
@@ -228,6 +240,10 @@ def test_numpy_sizes_are_accepted_as_ints():
     assert sizes == (5, 2, 5, 1, 3, 5)
     assert all(type(size) is int for size in sizes)
     assert type(WindowChannel(radius=np.int64(1), table=np.full((5, 8), 0.1)).radius) is int
+    assert hoeffding_conditional_bound(0.1, np.int64(3)) == hoeffding_conditional_bound(0.1, 3)
+    assert ks_critical_value(np.uint16(30)) == ks_critical_value(30)
+    assert window_model(5).tail(np.int8(1)) == window_model(5).tail(1)
+    assert np.array_equal(correlation_decay_profile(chain(5, 0.5), np.int32(1)), correlation_decay_profile(chain(5, 0.5), 1))
 
 
 NON_MODEL_SAMPLERS = {
