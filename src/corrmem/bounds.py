@@ -128,7 +128,11 @@ def clopper_pearson(count: int, trials: int, confidence: float = 0.95) -> tuple[
 
 
 class TailEstimate(NamedTuple):
-    """Sampled exceedance probability with a Clopper-Pearson interval."""
+    """Exceedance probability with a Clopper-Pearson interval when sampled.
+
+    An exact estimate is a point: ``value == ci_lo == ci_hi`` and
+    ``trials == exceedances == 0``.
+    """
 
     value: float
     ci_lo: float
@@ -208,6 +212,16 @@ def empirical_tail(model, threshold: float, trials: int, seed: int) -> TailEstim
     )
 
 
+def _tail_estimate(model, threshold: float, method: str, trials: int | None, seed: int | None) -> TailEstimate:
+    """``P(sum Y > threshold)`` by ``method``: ``"exact"`` as a point, ``"mc"`` sampled."""
+    if method == "exact":
+        p = exact_tail(model, threshold)
+        return TailEstimate(value=p, ci_lo=p, ci_hi=p, trials=0, exceedances=0)
+    if method == "mc":
+        return empirical_tail(model, threshold, trials, seed)
+    raise ValidationError(f"unknown method {method!r}")
+
+
 def _verdict(ci_lo: float, ci_hi: float, bound: float) -> str:
     if ci_hi <= bound:
         return "dominated"
@@ -230,9 +244,10 @@ def verify_bound(
 
     Unsupplied ingredients are computed from the model: ``eps`` as the exact
     mean error rate, ``c`` as the Lipschitz constant of the conditional mean
-    error count, ``m`` as the chain mixing bound.  ``method="exact"``
-    resolves the tail through :func:`exact_tail` (the interval collapses to
-    a point); ``method="mc"`` samples it.
+    error count, ``m`` as the chain mixing bound.  The tail is one
+    :class:`TailEstimate`: ``method="exact"`` reads it through
+    :func:`exact_tail` as a point with ``trials == 0``; ``method="mc"``
+    samples it through :func:`empirical_tail`.
     """
     n = _check_model(model).n
     if eps is None:
@@ -243,14 +258,7 @@ def verify_bound(
         m = model.mixing_bound()
     threshold = n * (eps + delta)
     bound = combined_tail_bound(eps, delta, n, c, m)
-    if method == "exact":
-        p = exact_tail(model, threshold)
-        estimate, ci_lo, ci_hi, used = p, p, p, 0
-    elif method == "mc":
-        est = empirical_tail(model, threshold, trials, seed)
-        estimate, ci_lo, ci_hi, used = est.value, est.ci_lo, est.ci_hi, est.trials
-    else:
-        raise ValidationError(f"unknown method {method!r}")
+    est = _tail_estimate(model, threshold, method, trials, seed)
     rate = chain_rate_constant(c, m) if c > 0.0 else math.inf
     return TailReport(
         n=n,
@@ -260,12 +268,12 @@ def verify_bound(
         c=float(c),
         m=float(m),
         rate_constant=rate,
-        estimate=float(estimate),
-        ci_lo=float(ci_lo),
-        ci_hi=float(ci_hi),
-        trials=used,
+        estimate=float(est.value),
+        ci_lo=float(est.ci_lo),
+        ci_hi=float(est.ci_hi),
+        trials=est.trials,
         bound=float(bound),
         vacuous=bound >= 1.0,
-        verdict=_verdict(ci_lo, ci_hi, bound),
+        verdict=_verdict(est.ci_lo, est.ci_hi, bound),
         method=method,
     )

@@ -62,7 +62,9 @@ class ExperimentConfig:
     """A validated experiment description.
 
     ``model``, ``code``, ``grid``, ``budget``, and ``params`` hold the raw
-    config blocks; which ones must be present depends on ``kind``.
+    config blocks; which ones must be present depends on ``kind``.  Built
+    directly or by ``dataclasses.replace``, a config is checked as
+    :func:`parse_config` checks one.
     """
 
     kind: str
@@ -75,9 +77,28 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        kind = self.kind
+        _require(kind in KINDS, f"unknown experiment kind {kind!r}; expected one of {KINDS}")
+        # each block is an object (model and code may be absent), held as a copy of the caller's
+        for block in ("model", "code", "grid", "budget", "params"):
+            value = getattr(self, block)
+            _require(isinstance(value, dict) or value is None and block in ("model", "code"), f"config field {block!r} must be an object")
+            object.__setattr__(self, block, None if value is None else dict(value))
         object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed"))
         # seeds are u64: a larger one would quietly run as itself mod 2**64
         _require(0 <= self.master_seed < 1 << 64, "master_seed must lie in [0, 2**64)")
+        for block, key in _REQUIRED_BY_KIND.get(kind, ()):
+            given = getattr(self, block)
+            if key is None:
+                _require(given is not None, f"kind {kind!r} requires a {block!r} block")
+            elif block == "model":
+                _require(key in given, f"{kind} model block must contain {key!r}")
+            else:
+                _require(key in given, f"{kind} {block} must set {key!r}")
+        if "n_values" in self.grid:
+            _sizes(self)
+        if kind in ("covariance", "tails", "scaling"):
+            _require(self.params.get("method", "exact") in ("exact", "mc"), f"{kind} params.method must be 'exact' or 'mc'")
 
 
 class RunResult(NamedTuple):
@@ -117,28 +138,20 @@ def parse_config(data: dict, kind: str | None = None) -> ExperimentConfig:
         raise ConfigError("experiment kind missing (no 'kind' field and none given)")
     if file_kind is not None and kind is not None and file_kind != kind:
         raise ConfigError(f"config kind {file_kind!r} does not match requested {kind!r}")
-    resolved = kind if kind is not None else file_kind
-    if resolved not in KINDS:
-        raise ConfigError(f"unknown experiment kind {resolved!r}; expected one of {KINDS}")
     known = {"kind", "master_seed", "out", "model", "code", "grid", "budget", "params"}
     extra = set(data) - known
     if extra:
         raise ConfigError(f"unknown config field(s): {sorted(extra)}")
-    for block in ("model", "code", "grid", "budget", "params"):
-        if block in data and not isinstance(data[block], dict):
-            raise ConfigError(f"config field {block!r} must be an object")
-    cfg = ExperimentConfig(
-        kind=resolved,
+    return ExperimentConfig(
+        kind=kind if kind is not None else file_kind,
         master_seed=data.get("master_seed", 0),
         out=str(data.get("out", ".")),
         model=data.get("model"),
         code=data.get("code"),
-        grid=dict(data.get("grid", {})),
-        budget=dict(data.get("budget", {})),
-        params=dict(data.get("params", {})),
+        grid=data.get("grid", {}),
+        budget=data.get("budget", {}),
+        params=data.get("params", {}),
     )
-    _validate_kind_blocks(cfg)
-    return cfg
 
 
 def _require(condition: bool, message: str) -> None:
@@ -193,20 +206,6 @@ _REQUIRED_BY_KIND = {
     "adversarial-scan": [("grid", "n_values"), ("params", "eps"), ("params", "margin_rates")],
     "scaling": [("model", None), ("grid", "n_values"), ("params", "distance_fraction")],
 }
-
-
-def _validate_kind_blocks(cfg: ExperimentConfig) -> None:
-    kind = cfg.kind
-    for block, key in _REQUIRED_BY_KIND.get(kind, ()):
-        given = getattr(cfg, block)
-        if key is None:
-            _require(given is not None, f"kind {kind!r} requires a {block!r} block")
-        elif block == "model":
-            _require(key in given, f"{kind} model block must contain {key!r}")
-        else:
-            _require(key in given, f"{kind} {block} must set {key!r}")
-    if "n_values" in cfg.grid:
-        _sizes(cfg)
 
 
 def _sizes(cfg: ExperimentConfig) -> list:
@@ -420,8 +419,6 @@ _COVARIANCE_SITE_LIMIT = 1 << 11
 def _run_covariance(cfg, seed_tree, threads):
     model = _build_model(cfg.model)
     method = cfg.params.get("method", "exact")
-    if method not in ("exact", "mc"):
-        raise ConfigError("covariance params.method must be 'exact' or 'mc'")
     if model.n > _COVARIANCE_SITE_LIMIT:
         raise ResourceLimitError(f"covariance over n={model.n} sites exceeds the limit of {_COVARIANCE_SITE_LIMIT}")
     if method == "exact":
@@ -558,20 +555,7 @@ def _run_scaling(cfg, seed_tree, threads):
         seed_tree["scaling"] = seed
         seed_tree["scaling-point"] = {"base": seed, "label": "scaling-point", "count": len(points)}
     result = scaling_experiment(points, mode=mode, trials=trials, seed=seed)
-    rows = []
-    for point in result.points:
-        exact = point.trials is None
-        rows.append(
-            (
-                point.n,
-                fraction,
-                0 if exact else point.trials,
-                0 if exact else point.failures,
-                point.p_fail,
-                point.p_fail if exact else point.ci_lo,
-                point.p_fail if exact else point.ci_hi,
-            )
-        )
+    rows = [(pt.n, fraction, pt.trials, pt.failures, pt.p_fail, pt.ci_lo, pt.ci_hi) for pt in result.points]
     summary = {
         "slope": result.slope,
         "intercept": result.intercept,

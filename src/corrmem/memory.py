@@ -30,7 +30,7 @@ import numpy as np
 
 from . import field as _field
 from .adversarial import _line_fit
-from .bounds import empirical_tail, exact_tail
+from .bounds import _tail_estimate
 from .channel import _check_model
 # Unused here, but kept bound: the benchmark's tracer tests read this name.
 from .channel import weight_distribution as _hidden_weight_distribution
@@ -124,6 +124,8 @@ class LifetimeBound(NamedTuple):
 class ScalingPoint(NamedTuple):
     """One grid point of a failure-scaling experiment.
 
+    Its tail fields come from a :class:`~corrmem.bounds.TailEstimate`: an exact
+    point has ``trials == failures == 0`` and ``ci_lo == ci_hi == p_fail``.
     ``mixing_sum`` is the largest summed product of mixing coefficients of
     the latent chain (zero correlation mass for memoryless models, reported
     as None there along with ``rescaled_size``); ``rescaled_size`` is
@@ -135,10 +137,10 @@ class ScalingPoint(NamedTuple):
     p_fail: float
     ln_p_fail: float | None
     resolved: bool
-    trials: int | None
-    failures: int | None
-    ci_lo: float | None
-    ci_hi: float | None
+    trials: int
+    failures: int
+    ci_lo: float
+    ci_hi: float
     mixing_sum: float | None
     rescaled_size: float | None
 
@@ -301,19 +303,16 @@ def scaling_experiment(points, mode: str = "exact", trials: int | None = None, s
     """Fit log per-epoch failure probability against code size.
 
     ``points`` is a sequence of ``(model, code)`` pairs covering at least
-    four distinct sizes.  Monte Carlo points need at least ten observed
-    failures to count as resolved; exact points are unresolved only when
-    the failure probability underflows to zero.  A negative fitted slope
-    with R^2 >= 0.9 is flagged ``exponential-lifetime-consistent``.
+    four distinct sizes, each with its tail read by ``mode``, ``"exact"`` or
+    ``"mc"``.  Monte Carlo points need at least ten observed failures to
+    count as resolved; exact points are unresolved only when the failure
+    probability underflows to zero.  A negative fitted slope with
+    R^2 >= 0.9 is flagged ``exponential-lifetime-consistent``.
     """
     points = list(points)
     sizes = {_check_model(model).n for model, _ in points}
     if len(sizes) < 4:
         raise ValidationError("scaling_experiment requires at least 4 distinct sizes")
-    if mode not in ("exact", "mc"):
-        raise ValidationError(f"unknown mode {mode!r}")
-    if mode == "mc" and seed is None:
-        raise ValidationError("Monte Carlo mode requires a seed")
     rows = []
     for idx, (model, code) in enumerate(points):
         if model.n != code.n:
@@ -321,27 +320,21 @@ def scaling_experiment(points, mode: str = "exact", trials: int | None = None, s
         n, g = model.n, model.mixing_bound() - 1.0
         mixing_sum, rescaled = (g, n / (g * g)) if g > 0.0 else (None, None)
         # the per-epoch failure probability: the weight's tail at the correction threshold
-        if mode == "exact":
-            p = exact_tail(model, code.correction_threshold)
-            sampled = dict(resolved=p > 0.0, trials=None, failures=None, ci_lo=None, ci_hi=None)
-        else:
-            est = empirical_tail(model, code.correction_threshold, trials, derive_seed(seed, "scaling-point", idx))
-            p = est.value
-            sampled = dict(
-                resolved=est.exceedances >= 10,
-                trials=est.trials,
-                failures=est.exceedances,
-                ci_lo=est.ci_lo,
-                ci_hi=est.ci_hi,
-            )
+        point_seed = None if seed is None else derive_seed(seed, "scaling-point", idx)
+        est = _tail_estimate(model, code.correction_threshold, mode, trials, point_seed)
+        p = est.value
         rows.append(
             ScalingPoint(
                 n=n,
                 p_fail=p,
                 ln_p_fail=math.log(p) if p > 0.0 else None,
+                resolved=est.exceedances >= 10 if est.trials else p > 0.0,
+                trials=est.trials,
+                failures=est.exceedances,
+                ci_lo=est.ci_lo,
+                ci_hi=est.ci_hi,
                 mixing_sum=mixing_sum,
                 rescaled_size=rescaled,
-                **sampled,
             )
         )
     fit_rows = [r for r in rows if r.resolved and r.ln_p_fail is not None]

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +122,13 @@ def test_grid_sizes_must_be_a_nonempty_list():
                 "params": {"distance_fraction": 0.3},
             }
         )
+
+
+def test_a_config_built_directly_is_checked():
+    with pytest.raises(ConfigError, match="unknown experiment kind 'warp'; expected one of"):
+        run(harness.ExperimentConfig(kind="warp"))
+    with pytest.raises(ConfigError, match="kind 'tails' requires a 'model' block"):
+        run(harness.ExperimentConfig(kind="tails"))
 
 
 def test_load_config_reports_json_position(tmp_path):
@@ -467,6 +476,27 @@ def test_scaling_run_exact(tmp_path):
     assert payload["summary"]["slope"] < 0
 
 
+# SHA-256 of each CSV at seed 0, recorded while exact and sampled tails still
+# took separate code paths: a change to the tail path that moves a byte fails here
+PINNED_CSVS = {
+    "scaling-exact": "3c9a8fc550555ea37a2653d61956f31ddd6788ce3f7bc632913d9d19eef34c02",
+    "scaling-mc": "6a56ae3caeecd6b17d3209ac4fddbdbd8814236984175c334d8c89b4611d4069",
+    "tails-mc": "d85363284825f4a3b1df39aa21fa8dc629e3d0fa994cd751ef922437ec0799e2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CSVS))
+def test_tail_csvs_keep_their_bytes(tmp_path, name):
+    kind, method = name.split("-")
+    config = {"kind": kind, "out": str(tmp_path), "model": CHAIN_MODEL, "budget": {"trials": 2000}}
+    if kind == "scaling":
+        config.update(grid={"n_values": [4, 6, 8, 10]}, params={"method": method, "distance_fraction": 0.3})
+    else:
+        config.update(params={"method": method, "deltas": [0.1, 0.2]})
+    csv = Path(run(parse_config(config)).csv_path).read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == PINNED_CSVS[name]
+
+
 def test_verify_all_run_all_dominated(tmp_path):
     cfg = parse_config({"kind": "verify-all", "out": str(tmp_path)})
     result = run(cfg)
@@ -740,6 +770,19 @@ def scan(**params):
 
 def set_in(config, block, **values):
     return {**config, block: {**config[block], **values}}
+
+
+@pytest.mark.parametrize(
+    "kind, config",
+    [("tails", tails(CHAIN_MODEL)), ("scaling", SCALING), ("covariance", {"model": CHAIN_MODEL})],
+)
+def test_params_method_is_checked_when_the_config_is_built(kind, config):
+    cfg = parse_config({"kind": kind, **config})
+    message = f"{kind} params.method must be 'exact' or 'mc'"
+    with pytest.raises(ConfigError, match=message):
+        parse_config({"kind": kind, **config, "params": {**cfg.params, "method": "warp"}})
+    with pytest.raises(ConfigError, match=message):
+        replace(cfg, params={**cfg.params, "method": "warp"})
 
 
 @pytest.mark.parametrize(

@@ -393,6 +393,17 @@ def test_scaling_rejects_a_model_and_code_of_different_sizes(mode):
         scaling_experiment(points, mode, trials=1000, seed=0)
 
 
+def test_an_exact_scaling_point_is_a_point_estimate():
+    for point in scaling_experiment(scaling_points((8, 12, 16, 20), 0.5, 0.3, 0.5)).points:
+        assert point.trials == point.failures == 0
+        assert point.ci_lo == point.ci_hi == point.p_fail
+
+
+def test_scaling_rejects_an_unknown_method():
+    with pytest.raises(ValidationError, match="unknown method 'warp'"):
+        scaling_experiment(scaling_points((8, 12, 16, 20), 0.5, 0.1, 0.4), "warp")
+
+
 def test_scaling_mc_mode_matches_exact_roughly():
     points = scaling_points((8, 12, 16, 20), 0.5, 0.3, 0.5)
     exact = scaling_experiment(points)
