@@ -242,14 +242,16 @@ def verify_bound(
 ) -> TailReport:
     """Confront the combined ceiling with the model's actual tail.
 
-    Unsupplied ingredients are computed from the model: ``eps`` as the exact
-    mean error rate, ``c`` as the Lipschitz constant of the conditional mean
-    error count, ``m`` as the chain mixing bound.  The tail is one
-    :class:`TailEstimate`: ``method="exact"`` reads it through
-    :func:`exact_tail` as a point with ``trials == 0``; ``method="mc"``
-    samples it through :func:`empirical_tail`.
+    Once ``method`` is known to be ``"exact"`` or ``"mc"``, unsupplied
+    ingredients come from the model: ``eps`` as the exact mean error rate,
+    ``c`` as the Lipschitz constant of the conditional mean error count,
+    ``m`` as the chain mixing bound.  The tail is one :class:`TailEstimate`:
+    ``method="exact"`` reads it through :func:`exact_tail` as a point with
+    ``trials == 0``; ``method="mc"`` samples it through :func:`empirical_tail`.
     """
     n = _check_model(model).n
+    if method not in ("exact", "mc"):
+        raise ValidationError(f"unknown method {method!r}")
     if eps is None:
         eps = model.mean_rate()
     if c is None:

@@ -540,21 +540,20 @@ def _run_scaling(cfg, seed_tree, threads):
     fraction = _number(cfg.params["distance_fraction"], "params.distance_fraction")
     if not 0.0 < fraction <= 1.0:
         raise ConfigError("scaling params.distance_fraction must lie in (0, 1]")
-    mode = cfg.params.get("method", "exact")
+    method = cfg.params.get("method", "exact")
     code_block = dict(cfg.code or {})
     points = []
     for n in sizes:
         model = _build_model(cfg.model, n)
         code_block["d"] = max(1, math.ceil(fraction * n))
         points.append((model, _build_code(code_block, n)))
-    trials = cfg.budget.get("trials")
-    seed = None
-    if mode == "mc":
+    trials = seed = None
+    if method == "mc":
         trials = _integer(cfg.budget.get("trials", 100_000), "budget.trials", least=1)
         seed = derive_seed(cfg.master_seed, "scaling")
         seed_tree["scaling"] = seed
         seed_tree["scaling-point"] = {"base": seed, "label": "scaling-point", "count": len(points)}
-    result = scaling_experiment(points, mode=mode, trials=trials, seed=seed)
+    result = scaling_experiment(points, method=method, trials=trials, seed=seed)
     rows = [(pt.n, fraction, pt.trials, pt.failures, pt.p_fail, pt.ci_lo, pt.ci_hi) for pt in result.points]
     summary = {
         "slope": result.slope,

@@ -299,15 +299,15 @@ def lifetime_lower_bound(n: int, distance_fraction: float, confidence: float | N
     )
 
 
-def scaling_experiment(points, mode: str = "exact", trials: int | None = None, seed: int | None = None) -> ScalingResult:
+def scaling_experiment(points, method: str = "exact", trials: int | None = None, seed: int | None = None) -> ScalingResult:
     """Fit log per-epoch failure probability against code size.
 
-    ``points`` is a sequence of ``(model, code)`` pairs covering at least
-    four distinct sizes, each with its tail read by ``mode``, ``"exact"`` or
-    ``"mc"``.  Monte Carlo points need at least ten observed failures to
-    count as resolved; exact points are unresolved only when the failure
-    probability underflows to zero.  A negative fitted slope with
-    R^2 >= 0.9 is flagged ``exponential-lifetime-consistent``.
+    ``points`` holds ``(model, code)`` pairs of at least four distinct
+    sizes.  Each point reads its tail by ``method`` (``"exact"``, or
+    ``"mc"``, which alone derives per-point seeds) before its mixing bound.
+    A Monte Carlo point is resolved at ten observed failures, an exact one
+    unless its failure probability underflows to zero.  A negative fitted
+    slope with R^2 >= 0.9 is flagged ``exponential-lifetime-consistent``.
     """
     points = list(points)
     sizes = {_check_model(model).n for model, _ in points}
@@ -317,12 +317,11 @@ def scaling_experiment(points, mode: str = "exact", trials: int | None = None, s
     for idx, (model, code) in enumerate(points):
         if model.n != code.n:
             raise ValidationError("model and code sizes differ")
-        n, g = model.n, model.mixing_bound() - 1.0
-        mixing_sum, rescaled = (g, n / (g * g)) if g > 0.0 else (None, None)
         # the per-epoch failure probability: the weight's tail at the correction threshold
-        point_seed = None if seed is None else derive_seed(seed, "scaling-point", idx)
-        est = _tail_estimate(model, code.correction_threshold, mode, trials, point_seed)
-        p = est.value
+        point_seed = derive_seed(seed, "scaling-point", idx) if method == "mc" and seed is not None else None
+        est = _tail_estimate(model, code.correction_threshold, method, trials, point_seed)
+        p, n, g = est.value, model.n, model.mixing_bound() - 1.0
+        mixing_sum, rescaled = (g, n / (g * g)) if g > 0.0 else (None, None)
         rows.append(
             ScalingPoint(
                 n=n,

@@ -9,11 +9,15 @@ against the brute-force values below.
 
 Configurations are indexed big-endian: site 0 is the most significant
 digit, so ``index = sum_i x_i * S**(n - 1 - i)``.
+
+The channel read-out and the weight fold are written out here again, site
+by site and bit by bit, rather than borrowed from the sampler and the exact
+backend they check.
 """
 
 import numpy as np
 
-from .channel import HiddenErrorModel, _add_bit, _site_probabilities
+from .channel import GlobalThresholdChannel, HiddenErrorModel
 from .errors import EnumerationLimitError, ValidationError
 from .field import ENUM_LIMIT, MarkovFieldSpec
 
@@ -77,7 +81,30 @@ def expected_errors(model: HiddenErrorModel, x) -> float:
         raise ValidationError("configuration must hold non-negative integer symbols")
     if x.max(initial=0) >= model.field.alphabet_size:
         raise ValidationError("configuration contains symbols outside the alphabet")
-    return float(_site_probabilities(model, x.astype(np.uint8)[:, None]).sum())
+    return float(_site_rates(model, x[None, :]).sum())
+
+
+def _site_rates(model: HiddenErrorModel, x: np.ndarray) -> np.ndarray:
+    """Conditional error probabilities ``q_i(1 | x)`` of each row of a (rows, n) configuration block.
+
+    A window channel reads ``table[i, code]``, where ``code`` is the window
+    ``x[i - r .. i + r]`` as a big-endian base-``S`` number and sites outside
+    the chain read symbol 0.  A threshold channel reads
+    ``max(x_i, sum(x) > B)``.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    c, n = model.channel, model.n
+    if isinstance(c, GlobalThresholdChannel):
+        fired = x.sum(axis=1) > c.threshold
+        return np.maximum(x, fired[:, None]).astype(float)
+    s, r = model.field.alphabet_size, c.radius
+    out = np.empty(x.shape)
+    for i in range(n):
+        code = np.zeros(x.shape[0], dtype=np.int64)
+        for j in range(i - r, i + r + 1):
+            code = code * s + (x[:, j] if 0 <= j < n else 0)
+        out[:, i] = c.table[i, code]
+    return out
 
 
 def _enumerate_chunks(model: HiddenErrorModel):
@@ -87,7 +114,7 @@ def _enumerate_chunks(model: HiddenErrorModel):
     for start in range(0, law.size, _CHUNK):
         stop = min(start + _CHUNK, law.size)
         x = all_sequences(s, n, start, stop)
-        yield law[start:stop], _site_probabilities(model, x.T).T
+        yield law[start:stop], _site_rates(model, x)
 
 
 def exact_error_distribution(model: HiddenErrorModel) -> np.ndarray:
@@ -113,13 +140,18 @@ def exact_error_distribution(model: HiddenErrorModel) -> np.ndarray:
 
 
 def _weight_dp(q_rows: np.ndarray) -> np.ndarray:
-    """Sum-of-independent-bits recursion: (B, n) rates -> (B, n + 1) laws."""
-    block, n = q_rows.shape
-    dp = np.zeros((block, n + 1))
-    dp[:, 0] = 1.0
-    for i in range(n):
-        _add_bit(dp, q_rows[:, i])
-    return dp
+    """Sum-of-independent-bits recursion: (B, n) rates -> (B, n + 1) laws.
+
+    Each bit convolves every row's law with ``[1 - q, q]``, so the law grows
+    one column per bit and nothing is capped.
+    """
+    law = np.ones((q_rows.shape[0], 1))
+    for q in q_rows.T[:, :, None]:
+        grown = np.zeros((law.shape[0], law.shape[1] + 1))
+        grown[:, :-1] = law * (1.0 - q)
+        grown[:, 1:] += law * q
+        law = grown
+    return law
 
 
 def conditional_weight_table(model: HiddenErrorModel) -> np.ndarray:

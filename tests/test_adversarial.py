@@ -47,6 +47,12 @@ def test_requires_exactly_one_margin_form():
         ThresholdModelSpec(n=4, eps=0.1, margin=1.0, margin_rate=1.0)
 
 
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+def test_spec_rejects_eps_outside_the_open_unit_interval(eps):
+    with pytest.raises(ValidationError, match="^eps must lie strictly between 0 and 1$"):
+        ThresholdModelSpec(n=4, eps=eps, margin=1.0)
+
+
 def test_margin_rate_must_be_positive():
     with pytest.raises(ValidationError):
         ThresholdModelSpec(n=4, eps=0.1, margin_rate=0.0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,22 @@ def test_bounds_reject_bad_arguments():
         chain_tail_bound(0.1, 4, -1.0, 1.0)
     with pytest.raises(ValidationError):
         chain_tail_bound(0.1, 4, 1.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: chain_rate_constant(0.0, 1.0), "c must be positive"),
+        (lambda: chain_rate_constant(1.0, 0.5), "m must be >= 1"),
+        (lambda: chain_tail_bound(-0.1, 4, 1.0, 1.0), "beta must be non-negative"),
+        (lambda: combined_tail_bound(1.0, 0.1, 4, 1.0, 1.0), "eps must lie in [0, 1)"),
+        (lambda: clopper_pearson(1, 4, confidence=1.0), "confidence must lie in (0, 1)"),
+    ],
+    ids=["rate-c", "rate-m", "chain-beta", "combined-eps", "clopper-pearson-confidence"],
+)
+def test_bound_arguments_are_checked_by_name(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @given(

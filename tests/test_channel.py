@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,10 +18,11 @@ from corrmem import (
     sample_errors_batch,
     sampled_covariance,
 )
-from corrmem.channel import weight_distribution
+import corrmem.oracle as oracle
+from corrmem.channel import _add_bit, _site_probabilities, weight_distribution
 from corrmem.oracle import brute_force_lipschitz, conditional_weight_table, exact_error_distribution, expected_errors
 
-from conftest import chain, random_per_site_model, tv_distance
+from conftest import chain, random_field, random_per_site_model, tv_distance
 
 
 def iid_bernoulli_field(n, eps):
@@ -54,6 +58,20 @@ def test_rejects_size_mismatch():
 def test_rejects_probability_outside_unit_interval():
     with pytest.raises(ValidationError):
         PerSiteChannel(table=np.array([[0.5, 1.5]]))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: WindowChannel(radius=0, table=np.zeros(4)), "channel table must have shape (n, alphabet_size ** (2 * radius + 1))"),
+        (lambda: GlobalThresholdChannel(threshold=math.inf), "threshold must be finite"),
+        (lambda: HiddenErrorModel(field=chain(4, 0.5), channel="per_site"), "unknown channel type str"),
+    ],
+    ids=["table-not-2d", "threshold-infinite", "unknown-channel"],
+)
+def test_channel_arguments_are_checked(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_window_table_must_match_neighborhood_size():
@@ -348,3 +366,28 @@ def test_conditional_weight_table_rows_are_laws():
     table = conditional_weight_table(model)
     assert table.shape == (64, 7)
     assert np.allclose(table.sum(axis=1), 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "radius, alphabet_size",
+    [(radius, s) for s in (2, 3) for radius in (0, 1, 2)] + [("threshold", 2)],
+)
+def test_oracle_read_out_and_fold_agree_with_the_production_ones(radius, alphabet_size):
+    # the oracle decodes windows and folds bits with code of its own; both
+    # must agree with the sampler's read-out and the exact backend's fold
+    rng = np.random.default_rng(100 * alphabet_size + (9 if radius == "threshold" else radius))
+    for n in (1, 2, 5, 7):
+        spec = random_field(rng, n, alphabet_size)
+        if radius == "threshold":
+            channel = GlobalThresholdChannel(threshold=float(rng.uniform(-1.0, n + 1.0)))
+        else:
+            channel = WindowChannel(radius=radius, table=rng.random((n, alphabet_size ** (2 * radius + 1))))
+        model = HiddenErrorModel(field=spec, channel=channel)
+        x = rng.integers(0, alphabet_size, size=(50, n))
+        q = oracle._site_rates(model, x)
+        assert np.array_equal(q, _site_probabilities(model, x.T.astype(np.uint8)).T)
+        law = np.zeros((x.shape[0], n + 1))
+        law[:, 0] = 1.0
+        for i in range(n):
+            _add_bit(law, q[:, i])
+        assert np.allclose(oracle._weight_dp(q), law, rtol=0.0, atol=1e-15)

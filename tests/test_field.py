@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -64,6 +65,30 @@ def test_rejects_non_finite_probabilities_naming_the_first_bad_row(bad):
         MarkovFieldSpec(n=4, alphabet_size=2, initial=np.array([0.5, 0.5]), kernels=kernels)
     with pytest.raises(ValidationError, match="initial has entries outside"):
         MarkovFieldSpec(n=4, alphabet_size=2, initial=np.array([bad, 0.5]), kernels=np.tile(np.eye(2), (3, 1, 1)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: MarkovFieldSpec(n=2, alphabet_size=2, initial=np.full((2, 1), 0.5), kernels=np.eye(2)[None]),
+            "initial must be a one-dimensional probability vector",
+        ),
+        (
+            lambda: MarkovFieldSpec(n=1, alphabet_size=257, initial=np.full(257, 1.0 / 257), kernels=np.zeros(0)),
+            "alphabets larger than 256 symbols are not supported",
+        ),
+        (
+            lambda: MarkovFieldSpec(n=2, alphabet_size=2, initial=np.array([0.2, 0.3, 0.5]), kernels=np.eye(2)[None]),
+            "initial has shape (3,), expected (2,)",
+        ),
+        (lambda: correlation_decay_profile(chain(4, 0.5), 4), "site 4 out of range for n=4"),
+    ],
+    ids=["initial-2d", "alphabet-257", "initial-length", "decay-site"],
+)
+def test_field_arguments_are_checked(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_rejects_negative_initial_entry():

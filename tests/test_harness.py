@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import sys
 import threading
 import time
@@ -524,6 +525,27 @@ def test_verify_all_exits_4_on_a_violated_bound(tmp_path, monkeypatch, capsys):
     assert any(line.endswith(",violated") for line in lines[1:])
 
 
+def test_a_ceiling_inside_the_interval_is_unresolved(tmp_path, monkeypatch):
+    config = {"model": CHAIN_MODEL, "params": {"method": "mc", "deltas": [0.05, 0.1]}, "budget": {"trials": 2000}}
+    first = run(parse_config({"kind": "tails", "out": str(tmp_path / "first"), **config}))
+    rows = [line.split(",") for line in Path(first.csv_path).read_text().splitlines()[1:]]
+    # a ceiling at the estimate itself: with 0 < exceedances < trials it lies strictly inside the interval
+    estimates = {float(row[3]): float(row[6]) for row in rows}
+    assert all(float(row[7]) < float(row[6]) < float(row[8]) for row in rows)
+    monkeypatch.setattr(bounds, "combined_tail_bound", lambda eps, delta, n, c, m: estimates[delta])
+    path = write_config(tmp_path, "tails.json", config)
+    assert main(["tails", "--config", path, "--out", str(tmp_path / "cli")]) == 0
+    lines = (tmp_path / "cli" / "tails.csv").read_text().splitlines()
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["unresolved", "unresolved"]
+    payload = json.loads((tmp_path / "cli" / "tails.summary.json").read_text())
+    assert payload["exit_code"] == 0
+    assert {key: payload["summary"][key] for key in ("dominated", "violated", "unresolved")} == {
+        "dominated": 0,
+        "violated": 0,
+        "unresolved": 2,
+    }
+
+
 def test_exact_tails_rows_match_the_suites(tmp_path):
     model_id = "chain-n6-theta0.25"
     tails = parse_config(
@@ -823,6 +845,86 @@ def test_cli_config_value_of_the_wrong_type_exit_2(tmp_path, capsys, kind, confi
     assert main([kind, "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert f"config error: {name} must be" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, config, message",
+    [
+        ("mixing", {"model": {"field": {"theta": 1.5, "n": 4}}}, "theta must lie in [0, 1]"),
+        ("mixing", {"model": {"field": {"n": 4}}}, "field block must contain either 'kernels' or 'theta'"),
+        (
+            "covariance",
+            hidden({"theta": 0.5, "n": 4}, {"type": "bogus"}),
+            "channel type must be one of 'per_site', 'window', 'global_threshold'",
+        ),
+        ("covariance", {"model": {"type": "bogus"}}, "model type must be 'hidden' or 'threshold'"),
+        ("scaling", set_in(SCALING, "params", distance_fraction=1.5), "scaling params.distance_fraction must lie in (0, 1]"),
+        (
+            "mixing",
+            {"model": {"field": {"initial": [0.5, 0.5], "kernels": [[[0.5, 0.5], [0.5, 0.5]]] * 2}}, "grid": {"n_values": [5]}},
+            "field has n=3 but 5 was requested",
+        ),
+        ("covariance", hidden({"theta": 0.5, "n": 4}, {"type": "per_site", "rates": [0.1, 0.2, 0.3]}), "per_site rates must list 2 values"),
+    ],
+    ids=["theta", "field-block", "channel-type", "model-type", "distance-fraction", "kernels-against-grid", "rates-length"],
+)
+def test_config_values_out_of_range_are_config_errors(tmp_path, capsys, kind, config, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        run(parse_config({"kind": kind, "out": str(tmp_path / "run"), **config}))
+    path = write_config(tmp_path, "config.json", config)
+    assert main([kind, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "out").exists()
+
+
+def test_config_root_must_be_an_object():
+    with pytest.raises(ConfigError, match="^config root must be a JSON object$"):
+        parse_config([{"kind": "mixing"}])
+
+
+def test_mixing_without_a_grid_reads_the_blocks_own_size(tmp_path):
+    # m = 1 + 0.25 + 0.25**2 + 0.25**3 + 0.25**4 over the four bonds
+    result = run(parse_config({"kind": "mixing", "out": str(tmp_path), "model": {"field": {"theta": 0.25, "n": 5}}}))
+    assert Path(result.csv_path).read_text() == "n,theta_max,m_bound\n5,0.25,1.33203125\n"
+    assert json.loads(Path(result.summary_path).read_text())["summary"]["sizes"] == [5]
+
+
+def test_a_per_site_table_reads_as_its_rates_tiled(tmp_path):
+    def covariance_csv(channel, out):
+        return Path(run(parse_config({"kind": "covariance", "out": str(tmp_path / out), **hidden({"theta": 0.5, "n": 4}, channel)})).csv_path).read_bytes()
+
+    tiled = covariance_csv({"type": "per_site", "table": [[0.05, 0.15]] * 4}, "table")
+    assert tiled == covariance_csv(PER_SITE, "rates")
+    skewed = covariance_csv({"type": "per_site", "table": [[0.05, 0.15]] * 3 + [[0.5, 0.5]]}, "skewed")
+    # the last site's rate no longer depends on its symbol, so it covaries with nothing
+    assert skewed.decode().splitlines()[-1] == "3,3,0.25,0.0"
+
+
+def test_summary_numpy_scalars_are_written_as_python_values():
+    plain = harness._plain({"a": np.float64(0.5), "b": [np.int64(3), np.bool_(True)], "c": np.float32(np.inf)})
+    assert plain == {"a": 0.5, "b": [3, True], "c": None}
+    assert [type(v) for v in (plain["a"], *plain["b"])] == [float, int, bool]
+
+
+# SHA-256 of the Monte Carlo covariance CSV of CHAIN_MODEL at seed 0 and 2000
+# trials, recorded before the test existed: a change that moves a byte fails here
+MC_COVARIANCE_CSV = "515c17609bbd10dafa1537403ba69500d9677293c5428c121dc929fe52f8abac"
+
+
+def test_mc_covariance_run_is_the_same_on_any_thread_count(tmp_path):
+    config = {"kind": "covariance", "model": CHAIN_MODEL, "params": {"method": "mc"}, "budget": {"trials": 2000}}
+    runs = []
+    for threads in (1, 2):
+        csv_bytes, payload = read_pair(run(parse_config({**config, "out": str(tmp_path / str(threads))}), threads=threads))
+        # the summary records where it was written and on how many threads, and nothing else differs
+        assert (payload["config"].pop("out"), payload.pop("threads")) == (str(tmp_path / str(threads)), threads)
+        runs.append((csv_bytes, payload))
+    assert runs[0] == runs[1]
+    csv_bytes, payload = runs[0]
+    assert hashlib.sha256(csv_bytes).hexdigest() == MC_COVARIANCE_CSV
+    assert len(csv_bytes.decode().splitlines()) == 1 + 8 * 9 // 2
+    assert set(payload["seed_tree"]) == {"master_seed", "covariance"}
+    assert payload["summary"] == {"method": "mc", "trials": 2000}
 
 
 def test_cli_resource_limit_exit_3(tmp_path, capsys):

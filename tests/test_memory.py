@@ -1,4 +1,5 @@
 import math
+import re
 import weakref
 
 import mpmath
@@ -16,6 +17,7 @@ from corrmem import (
     PerSiteChannel,
     ThresholdModelSpec,
     ValidationError,
+    WindowChannel,
     count_exceedances,
     derive_seed,
     empirical_tail,
@@ -337,6 +339,24 @@ def test_lifetime_bound_rejects_fraction_outside_unit():
         lifetime_lower_bound(10, 1.5)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: simulate_retention(iid_per_site_model(4, 0.5, 0.1), CodeModel(n=5, k=1, d=3), 10, 10, 0),
+            "model and code sizes differ",
+        ),
+        (lambda: geometric_ks_statistic([1, 2], 0.0), "p must lie in (0, 1]"),
+        (lambda: ks_critical_value(10, alpha=1.0), "alpha must lie in (0, 1)"),
+        (lambda: lifetime_lower_bound(10, 0.3, confidence=1.0), "confidence must lie in [0, 1)"),
+    ],
+    ids=["retention-sizes", "ks-p", "ks-alpha", "lifetime-confidence"],
+)
+def test_memory_arguments_are_checked(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_lifetime_bound_huge_n_is_infinite():
     assert lifetime_lower_bound(10**6, 0.9).epochs == math.inf
 
@@ -375,7 +395,7 @@ def test_scaling_adversarial_family_not_flagged():
         spec = ThresholdModelSpec(n=n, eps=0.1, margin_rate=0.6)
         tau = math.floor(spec.threshold)
         points.append((spec, CodeModel(n=n, k=1, d=min(n, 2 * tau + 1))))
-    result = scaling_experiment(points, mode="exact")
+    result = scaling_experiment(points, method="exact")
     assert result.status == "not-flagged"
 
 
@@ -404,10 +424,45 @@ def test_scaling_rejects_an_unknown_method():
         scaling_experiment(scaling_points((8, 12, 16, 20), 0.5, 0.1, 0.4), "warp")
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda model, points: verify_bound(model, 0.2, method="warp"), "unknown method 'warp'"),
+        (lambda model, points: scaling_experiment(points, "warp"), "unknown method 'warp'"),
+        (lambda model, points: scaling_experiment(points, "mc", trials=2000), "requires a seed"),
+    ],
+    ids=["verify_bound-warp", "scaling-warp", "scaling-mc-without-seed"],
+)
+def test_a_bad_tail_method_fails_before_any_model_quantity(monkeypatch, call, message):
+    ran = []
+    for name in ("mean_rate", "lipschitz", "mixing_bound"):
+        original = getattr(HiddenErrorModel, name)
+        monkeypatch.setattr(HiddenErrorModel, name, lambda self, _f=original, _n=name: ran.append(_n) or _f(self))
+    table = np.tile([0.02 + 0.08 * bin(j).count("1") for j in range(8)], (12, 1))
+    model = HiddenErrorModel(field=chain(12, 0.5), channel=WindowChannel(radius=1, table=table))
+    with pytest.raises(ValidationError, match=message):
+        call(model, scaling_points((8, 12, 16, 20), 0.5, 0.1, 0.4))
+    assert ran == []
+    # the wrappers do record a call that gets that far
+    verify_bound(model, 0.2, method="exact")
+    assert ran == ["mean_rate", "lipschitz", "mixing_bound"]
+
+
+def test_an_exact_scaling_run_derives_no_seed(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an exact scaling point derived a seed")
+
+    monkeypatch.setattr(memory, "derive_seed", refuse)
+    points = scaling_points((8, 12, 16, 20), 0.5, 0.3, 0.5)
+    assert scaling_experiment(points, "exact", seed=5) == scaling_experiment(points)
+    with pytest.raises(AssertionError, match="derived a seed"):
+        scaling_experiment(points, "mc", trials=1000, seed=5)
+
+
 def test_scaling_mc_mode_matches_exact_roughly():
     points = scaling_points((8, 12, 16, 20), 0.5, 0.3, 0.5)
     exact = scaling_experiment(points)
-    mc = scaling_experiment(points, mode="mc", trials=20_000, seed=3)
+    mc = scaling_experiment(points, method="mc", trials=20_000, seed=3)
     for pe, pm in zip(exact.points, mc.points):
         assert pm.ci_lo - 1e-9 <= pe.p_fail <= pm.ci_hi + 1e-9
 
