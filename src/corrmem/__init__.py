@@ -34,7 +34,6 @@ from .memory import (
     CodeModel,
     LifetimeBound,
     RetentionEstimate,
-    ScalingPoint,
     ScalingResult,
     geometric_ks_statistic,
     ks_critical_value,
@@ -82,7 +81,6 @@ __all__ = [
     "ResourceLimitError",
     "RetentionEstimate",
     "RunResult",
-    "ScalingPoint",
     "ScalingResult",
     "TailEstimate",
     "TailReport",

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import GlobalThresholdChannel, HiddenErrorModel, _epoch_rows
+from .channel import GlobalThresholdChannel, HiddenErrorModel, _epoch_rows, _trigger_cut
 from .errors import ValidationError
 from .field import MarkovFieldSpec
 from .rng import _integer
@@ -195,7 +195,7 @@ class ThresholdModelSpec(HiddenErrorModel):
         triggering mass collapses onto weight n.
         """
         pmf = _binom_pmf(self.n, self.eps)
-        pmf[max(math.floor(self.threshold) + 1, 0) :] = 0.0
+        pmf[_trigger_cut(self.n, self.threshold) + 1 :] = 0.0
         pmf[self.n] += self.moments().trigger_prob
         return pmf
 

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import _check_model, _require_mc
+from .channel import _check_model, _require_mc, _trigger_cut
 from .errors import ValidationError
 from .rng import _integer, make_generator
 
@@ -195,7 +195,7 @@ def exact_tail(model, threshold: float) -> float:
     n = _check_model(model).n
     if math.isnan(threshold):
         raise ValidationError("tail threshold must not be NaN")
-    return min(1.0, model.tail(math.floor(min(max(threshold, -1.0), n))))
+    return min(1.0, model.tail(_trigger_cut(n, threshold)))
 
 
 def empirical_tail(model, threshold: float, trials: int, seed: int) -> TailEstimate:
@@ -242,15 +242,18 @@ def verify_bound(
 ) -> TailReport:
     """Confront the combined ceiling with the model's actual tail.
 
-    Once ``method`` is known to be ``"exact"`` or ``"mc"``, unsupplied
-    ingredients come from the model: ``eps`` as the exact mean error rate,
-    ``c`` as the Lipschitz constant of the conditional mean error count,
-    ``m`` as the chain mixing bound.  The tail is one :class:`TailEstimate`:
-    ``method="exact"`` reads it through :func:`exact_tail` as a point with
-    ``trials == 0``; ``method="mc"`` samples it through :func:`empirical_tail`.
+    Once ``method`` is known to be ``"exact"``, or ``"mc"`` with a seed and
+    enough trials, unsupplied ingredients come from the model: ``eps`` as
+    the exact mean error rate, ``c`` as the Lipschitz constant of the
+    conditional mean error count, ``m`` as the chain mixing bound.  The
+    tail is one :class:`TailEstimate`: ``method="exact"`` reads it through
+    :func:`exact_tail` as a point with ``trials == 0``; ``method="mc"``
+    samples it through :func:`empirical_tail`.
     """
     n = _check_model(model).n
-    if method not in ("exact", "mc"):
+    if method == "mc":
+        _require_mc(trials, seed)
+    elif method != "exact":
         raise ValidationError(f"unknown method {method!r}")
     if eps is None:
         eps = model.mean_rate()

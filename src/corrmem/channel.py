@@ -254,7 +254,7 @@ def _require_mc(trials: int | None, seed: int | None) -> int:
     """``trials`` as an int; ValidationError for a Monte Carlo request with too few trials or no seed."""
     trials = _integer(trials, "trials", _MIN_MC_TRIALS)
     if seed is None:
-        raise ValidationError("Monte Carlo mode requires a seed")
+        raise ValidationError("Monte Carlo method requires a seed")
     return trials
 
 

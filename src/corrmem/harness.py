@@ -31,6 +31,7 @@ from . import __version__, rng
 from .adversarial import ThresholdModelSpec
 from .bounds import verify_bound
 from .channel import (
+    _MIN_MC_TRIALS,
     GlobalThresholdChannel,
     HiddenErrorModel,
     PerSiteChannel,
@@ -79,6 +80,7 @@ class ExperimentConfig:
     def __post_init__(self):
         kind = self.kind
         _require(kind in KINDS, f"unknown experiment kind {kind!r}; expected one of {KINDS}")
+        _require(isinstance(self.out, str), "config field 'out' must be a string")
         # each block is an object (model and code may be absent), held as a copy of the caller's
         for block in ("model", "code", "grid", "budget", "params"):
             value = getattr(self, block)
@@ -145,7 +147,7 @@ def parse_config(data: dict, kind: str | None = None) -> ExperimentConfig:
     return ExperimentConfig(
         kind=kind if kind is not None else file_kind,
         master_seed=data.get("master_seed", 0),
-        out=str(data.get("out", ".")),
+        out=data.get("out", "."),
         model=data.get("model"),
         code=data.get("code"),
         grid=data.get("grid", {}),
@@ -428,7 +430,7 @@ def _run_covariance(cfg, seed_tree, threads):
     else:
         seed = derive_seed(cfg.master_seed, "covariance")
         seed_tree["covariance"] = seed
-        trials = _integer(cfg.budget.get("trials", 100_000), "budget.trials", least=1)
+        trials = _integer(cfg.budget.get("trials", 100_000), "budget.trials", least=_MIN_MC_TRIALS)
         est = sampled_covariance(model, trials, seed)
         cov, err = est.values, est.stderr
     # rows stream from the matrices to the writer, one matrix row at a time
@@ -522,7 +524,7 @@ def _run_tails(cfg, seed_tree, threads):
     model = _build_model(cfg.model)
     deltas = _list_of(_number, cfg.params["deltas"], "params.deltas")
     method = cfg.params.get("method", "mc")
-    trials = _integer(cfg.budget.get("trials", 20_000), "budget.trials", least=1)
+    trials = _integer(cfg.budget.get("trials", 20_000), "budget.trials", least=_MIN_MC_TRIALS if method == "mc" else 1)
     model_id = cfg.params.get("model_id", "model-0")
     _require(isinstance(model_id, str), "params.model_id must be a string")
 
@@ -549,12 +551,12 @@ def _run_scaling(cfg, seed_tree, threads):
         points.append((model, _build_code(code_block, n)))
     trials = seed = None
     if method == "mc":
-        trials = _integer(cfg.budget.get("trials", 100_000), "budget.trials", least=1)
+        trials = _integer(cfg.budget.get("trials", 100_000), "budget.trials", least=_MIN_MC_TRIALS)
         seed = derive_seed(cfg.master_seed, "scaling")
         seed_tree["scaling"] = seed
         seed_tree["scaling-point"] = {"base": seed, "label": "scaling-point", "count": len(points)}
     result = scaling_experiment(points, method=method, trials=trials, seed=seed)
-    rows = [(pt.n, fraction, pt.trials, pt.failures, pt.p_fail, pt.ci_lo, pt.ci_hi) for pt in result.points]
+    rows = [(n, fraction, est.trials, est.exceedances, est.value, est.ci_lo, est.ci_hi) for n, est in zip(sizes, result.tails)]
     summary = {
         "slope": result.slope,
         "intercept": result.intercept,

@@ -41,7 +41,6 @@ __all__ = [
     "CodeModel",
     "LifetimeBound",
     "RetentionEstimate",
-    "ScalingPoint",
     "ScalingResult",
     "geometric_ks_statistic",
     "ks_critical_value",
@@ -121,34 +120,13 @@ class LifetimeBound(NamedTuple):
     degenerate: bool
 
 
-class ScalingPoint(NamedTuple):
-    """One grid point of a failure-scaling experiment.
+class ScalingResult(NamedTuple):
+    """Least-squares summary of log failure probability against size.
 
-    Its tail fields come from a :class:`~corrmem.bounds.TailEstimate`: an exact
-    point has ``trials == failures == 0`` and ``ci_lo == ci_hi == p_fail``.
-    ``mixing_sum`` is the largest summed product of mixing coefficients of
-    the latent chain (zero correlation mass for memoryless models, reported
-    as None there along with ``rescaled_size``); ``rescaled_size`` is
-    ``n / mixing_sum**2``, the effective exponent argument once chain
-    correlations slow the decay down.
+    ``tails[i]`` is point ``i``'s :class:`~corrmem.bounds.TailEstimate`.
     """
 
-    n: int
-    p_fail: float
-    ln_p_fail: float | None
-    resolved: bool
-    trials: int
-    failures: int
-    ci_lo: float
-    ci_hi: float
-    mixing_sum: float | None
-    rescaled_size: float | None
-
-
-class ScalingResult(NamedTuple):
-    """Least-squares summary of log failure probability against size."""
-
-    points: list
+    tails: list
     slope: float | None
     intercept: float | None
     r_squared: float | None
@@ -303,48 +281,33 @@ def scaling_experiment(points, method: str = "exact", trials: int | None = None,
     """Fit log per-epoch failure probability against code size.
 
     ``points`` holds ``(model, code)`` pairs of at least four distinct
-    sizes.  Each point reads its tail by ``method`` (``"exact"``, or
-    ``"mc"``, which alone derives per-point seeds) before its mixing bound.
-    A Monte Carlo point is resolved at ten observed failures, an exact one
-    unless its failure probability underflows to zero.  A negative fitted
-    slope with R^2 >= 0.9 is flagged ``exponential-lifetime-consistent``.
+    sizes.  Each point's tail at its correction threshold is read by
+    ``method`` (``"exact"``, or ``"mc"``, which alone derives per-point
+    seeds).  The fit takes a Monte Carlo point at ten observed failures, an
+    exact one unless its tail underflows to zero.  A negative fitted slope
+    with R^2 >= 0.9 is flagged ``exponential-lifetime-consistent``.
     """
     points = list(points)
     sizes = {_check_model(model).n for model, _ in points}
     if len(sizes) < 4:
         raise ValidationError("scaling_experiment requires at least 4 distinct sizes")
-    rows = []
+    tails = []
     for idx, (model, code) in enumerate(points):
         if model.n != code.n:
             raise ValidationError("model and code sizes differ")
-        # the per-epoch failure probability: the weight's tail at the correction threshold
         point_seed = derive_seed(seed, "scaling-point", idx) if method == "mc" and seed is not None else None
-        est = _tail_estimate(model, code.correction_threshold, method, trials, point_seed)
-        p, n, g = est.value, model.n, model.mixing_bound() - 1.0
-        mixing_sum, rescaled = (g, n / (g * g)) if g > 0.0 else (None, None)
-        rows.append(
-            ScalingPoint(
-                n=n,
-                p_fail=p,
-                ln_p_fail=math.log(p) if p > 0.0 else None,
-                resolved=est.exceedances >= 10 if est.trials else p > 0.0,
-                trials=est.trials,
-                failures=est.exceedances,
-                ci_lo=est.ci_lo,
-                ci_hi=est.ci_hi,
-                mixing_sum=mixing_sum,
-                rescaled_size=rescaled,
-            )
-        )
-    fit_rows = [r for r in rows if r.resolved and r.ln_p_fail is not None]
-    if len(fit_rows) < 2:
-        return ScalingResult(points=rows, slope=None, intercept=None, r_squared=None, status="inconclusive")
-    slope, intercept, r_squared = _line_fit(
-        np.array([r.n for r in fit_rows], dtype=float), np.array([r.ln_p_fail for r in fit_rows])
-    )
+        tails.append(_tail_estimate(model, code.correction_threshold, method, trials, point_seed))
+    fit = [
+        (model.n, math.log(est.value))
+        for (model, _), est in zip(points, tails)
+        if (est.exceedances >= 10 if est.trials else est.value > 0.0)
+    ]
+    if len(fit) < 2:
+        return ScalingResult(tails=tails, slope=None, intercept=None, r_squared=None, status="inconclusive")
+    slope, intercept, r_squared = _line_fit(*(np.array(column, dtype=float) for column in zip(*fit)))
     status = (
         "exponential-lifetime-consistent"
         if slope < 0.0 and r_squared >= 0.9
         else "not-flagged"
     )
-    return ScalingResult(points=rows, slope=slope, intercept=intercept, r_squared=r_squared, status=status)
+    return ScalingResult(tails=tails, slope=slope, intercept=intercept, r_squared=r_squared, status=status)

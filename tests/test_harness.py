@@ -17,6 +17,7 @@ import corrmem.bounds as bounds
 import corrmem.harness as harness
 from corrmem import (
     ConfigError,
+    HiddenErrorModel,
     bundled_verification_suite,
     load_config,
     mixing_coefficients,
@@ -875,6 +876,35 @@ def test_config_values_out_of_range_are_config_errors(tmp_path, capsys, kind, co
     assert main([kind, "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", [None, 5, {}], ids=repr)
+def test_an_out_that_is_not_a_string_exit_2(tmp_path, monkeypatch, capsys, out):
+    # run from an empty directory, where a str() of the value would have been made
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, "config.json", {"kind": "verify-all", "out": out})
+    assert main(["verify-all", "--config", path]) == 2
+    assert "config error: config field 'out' must be a string" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+    with pytest.raises(ConfigError, match="config field 'out' must be a string"):
+        replace(parse_config({"kind": "verify-all"}), out=out)
+
+
+@pytest.mark.parametrize("kind", ["tails", "scaling", "covariance"])
+def test_a_monte_carlo_budget_below_the_floor_exit_2_before_any_model_quantity(tmp_path, monkeypatch, capsys, kind):
+    ran = []
+    for name in ("mean_rate", "lipschitz", "mixing_bound"):
+        original = getattr(HiddenErrorModel, name)
+        monkeypatch.setattr(HiddenErrorModel, name, lambda self, _f=original, _n=name: ran.append(_n) or _f(self))
+    configs = {"tails": tails(CHAIN_MODEL), "scaling": {**SCALING, "model": CHAIN_MODEL}, "covariance": {"model": CHAIN_MODEL, "params": {}}}
+    config = {**configs[kind], "budget": {"trials": 5}}
+    path = write_config(tmp_path, "mc.json", set_in(config, "params", method="mc"))
+    assert main([kind, "--config", path, "--out", str(tmp_path / "mc")]) == 2
+    assert "config error: budget.trials must be an integer >= 1000" in capsys.readouterr().err
+    assert ran == [] and not (tmp_path / "mc").exists()
+    # an exact run takes the same budget
+    path = write_config(tmp_path, "exact.json", config)
+    assert main([kind, "--config", path, "--out", str(tmp_path / "exact")]) == 0
 
 
 def test_config_root_must_be_an_object():

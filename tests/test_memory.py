@@ -156,11 +156,10 @@ def test_failure_prob_is_the_tail_at_the_correction_threshold():
         for d in (1, 4, 8):
             points = [(family(n), CodeModel(n=n, k=1, d=min(d, n), mode="full_distance")) for n in (5, 6, 7, 8)]
             exact, sampled = scaling_experiment(points), scaling_experiment(points, "mc", trials=2000, seed=d)
-            for idx, ((model, code), e, s) in enumerate(zip(points, exact.points, sampled.points)):
+            for idx, ((model, code), e, s) in enumerate(zip(points, exact.tails, sampled.tails)):
                 tau = code.correction_threshold
-                assert e.p_fail == exact_tail(model, tau)
-                want = empirical_tail(model, tau, trials=2000, seed=derive_seed(d, "scaling-point", idx))
-                assert (s.p_fail, s.failures, s.ci_lo, s.ci_hi) == (want.value, want.exceedances, want.ci_lo, want.ci_hi)
+                assert e.value == exact_tail(model, tau)
+                assert s == empirical_tail(model, tau, trials=2000, seed=derive_seed(d, "scaling-point", idx))
 
 
 @pytest.mark.parametrize("family", ["hidden", "threshold"])
@@ -378,7 +377,7 @@ def test_scaling_exact_binomial_family_flagged():
     assert result.slope < 0.0
     assert result.r_squared >= 0.9
     assert result.status == "exponential-lifetime-consistent"
-    assert all(p.resolved for p in result.points)
+    assert all(tail.value > 0.0 for tail in result.tails)
 
 
 def test_scaling_zero_channel_inconclusive():
@@ -414,9 +413,9 @@ def test_scaling_rejects_a_model_and_code_of_different_sizes(mode):
 
 
 def test_an_exact_scaling_point_is_a_point_estimate():
-    for point in scaling_experiment(scaling_points((8, 12, 16, 20), 0.5, 0.3, 0.5)).points:
-        assert point.trials == point.failures == 0
-        assert point.ci_lo == point.ci_hi == point.p_fail
+    for tail in scaling_experiment(scaling_points((8, 12, 16, 20), 0.5, 0.3, 0.5)).tails:
+        assert tail.trials == tail.exceedances == 0
+        assert tail.ci_lo == tail.ci_hi == tail.value
 
 
 def test_scaling_rejects_an_unknown_method():
@@ -428,10 +427,12 @@ def test_scaling_rejects_an_unknown_method():
     "call, message",
     [
         (lambda model, points: verify_bound(model, 0.2, method="warp"), "unknown method 'warp'"),
+        (lambda model, points: verify_bound(model, 0.2, method="mc", seed=None), "Monte Carlo method requires a seed"),
+        (lambda model, points: verify_bound(model, 0.2, method="mc", trials=5), "trials must be an integer >= 1000"),
         (lambda model, points: scaling_experiment(points, "warp"), "unknown method 'warp'"),
         (lambda model, points: scaling_experiment(points, "mc", trials=2000), "requires a seed"),
     ],
-    ids=["verify_bound-warp", "scaling-warp", "scaling-mc-without-seed"],
+    ids=["verify_bound-warp", "verify_bound-mc-without-seed", "verify_bound-mc-5-trials", "scaling-warp", "scaling-mc-without-seed"],
 )
 def test_a_bad_tail_method_fails_before_any_model_quantity(monkeypatch, call, message):
     ran = []
@@ -446,6 +447,19 @@ def test_a_bad_tail_method_fails_before_any_model_quantity(monkeypatch, call, me
     # the wrappers do record a call that gets that far
     verify_bound(model, 0.2, method="exact")
     assert ran == ["mean_rate", "lipschitz", "mixing_bound"]
+
+
+@pytest.mark.parametrize("method", ["exact", "mc"])
+def test_a_scaling_run_computes_no_mixing_bound(monkeypatch, method):
+    ran = []
+    original = HiddenErrorModel.mixing_bound
+    monkeypatch.setattr(HiddenErrorModel, "mixing_bound", lambda self: ran.append(self.n) or original(self))
+    points = scaling_points((8, 12, 16, 20), 0.5, 0.3, 0.5)
+    assert len(scaling_experiment(points, method, trials=1000, seed=0).tails) == 4
+    assert ran == []
+    # the wrapper does record a call
+    points[0][0].mixing_bound()
+    assert ran == [8]
 
 
 def test_an_exact_scaling_run_derives_no_seed(monkeypatch):
@@ -463,8 +477,8 @@ def test_scaling_mc_mode_matches_exact_roughly():
     points = scaling_points((8, 12, 16, 20), 0.5, 0.3, 0.5)
     exact = scaling_experiment(points)
     mc = scaling_experiment(points, method="mc", trials=20_000, seed=3)
-    for pe, pm in zip(exact.points, mc.points):
-        assert pm.ci_lo - 1e-9 <= pe.p_fail <= pm.ci_hi + 1e-9
+    for pe, pm in zip(exact.tails, mc.tails):
+        assert pm.ci_lo - 1e-9 <= pe.value <= pm.ci_hi + 1e-9
 
 
 # --- one model interface ---------------------------------------------------
