@@ -6,7 +6,9 @@ decays polynomially in n when the threshold margin grows like sqrt(log n)
 -- fast enough to look independent, slow enough to matter forever.
 """
 
-from corrmem import ThresholdModelSpec, tail_scaling_fit
+import math
+
+from corrmem import CodeModel, ThresholdModelSpec, scaling_experiment
 
 
 def main():
@@ -18,14 +20,17 @@ def main():
         row = [ThresholdModelSpec(n=n, eps=eps, margin_rate=a).moments().covariance for a in (0.6, 1.0, 2.0)]
         print(f"{n:>6} " + " ".join(f"{v:>12.3e}" for v in row))
 
-    fit = tail_scaling_fit(
-        [ThresholdModelSpec(n=n, eps=eps, margin_rate=0.6) for n in sizes]
-    )
+    # a code of distance 2 floor(B) + 1 fails an epoch exactly when the trigger fires
+    points = []
+    for n in sizes:
+        spec = ThresholdModelSpec(n=n, eps=eps, margin_rate=0.6)
+        points.append((spec, CodeModel(n=n, k=1, d=min(n, 2 * math.floor(spec.threshold) + 1))))
+    fit = scaling_experiment(points)
     print()
-    print("fit of ln P(trigger) against squared margin at a = 0.6:")
-    print(f"  slope {fit.slope:+.3f}, R^2 {fit.r_squared:.4f}")
-    print(f"  retention exponent {fit.retention_exponent:.2f}: the expected")
-    print(f"  lifetime grows like n^{fit.retention_exponent:.2f} -- polynomial, not exponential.")
+    print("fits of ln P(trigger) against n and against ln n at a = 0.6:")
+    print(f"  R^2 against n {fit.r_squared:.4f}, against ln n {fit.order_r_squared:.4f}: {fit.status}")
+    print(f"  order {fit.order:.2f}: the expected lifetime grows like")
+    print(f"  n^{fit.order:.2f} -- polynomial, not exponential.")
 
     print()
     print("where does the covariance come from?  split by trigger state (n = 64):")

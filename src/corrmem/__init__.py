@@ -29,7 +29,7 @@ from .channel import (
     sample_errors_batch,
     sampled_covariance,
 )
-from .adversarial import TailScalingFit, ThresholdModelSpec, ThresholdMoments, tail_scaling_fit
+from .adversarial import ThresholdModelSpec, ThresholdMoments
 from .memory import (
     CodeModel,
     LifetimeBound,
@@ -84,7 +84,6 @@ __all__ = [
     "ScalingResult",
     "TailEstimate",
     "TailReport",
-    "TailScalingFit",
     "ThresholdModelSpec",
     "ThresholdMoments",
     "ValidationError",
@@ -116,7 +115,6 @@ __all__ = [
     "simulate_retention",
     "site_marginals",
     "symmetric_binary_field",
-    "tail_scaling_fit",
     "verify_bound",
     "weight_law",
 ]

@@ -44,10 +44,8 @@ from .field import MarkovFieldSpec
 from .rng import _integer
 
 __all__ = [
-    "TailScalingFit",
     "ThresholdModelSpec",
     "ThresholdMoments",
-    "tail_scaling_fit",
 ]
 
 
@@ -225,21 +223,6 @@ class ThresholdModelSpec(HiddenErrorModel):
             return np.empty(0, dtype=np.intp)
         latent = np.concatenate([gen.binomial(self.n, self.eps, size=count) for gen in gens])
         return np.where(latent <= self.threshold, latent, self.n)
-
-
-class TailScalingFit(NamedTuple):
-    """Least-squares fit of log trigger probability against squared margin.
-
-    ``retention_exponent`` is the fitted polynomial growth order of the
-    retention ceiling (slope of ``log(1 / P)`` against ``log n``); it is
-    only reported when every spec in the family shares the same
-    ``margin_rate`` schedule.
-    """
-
-    slope: float
-    intercept: float
-    r_squared: float
-    retention_exponent: float | None
 
 
 # Stirling's error term ``log(k!) - log(sqrt(2 pi k) (k / e)^k)`` for k = 0..15.
@@ -447,47 +430,3 @@ def _binom_pmf(m: int, p: float) -> np.ndarray:
         log_scale, terms = _pmf_walk(m, p, mode - 1, -1, cutoff=0.0)
         out[mode - terms.size : mode] = math.exp(log_scale) * terms[::-1]
     return out
-
-
-def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares line through ``(xs, ys)``: slope, intercept and R^2."""
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    centered = ys - ys.mean()
-    ss_tot = float(centered @ centered)
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - float(resid @ resid) / ss_tot
-    return float(slope), float(intercept), r_squared
-
-
-def tail_scaling_fit(specs) -> TailScalingFit:
-    """Fit ``log P(trigger)`` against squared margin over a family of specs.
-
-    Requires at least four specs with non-degenerate margins, each of
-    which can trigger; the logs come from ``moments().log_trigger_prob``,
-    so probabilities below the smallest positive float still fit.  With the
-    square-root-log margin schedule the retention ceiling grows
-    polynomially in n; the fitted growth order is reported when the whole
-    family shares one schedule.
-    """
-    specs = list(specs)
-    if len(specs) < 4:
-        raise ValidationError("tail_scaling_fit requires a grid of at least 4 specs")
-    ys = np.array([s.moments().log_trigger_prob for s in specs])
-    if np.any(np.isneginf(ys)):
-        raise ValidationError("a spec on the grid can never trigger (threshold at or above n)")
-    xs = np.array([s.resolved_margin**2 for s in specs])
-    if np.ptp(xs) <= 0.0:
-        raise ValidationError("margins are constant across the grid; slope undefined")
-    slope, intercept, r_squared = _line_fit(xs, ys)
-    exponent = None
-    rates = {s.margin_rate for s in specs}
-    sizes = {s.n for s in specs}
-    if None not in rates and len(rates) == 1 and len(sizes) >= 2:
-        log_n = np.log([s.n for s in specs])
-        exponent = float(np.polyfit(log_n, -ys, 1)[0])
-    return TailScalingFit(
-        slope=slope,
-        intercept=intercept,
-        r_squared=r_squared,
-        retention_exponent=exponent,
-    )

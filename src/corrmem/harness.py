@@ -561,6 +561,8 @@ def _run_scaling(cfg, seed_tree, threads):
         "slope": result.slope,
         "intercept": result.intercept,
         "r_squared": result.r_squared,
+        "order": result.order,
+        "order_r_squared": result.order_r_squared,
         "status": result.status,
     }
     header = ["n", "b", "trials", "failures", "p_fail", "ci_lo", "ci_hi"]

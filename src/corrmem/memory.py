@@ -29,7 +29,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import field as _field
-from .adversarial import _line_fit
 from .bounds import _tail_estimate
 from .channel import _check_model
 # Unused here, but kept bound: the benchmark's tracer tests read this name.
@@ -121,15 +120,22 @@ class LifetimeBound(NamedTuple):
 
 
 class ScalingResult(NamedTuple):
-    """Least-squares summary of log failure probability against size.
+    """Least-squares fits of log failure probability against ``n`` and ``ln n``.
 
     ``tails[i]`` is point ``i``'s :class:`~corrmem.bounds.TailEstimate`.
+    ``slope``, ``intercept`` and ``r_squared`` fit ``ln p`` against ``n``;
+    ``order`` is minus the slope of ``ln p`` against ``ln n`` (the
+    polynomial growth order of ``1 / p``) and ``order_r_squared`` that
+    fit's R^2.  The fitted fields are ``None`` when ``status`` is
+    ``"inconclusive"``.
     """
 
     tails: list
     slope: float | None
     intercept: float | None
     r_squared: float | None
+    order: float | None
+    order_r_squared: float | None
     status: str
 
 
@@ -277,24 +283,36 @@ def lifetime_lower_bound(n: int, distance_fraction: float, confidence: float | N
     )
 
 
+def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line through ``(xs, ys)``: slope, intercept and R^2."""
+    slope, intercept = np.polyfit(xs, ys, 1)
+    resid = ys - (slope * xs + intercept)
+    centered = ys - ys.mean()
+    ss_tot = float(centered @ centered)
+    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - float(resid @ resid) / ss_tot
+    return float(slope), float(intercept), r_squared
+
+
 def scaling_experiment(points, method: str = "exact", trials: int | None = None, seed: int | None = None) -> ScalingResult:
-    """Fit log per-epoch failure probability against code size.
+    """Fit log per-epoch failure probability against ``n`` and against ``ln n``.
 
     ``points`` holds ``(model, code)`` pairs of at least four distinct
-    sizes.  Each point's tail at its correction threshold is read by
-    ``method`` (``"exact"``, or ``"mc"``, which alone derives per-point
-    seeds).  The fit takes a Monte Carlo point at ten observed failures, an
-    exact one unless its tail underflows to zero.  A negative fitted slope
-    with R^2 >= 0.9 is flagged ``exponential-lifetime-consistent``.
+    sizes, each model of its code's size.  Each point's tail at its
+    correction threshold is read by ``method`` (``"exact"``, or ``"mc"``,
+    which alone derives per-point seeds).  Both fits take a Monte Carlo
+    point at ten observed failures, an exact one unless its tail underflows
+    to zero; kept points of fewer than two sizes are ``inconclusive``.  A
+    negative slope against ``n`` with R^2 >= 0.9 and no worse than the
+    R^2 against ``ln n`` is flagged ``exponential-lifetime-consistent``;
+    a polynomial decay, where ``ln n`` fits better, is ``not-flagged``.
     """
     points = list(points)
-    sizes = {_check_model(model).n for model, _ in points}
-    if len(sizes) < 4:
+    if any(_check_model(model).n != code.n for model, code in points):
+        raise ValidationError("model and code sizes differ")
+    if len({model.n for model, _ in points}) < 4:
         raise ValidationError("scaling_experiment requires at least 4 distinct sizes")
     tails = []
     for idx, (model, code) in enumerate(points):
-        if model.n != code.n:
-            raise ValidationError("model and code sizes differ")
         point_seed = derive_seed(seed, "scaling-point", idx) if method == "mc" and seed is not None else None
         tails.append(_tail_estimate(model, code.correction_threshold, method, trials, point_seed))
     fit = [
@@ -302,12 +320,11 @@ def scaling_experiment(points, method: str = "exact", trials: int | None = None,
         for (model, _), est in zip(points, tails)
         if (est.exceedances >= 10 if est.trials else est.value > 0.0)
     ]
-    if len(fit) < 2:
-        return ScalingResult(tails=tails, slope=None, intercept=None, r_squared=None, status="inconclusive")
-    slope, intercept, r_squared = _line_fit(*(np.array(column, dtype=float) for column in zip(*fit)))
-    status = (
-        "exponential-lifetime-consistent"
-        if slope < 0.0 and r_squared >= 0.9
-        else "not-flagged"
-    )
-    return ScalingResult(tails=tails, slope=slope, intercept=intercept, r_squared=r_squared, status=status)
+    if len({n for n, _ in fit}) < 2:
+        return ScalingResult(tails, None, None, None, None, None, "inconclusive")
+    ns, logs = (np.array(column, dtype=float) for column in zip(*fit))
+    slope, intercept, r_squared = _line_fit(ns, logs)
+    log_slope, _, order_r_squared = _line_fit(np.log(ns), logs)
+    flagged = slope < 0.0 and r_squared >= 0.9 and r_squared >= order_r_squared
+    status = "exponential-lifetime-consistent" if flagged else "not-flagged"
+    return ScalingResult(tails, slope, intercept, r_squared, -log_slope, order_r_squared, status)

@@ -13,7 +13,6 @@ from corrmem import (
     ValidationError,
     channel,
     sample_errors_batch,
-    tail_scaling_fit,
     weight_law,
 )
 import corrmem.adversarial as adversarial
@@ -383,40 +382,3 @@ def test_weight_distribution_mass_at_n():
     # weight 3 collects the trigger mass plus the genuine all-ones draw
     assert law[3] == pytest.approx(0.5, abs=1e-12)
     assert law[2] == 0.0
-
-
-# --- scaling fits ----------------------------------------------------------
-
-
-def test_tail_scaling_fit_requires_enough_sizes():
-    specs = [ThresholdModelSpec(n=n, eps=0.1, margin_rate=1.0) for n in (8, 16, 32)]
-    with pytest.raises(ValidationError):
-        tail_scaling_fit(specs)
-
-
-def test_tail_scaling_fit_rejects_constant_margin():
-    specs = [ThresholdModelSpec(n=16, eps=0.1, margin=1.0) for _ in range(4)]
-    with pytest.raises(ValidationError):
-        tail_scaling_fit(specs)
-
-
-def test_tail_scaling_fit_slope_negative():
-    specs = [
-        ThresholdModelSpec(n=n, eps=0.1, margin_rate=1.0)
-        for n in (256, 1024, 4096, 16384)
-    ]
-    fit = tail_scaling_fit(specs)
-    assert fit.slope < 0.0
-    assert fit.r_squared > 0.99
-
-
-def test_tail_scaling_fit_polynomial_retention_exponent():
-    # with the sqrt-log schedule the retention ceiling grows polynomially;
-    # the exponent tracks the squared rate through the binomial rate function
-    specs = [
-        ThresholdModelSpec(n=n, eps=0.1, margin_rate=0.6)
-        for n in (256, 1024, 4096, 16384)
-    ]
-    fit = tail_scaling_fit(specs)
-    assert fit.retention_exponent is not None
-    assert 1.0 < fit.retention_exponent < 4.0

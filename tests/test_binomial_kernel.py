@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrmem import ThresholdModelSpec, ValidationError, adversarial, tail_scaling_fit
+from corrmem import ThresholdModelSpec, adversarial
 from corrmem.adversarial import (
     _binom_tail_gt,
     _log_pmf,
@@ -361,20 +361,11 @@ def test_log_trigger_probability_resolves_below_the_float_range():
         for spec, got in zip(specs, logs):
             want = mpmath.log(mp_tail_gt(spec.n, spec.eps, spec.threshold))
             assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
-    fit = tail_scaling_fit(specs)
-    assert fit.slope < 0.0
-    assert fit.retention_exponent is not None and fit.retention_exponent > 0.0
 
 
 def test_log_trigger_probability_edges():
     assert ThresholdModelSpec.from_threshold(8, 0.3, 8.0).moments().log_trigger_prob == -math.inf
     assert ThresholdModelSpec.from_threshold(8, 0.3, -0.5).moments().log_trigger_prob == 0.0
-
-
-def test_tail_scaling_fit_refuses_only_impossible_triggers():
-    specs = [ThresholdModelSpec(n=n, eps=0.1, margin_rate=1.0) for n in (256, 1024, 4096)]
-    with pytest.raises(ValidationError, match="never trigger"):
-        tail_scaling_fit([*specs, ThresholdModelSpec.from_threshold(64, 0.1, 64.0)])
 
 
 _FOOTPRINT_PROBE = """

@@ -478,6 +478,24 @@ def test_scaling_run_exact(tmp_path):
     assert payload["summary"]["slope"] < 0
 
 
+def test_a_threshold_scaling_run_reads_not_flagged_and_writes_its_order(tmp_path):
+    # the benchmark's threshold-scan scaling config: ln p fits ln n, not n
+    cfg = parse_config(
+        {
+            "kind": "scaling",
+            "out": str(tmp_path),
+            "model": {"type": "threshold", "eps": 0.1, "margin_rate": 1.0},
+            "grid": {"n_values": [2**k for k in range(10, 18)]},
+            "params": {"method": "exact", "distance_fraction": 0.3},
+        }
+    )
+    summary = json.loads(Path(run(cfg).summary_path).read_text())["summary"]
+    assert set(summary) == {"slope", "intercept", "r_squared", "order", "order_r_squared", "status"}
+    assert summary["status"] == "not-flagged"
+    assert summary["order"] > 0.0
+    assert summary["r_squared"] < summary["order_r_squared"]
+
+
 # SHA-256 of each CSV at seed 0, recorded while exact and sampled tails still
 # took separate code paths: a change to the tail path that moves a byte fails here
 PINNED_CSVS = {

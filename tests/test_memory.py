@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 import weakref
 
 import mpmath
@@ -386,16 +387,78 @@ def test_scaling_zero_channel_inconclusive():
     assert result.slope is None
 
 
+def threshold_points(sizes, rate):
+    # a code of distance 2 floor(B) + 1 fails an epoch exactly when the trigger fires
+    points = []
+    for n in sizes:
+        spec = ThresholdModelSpec(n=n, eps=0.1, margin_rate=rate)
+        points.append((spec, CodeModel(n=n, k=1, d=min(n, 2 * math.floor(spec.threshold) + 1))))
+    return points
+
+
+def sticky_points(sizes, theta):
+    points = []
+    for n in sizes:
+        model = HiddenErrorModel(field=chain(n, theta), channel=PerSiteChannel(table=np.tile([0.01, 0.2], (n, 1))))
+        points.append((model, CodeModel(n=n, k=1, d=2 * math.floor(0.16 * n) + 1)))
+    return points
+
+
 def test_scaling_adversarial_family_not_flagged():
     # the sqrt-log margin schedule gives polynomial decay: visibly concave
     # in (n, ln p), so the linear fit quality collapses
-    points = []
-    for n in (16, 64, 256, 1024):
-        spec = ThresholdModelSpec(n=n, eps=0.1, margin_rate=0.6)
-        tau = math.floor(spec.threshold)
-        points.append((spec, CodeModel(n=n, k=1, d=min(n, 2 * tau + 1))))
-    result = scaling_experiment(points, method="exact")
+    result = scaling_experiment(threshold_points((16, 64, 256, 1024), 0.6), method="exact")
     assert result.status == "not-flagged"
+
+
+def test_scaling_threshold_family_order_positive():
+    result = scaling_experiment(threshold_points((256, 1024, 4096, 16384), 1.0))
+    assert result.order > 0.0
+    assert result.order_r_squared > 0.99
+
+
+def test_scaling_threshold_family_polynomial_order():
+    # with the sqrt-log schedule the retention ceiling grows polynomially;
+    # the order tracks the squared rate through the binomial rate function
+    result = scaling_experiment(threshold_points((256, 1024, 4096, 16384), 0.6))
+    assert 1.0 < result.order < 4.0
+
+
+DOUBLING_256 = [2**k for k in range(8, 13)]
+DOUBLING_1024 = [2**k for k in range(10, 14)]
+
+
+@pytest.mark.parametrize(
+    "points, status",
+    [
+        (lambda: threshold_points(DOUBLING_256, 0.6), "not-flagged"),
+        (lambda: threshold_points(DOUBLING_1024, 0.6), "not-flagged"),
+        (lambda: threshold_points(DOUBLING_1024, 1.0), "not-flagged"),
+        (lambda: threshold_points(DOUBLING_1024, 2.0), "not-flagged"),
+        (lambda: sticky_points(DOUBLING_256, 0.05), "exponential-lifetime-consistent"),
+        (lambda: sticky_points(DOUBLING_256, 0.9), "exponential-lifetime-consistent"),
+        (lambda: scaling_points((32, 64, 96, 128), 0.5, 0.05, 0.3), "exponential-lifetime-consistent"),
+    ],
+    ids=["threshold-0.6-256", "threshold-0.6-1024", "threshold-1.0-1024", "threshold-2.0-1024", "sticky-0.05", "sticky-0.9", "iid"],
+)
+def test_scaling_flags_only_a_decay_that_fits_n_better_than_ln_n(points, status):
+    # on these grids ln p of the threshold family fits n with R^2 >= 0.9, but ln n better
+    result = scaling_experiment(points())
+    assert result.status == status
+    assert (result.r_squared >= result.order_r_squared) == (status == "exponential-lifetime-consistent")
+
+
+def test_scaling_kept_points_of_one_size_are_inconclusive():
+    # only the two n = 8 points have a positive tail: a fit through one size has no slope
+    points = [
+        (iid_per_site_model(n, 0.5, q), CodeModel(n=n, k=1, d=math.ceil(0.4 * n)))
+        for n, q in ((8, 0.1), (8, 0.2), (12, 0.0), (16, 0.0), (20, 0.0))
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = scaling_experiment(points)
+    assert result.status == "inconclusive"
+    assert result[1:6] == (None,) * 5
 
 
 def test_scaling_requires_four_sizes():
@@ -404,12 +467,16 @@ def test_scaling_requires_four_sizes():
 
 
 @pytest.mark.parametrize("mode", ["exact", "mc"])
-def test_scaling_rejects_a_model_and_code_of_different_sizes(mode):
+def test_scaling_rejects_a_model_and_code_of_different_sizes(monkeypatch, mode):
+    # the last point mismatches, and no tail is read before the check
     points = scaling_points((8, 12, 16, 20), 0.5, 0.1, 0.4)
-    model, code = points[2]
-    points[2] = (model, CodeModel(n=code.n + 1, k=1, d=code.d))
+    model, code = points[3]
+    points[3] = (model, CodeModel(n=code.n + 1, k=1, d=code.d))
+    read = []
+    monkeypatch.setattr(memory, "_tail_estimate", lambda model, *args: read.append(model.n))
     with pytest.raises(ValidationError, match="sizes differ"):
         scaling_experiment(points, mode, trials=1000, seed=0)
+    assert read == []
 
 
 def test_an_exact_scaling_point_is_a_point_estimate():
