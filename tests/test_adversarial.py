@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrmem import (
+    CodeModel,
     HiddenErrorModel,
     ThresholdModelSpec,
     ValidationError,
     channel,
     sample_errors_batch,
+    scaling_experiment,
     weight_law,
 )
 import corrmem.adversarial as adversarial
@@ -382,3 +384,16 @@ def test_weight_distribution_mass_at_n():
     # weight 3 collects the trigger mass plus the genuine all-ones draw
     assert law[3] == pytest.approx(0.5, abs=1e-12)
     assert law[2] == 0.0
+
+
+# --- scaling fits ----------------------------------------------------------
+
+
+def test_tail_scaling_fit_requires_enough_sizes():
+    # three sizes of the threshold family are too few for the scaling fit
+    points = []
+    for n in (8, 16, 32):
+        spec = ThresholdModelSpec(n=n, eps=0.1, margin_rate=1.0)
+        points.append((spec, CodeModel(n=n, k=1, d=min(n, 2 * math.floor(spec.threshold) + 1))))
+    with pytest.raises(ValidationError, match="at least 4 distinct sizes"):
+        scaling_experiment(points)
