@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import GlobalThresholdChannel, HiddenErrorModel, _epoch_rows, _trigger_cut
+from .channel import GlobalThresholdChannel, HiddenErrorModel, _trigger_cut
 from .errors import ValidationError
 from .field import MarkovFieldSpec
 from .rng import _integer
@@ -213,16 +213,11 @@ class ThresholdModelSpec(HiddenErrorModel):
         k = _integer(k, "k")
         return 0.0 if k >= self.n else _binom_tail_gt(self.n, self.eps, min(k, self.threshold))
 
-    def sample_weights(self, gens, count: int) -> np.ndarray:
-        """Error weights of ``count`` epochs from each of ``gens`` in turn.
-
-        Each epoch draws one binomial latent weight and weighs ``n`` above
-        the trigger.  Shape (len(gens) * count,).
-        """
-        if not _epoch_rows(gens, count):
-            return np.empty(0, dtype=np.intp)
-        latent = np.concatenate([gen.binomial(self.n, self.eps, size=count) for gen in gens])
-        return np.where(latent <= self.threshold, latent, self.n)
+    def _weight_blocks(self, gens, count: int):
+        """Per generator, ``count`` binomial latent weights, each ``n`` above the trigger: one draw per epoch."""
+        for gen in gens:
+            latent = gen.binomial(self.n, self.eps, size=count)
+            yield np.where(latent <= self.threshold, latent, self.n)
 
 
 # Stirling's error term ``log(k!) - log(sqrt(2 pi k) (k / e)^k)`` for k = 0..15.

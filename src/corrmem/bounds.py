@@ -60,7 +60,7 @@ def hoeffding_conditional_bound(beta: float, n: int) -> float:
     factor two weaker than the sharpest Hoeffding form, so every dominance
     check here holds with slack.
     """
-    if beta < 0.0:
+    if not beta >= 0.0:
         raise ValidationError("beta must be non-negative")
     n = _integer(n, "n", 1)
     return 2.0 * math.exp(-(beta**2) * n)
@@ -68,9 +68,9 @@ def hoeffding_conditional_bound(beta: float, n: int) -> float:
 
 def chain_rate_constant(c: float, m: float) -> float:
     """Exponent rate ``1 / (2 c^2 m^2)`` of :func:`chain_tail_bound`."""
-    if c <= 0.0:
+    if not c > 0.0:
         raise ValidationError("c must be positive")
-    if m < 1.0:
+    if not m >= 1.0:
         raise ValidationError("m must be >= 1")
     return 1.0 / (2.0 * c * c * m * m)
 
@@ -83,12 +83,12 @@ def chain_tail_bound(beta: float, n: int, c: float, m: float) -> float:
     the chain mixing bound.  A constant function (``c == 0``) cannot stray
     at all, so the ceiling is 0 for positive ``beta``.
     """
-    if beta < 0.0:
+    if not beta >= 0.0:
         raise ValidationError("beta must be non-negative")
     n = _integer(n, "n", 1)
-    if c < 0.0:
+    if not c >= 0.0:
         raise ValidationError("c must be non-negative")
-    if m < 1.0:
+    if not m >= 1.0:
         raise ValidationError("m must be >= 1")
     if c == 0.0:
         return 0.0 if beta > 0.0 else 2.0
@@ -176,8 +176,9 @@ def weight_law(model) -> np.ndarray:
 def count_exceedances(model, gen: "np.random.Generator", trials: int, threshold: float) -> int:
     """How many of ``trials`` epochs drawn from ``gen`` weigh more than ``threshold``.
 
-    The epochs are drawn ``_MC_BLOCK`` at a time through the model's
-    ``sample_weights``.
+    The epochs are drawn as ``sample_weights`` calls of ``_MC_BLOCK`` epochs
+    would draw them, and counted stack by stack from the model's weight
+    blocks, so no ``_MC_BLOCK``-long weight array is held.
     """
     _check_model(model)
     if math.isnan(threshold):
@@ -185,8 +186,8 @@ def count_exceedances(model, gen: "np.random.Generator", trials: int, threshold:
     trials = _integer(trials, "trials", 0)
     count = 0
     for done in range(0, trials, _MC_BLOCK):
-        weights = model.sample_weights([gen], min(_MC_BLOCK, trials - done))
-        count += int(np.count_nonzero(weights > threshold))
+        for weights in model._weight_blocks([gen], min(_MC_BLOCK, trials - done)):
+            count += int(np.count_nonzero(weights > threshold))
     return count
 
 

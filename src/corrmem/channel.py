@@ -37,6 +37,7 @@ from .field import (
     MarkovFieldSpec,
     _advance,
     _blocks,
+    _fill,
     _inverse_cdf_walk,
     _window_marginals,
     mixing_bound,
@@ -220,19 +221,18 @@ class HiddenErrorModel:
         return float(_weight_pass(self, k)[-1])
 
     def sample_weights(self, gens, count: int) -> np.ndarray:
-        """Error weights of ``count`` epochs from each of ``gens`` in turn.
+        """Error weights of ``count`` epochs from each of ``gens`` in turn, shape (len(gens) * count,).
 
-        Each generator supplies a (count, n) walk block and then a
-        (count, n) error block of uniforms.  Shape (len(gens) * count,).
+        Written once for every family, on top of the family's :meth:`_weight_blocks`.
         """
-        out = np.empty(_epoch_rows(gens, count), dtype=np.intp)
-        if not out.size:
-            return out
-        lo = 0
+        count = _integer(count, "count", 0)
+        out = np.empty(len(gens) * count, dtype=np.intp)
+        return _fill(out, self._weight_blocks(gens, count) if out.size else ())
+
+    def _weight_blocks(self, gens, count: int):
+        """Weights of ``count > 0`` epochs per generator, a stack at a time, from (count, n) walk and error blocks."""
         for bits in _error_bits(self, _blocks(gens, count, self.n, parts=2)):
-            out[lo : lo + len(bits)] = np.count_nonzero(bits, axis=1)
-            lo += len(bits)
-        return out
+            yield np.count_nonzero(bits, axis=1)
 
 
 def _check_model(model):
@@ -286,11 +286,6 @@ def _site_probabilities(model: HiddenErrorModel, x: np.ndarray) -> np.ndarray:
     return c.table.take(code + np.arange(0, code.shape[0] * width, width)[:, None])
 
 
-def _epoch_rows(gens, count: int) -> int:
-    """Rows of a ``sample_weights`` call, ``len(gens) * count``, once ``count`` is checked."""
-    return len(gens) * _integer(count, "count", 0)
-
-
 def _error_bits(model: HiddenErrorModel, blocks):
     """Trial-major (rows, n) error bits from alternating walk and error blocks.
 
@@ -335,12 +330,7 @@ def sample_errors_batch(model: HiddenErrorModel, seed: int, trials: int) -> np.n
     """
     n = _check_model(model).n
     trials = _integer(trials, "trials", 1)
-    out = np.empty((trials, n), dtype=np.uint8)
-    lo = 0
-    for bits in _trial_bits(model, seed, trials):
-        out[lo : lo + len(bits)] = bits
-        lo += len(bits)
-    return out
+    return _fill(np.empty((trials, n), dtype=np.uint8), _trial_bits(model, seed, trials))
 
 
 # ---------------------------------------------------------------------------

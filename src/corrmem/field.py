@@ -262,6 +262,15 @@ def _blocks(gens, count: int, width: int, parts: int = 1):
                 cursors[p] = bitgen.state
 
 
+def _fill(out: np.ndarray, blocks) -> np.ndarray:
+    """``out``, its rows filled from ``blocks`` in turn."""
+    lo = 0
+    for block in blocks:
+        out[lo : lo + len(block)] = block
+        lo += len(block)
+    return out
+
+
 def sample_field_batch(spec: MarkovFieldSpec, seed: int, trials: int) -> np.ndarray:
     """Draw ``trials`` independent configurations; shape (trials, n).
 
@@ -274,12 +283,8 @@ def sample_field_batch(spec: MarkovFieldSpec, seed: int, trials: int) -> np.ndar
     if not isinstance(spec, MarkovFieldSpec):
         raise ValidationError(f"unsupported field type {type(spec).__name__}")
     trials = _integer(trials, "trials", 1)
-    out = np.empty((trials, spec.n), dtype=np.uint8)
-    lo = 0
-    for u in _blocks([make_generator(seed)], trials, spec.n):
-        out[lo : lo + len(u)] = _inverse_cdf_walk(spec, u.T).T
-        lo += len(u)
-    return out
+    walks = (_inverse_cdf_walk(spec, u.T).T for u in _blocks([make_generator(seed)], trials, spec.n))
+    return _fill(np.empty((trials, spec.n), dtype=np.uint8), walks)
 
 
 def correlation_decay_profile(spec: MarkovFieldSpec, site: int) -> np.ndarray:

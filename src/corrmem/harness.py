@@ -21,7 +21,7 @@ import math
 import numbers
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -140,20 +140,10 @@ def parse_config(data: dict, kind: str | None = None) -> ExperimentConfig:
         raise ConfigError("experiment kind missing (no 'kind' field and none given)")
     if file_kind is not None and kind is not None and file_kind != kind:
         raise ConfigError(f"config kind {file_kind!r} does not match requested {kind!r}")
-    known = {"kind", "master_seed", "out", "model", "code", "grid", "budget", "params"}
-    extra = set(data) - known
+    extra = set(data) - {f.name for f in fields(ExperimentConfig)}
     if extra:
         raise ConfigError(f"unknown config field(s): {sorted(extra)}")
-    return ExperimentConfig(
-        kind=kind if kind is not None else file_kind,
-        master_seed=data.get("master_seed", 0),
-        out=data.get("out", "."),
-        model=data.get("model"),
-        code=data.get("code"),
-        grid=data.get("grid", {}),
-        budget=data.get("budget", {}),
-        params=data.get("params", {}),
-    )
+    return ExperimentConfig(**{**data, "kind": kind if kind is not None else file_kind})
 
 
 def _require(condition: bool, message: str) -> None:
@@ -524,7 +514,7 @@ def _run_tails(cfg, seed_tree, threads):
     model = _build_model(cfg.model)
     deltas = _list_of(_number, cfg.params["deltas"], "params.deltas")
     method = cfg.params.get("method", "mc")
-    trials = _integer(cfg.budget.get("trials", 20_000), "budget.trials", least=_MIN_MC_TRIALS if method == "mc" else 1)
+    trials = _integer(cfg.budget.get("trials", 20_000), "budget.trials", least=_MIN_MC_TRIALS) if method == "mc" else 0
     model_id = cfg.params.get("model_id", "model-0")
     _require(isinstance(model_id, str), "params.model_id must be a string")
 

@@ -18,7 +18,9 @@ Every function here takes a :class:`~corrmem.channel.HiddenErrorModel`, a
 threshold spec included, and uses only its model methods: ``n``,
 ``mean_rate()``, ``lipschitz()``, ``mixing_bound()``, ``weight_law()``,
 ``tail(k)`` (exact ``P(sum Y > k)`` for every integer ``k``),
-``covariance()`` (exact, n x n) and ``sample_weights(gens, count)``.
+``covariance()`` (exact, n x n) and ``sample_weights(gens, count)``.  A
+family supplies ``_weight_blocks(gens, count)``, its epoch weights a block at
+a time, and ``sample_weights`` is written once on top of it.
 """
 
 import math

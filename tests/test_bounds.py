@@ -86,8 +86,20 @@ def test_bounds_reject_bad_arguments():
         (lambda: chain_tail_bound(-0.1, 4, 1.0, 1.0), "beta must be non-negative"),
         (lambda: combined_tail_bound(1.0, 0.1, 4, 1.0, 1.0), "eps must lie in [0, 1)"),
         (lambda: clopper_pearson(1, 4, confidence=1.0), "confidence must lie in (0, 1)"),
+        # NaN fails every comparison, so each check asks that a value lies inside its range
+        (lambda: hoeffding_conditional_bound(math.nan, 10), "beta must be non-negative"),
+        (lambda: chain_tail_bound(math.nan, 10, 0.5, 1.0), "beta must be non-negative"),
+        (lambda: chain_tail_bound(0.1, 10, math.nan, 1.0), "c must be non-negative"),
+        (lambda: chain_tail_bound(0.1, 10, 0.5, math.nan), "m must be >= 1"),
+        (lambda: chain_rate_constant(math.nan, 1.0), "c must be positive"),
+        (lambda: chain_rate_constant(0.5, math.nan), "m must be >= 1"),
+        (lambda: verify_bound(chain_model(10, 0.25, [0.05, 0.1]), 0.2, c=math.nan, method="exact"), "c must be non-negative"),
+        (lambda: verify_bound(chain_model(10, 0.25, [0.05, 0.1]), 0.2, m=math.nan, method="exact"), "m must be >= 1"),
     ],
-    ids=["rate-c", "rate-m", "chain-beta", "combined-eps", "clopper-pearson-confidence"],
+    ids=[
+        "rate-c", "rate-m", "chain-beta", "combined-eps", "clopper-pearson-confidence",
+        "nan-hoeffding-beta", "nan-chain-beta", "nan-chain-c", "nan-chain-m", "nan-rate-c", "nan-rate-m", "nan-verify-c", "nan-verify-m",
+    ],
 )
 def test_bound_arguments_are_checked_by_name(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):

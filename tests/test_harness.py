@@ -920,9 +920,10 @@ def test_a_monte_carlo_budget_below_the_floor_exit_2_before_any_model_quantity(t
     assert main([kind, "--config", path, "--out", str(tmp_path / "mc")]) == 2
     assert "config error: budget.trials must be an integer >= 1000" in capsys.readouterr().err
     assert ran == [] and not (tmp_path / "mc").exists()
-    # an exact run takes the same budget
-    path = write_config(tmp_path, "exact.json", config)
-    assert main([kind, "--config", path, "--out", str(tmp_path / "exact")]) == 0
+    # an exact run takes the same budget, and reads none: not even trials 0
+    for trials in (5, 0):
+        path = write_config(tmp_path, f"exact-{trials}.json", {**config, "budget": {"trials": trials}})
+        assert main([kind, "--config", path, "--out", str(tmp_path / f"exact-{trials}")]) == 0
 
 
 def test_config_root_must_be_an_object():

@@ -111,8 +111,13 @@ def test_sample_weights_is_the_concatenation_of_per_generator_calls(count, monke
         assert np.array_equal(together, apart)
 
 
+def mc_tails_model():
+    """The benchmark's Monte Carlo tail model: a sticky 64-site chain read out per site."""
+    return HiddenErrorModel(field=chain(64, 0.5), channel=PerSiteChannel(table=np.tile([0.05, 0.15], (64, 1))))
+
+
 def test_count_exceedances_holds_only_a_few_slices_in_memory():
-    model = HiddenErrorModel(field=chain(64, 0.5), channel=PerSiteChannel(table=np.tile([0.05, 0.15], (64, 1))))
+    model = mc_tails_model()
     gen = make_generator(0)
     tracemalloc.start()
     try:
@@ -135,11 +140,37 @@ def traced_peak(call):
 
 
 def test_count_exceedances_holds_one_block_of_uniforms():
-    model = HiddenErrorModel(field=chain(64, 0.5), channel=PerSiteChannel(table=np.tile([0.05, 0.15], (64, 1))))
+    model = mc_tails_model()
     gen = make_generator(0)
-    # one (2048, 64) uniform block is 1 MiB and the 100 000 weights 0.76 MiB;
+    # one (2048, 64) uniform block is 1 MiB and a stack's weights 16 KiB;
     # a second float block, or an (n, rows) index or probability block, is 1 MiB more
     assert traced_peak(lambda: count_exceedances(model, gen, 100_000, 6.4)) < 2.75 * 2**20
+
+
+def test_count_exceedances_footprint_does_not_grow_with_the_trial_count():
+    model = mc_tails_model()
+    # a first call's one-off allocations stay out of both peaks
+    count_exceedances(model, make_generator(0), 10, 6.4)
+    small, large = (traced_peak(lambda: count_exceedances(model, make_generator(0), t, 6.4)) for t in (20_000, 100_000))
+    # a whole 100 000-epoch weight array would hold 0.6 MiB more than a 20 000-epoch one
+    assert large <= small + 32 * 2**10
+
+
+@pytest.mark.parametrize("model", [mc_tails_model(), ThresholdModelSpec(n=64, eps=0.1, margin=0.5)], ids=["hidden", "threshold"])
+def test_count_exceedances_draws_as_sample_weights_calls_of_one_mc_block(model):
+    gen = make_generator(0)
+    weights = np.concatenate([model.sample_weights([gen], 100_000), model.sample_weights([gen], 1)])
+    assert count_exceedances(model, make_generator(0), 100_001, 6.4) == np.count_nonzero(weights > 6.4)
+
+
+@pytest.mark.parametrize("model", [window_model(9), ThresholdModelSpec(n=9, eps=0.2, margin=0.5)], ids=["hidden", "threshold"])
+@pytest.mark.parametrize("gens, count", [(40, 64), (1, 5000)], ids=["40x64", "1x5000"])
+def test_sample_weights_is_the_concatenation_of_the_weight_blocks(model, gens, count):
+    # each shape crosses a 2048-row stack: two stacks of 32 and 8 generators, or three slices of one
+    blocks = list(model._weight_blocks([make_generator(s) for s in range(gens)], count))
+    weights = model.sample_weights([make_generator(s) for s in range(gens)], count)
+    assert weights.dtype == np.intp and weights.shape == (gens * count,)
+    assert np.array_equal(weights, np.concatenate(blocks))
 
 
 def test_stacked_sample_weights_hold_one_block_of_uniforms():
@@ -150,7 +181,7 @@ def test_stacked_sample_weights_hold_one_block_of_uniforms():
 
 
 def test_mc_covariance_streams_its_trials():
-    model = HiddenErrorModel(field=chain(64, 0.5), channel=PerSiteChannel(table=np.tile([0.05, 0.15], (64, 1))))
+    model = mc_tails_model()
     # one (2048, 128) uniform block is 2 MiB and its (2048, 64) float error
     # bits 1 MiB; the (50 000, 64) uint8 error block would be 3.05 MiB more
     assert traced_peak(lambda: sampled_covariance(model, trials=50_000, seed=0)) < 5 * 2**20
