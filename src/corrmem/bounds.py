@@ -17,11 +17,12 @@ tail beyond ``n (eps + delta)`` whenever the mean per-site error rate is at
 most ``eps`` (:func:`combined_tail_bound`).  :func:`verify_bound` confronts
 such a ceiling with an exact or sampled tail and issues a verdict.
 
-The law of the total error weight lives here too, for any model, a
-threshold spec included: :func:`weight_law` gives it exactly,
-:func:`exact_tail` and :func:`empirical_tail` give the probability that the
-weight exceeds a threshold.  The per-epoch failure probability of a memory is that tail at the
-code's correction threshold.
+The tails of the total error weight live here too, for any model, a
+threshold spec included: :func:`exact_tail` and :func:`empirical_tail` give
+the probability that the weight exceeds a threshold.  The per-epoch failure
+probability of a memory is that tail at the code's correction threshold.
+The exact law itself is ``model.weight_law()``; :func:`weight_law`, exported
+here, is :func:`corrmem.channel.weight_distribution` under a second name.
 """
 
 import math
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import _check_model, _require_mc, _trigger_cut
+from .channel import _check_model, _require_mc, _trigger_cut, weight_distribution as weight_law
 from .errors import ValidationError
 from .rng import _integer, make_generator
 
@@ -66,12 +67,23 @@ def hoeffding_conditional_bound(beta: float, n: int) -> float:
     return 2.0 * math.exp(-(beta**2) * n)
 
 
+def _check_ceiling(eps=None, delta=None, c=None, m=None) -> None:
+    """The one check of each ceiling input that is given, in :func:`combined_tail_bound`'s order."""
+    if eps is not None and not 0.0 <= eps < 1.0:
+        raise ValidationError("eps must lie in [0, 1)")
+    if delta is not None and not (math.isfinite(delta) and delta > 0.0):
+        raise ValidationError("delta must be positive and finite")
+    if c is not None and not c >= 0.0:
+        raise ValidationError("c must be non-negative")
+    if m is not None and not m >= 1.0:
+        raise ValidationError("m must be >= 1")
+
+
 def chain_rate_constant(c: float, m: float) -> float:
     """Exponent rate ``1 / (2 c^2 m^2)`` of :func:`chain_tail_bound`."""
     if not c > 0.0:
         raise ValidationError("c must be positive")
-    if not m >= 1.0:
-        raise ValidationError("m must be >= 1")
+    _check_ceiling(m=m)
     return 1.0 / (2.0 * c * c * m * m)
 
 
@@ -86,10 +98,7 @@ def chain_tail_bound(beta: float, n: int, c: float, m: float) -> float:
     if not beta >= 0.0:
         raise ValidationError("beta must be non-negative")
     n = _integer(n, "n", 1)
-    if not c >= 0.0:
-        raise ValidationError("c must be non-negative")
-    if not m >= 1.0:
-        raise ValidationError("m must be >= 1")
+    _check_ceiling(c=c, m=m)
     if c == 0.0:
         return 0.0 if beta > 0.0 else 2.0
     return 2.0 * math.exp(-(beta**2) * n * chain_rate_constant(c, m))
@@ -101,10 +110,7 @@ def combined_tail_bound(eps: float, delta: float, n: int, c: float, m: float) ->
     The deviation is split evenly: half is charged to conditional
     fluctuations, half to the latent chain.
     """
-    if not 0.0 <= eps < 1.0:
-        raise ValidationError("eps must lie in [0, 1)")
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ValidationError("delta must be positive and finite")
+    _check_ceiling(eps, delta)
     return hoeffding_conditional_bound(delta / 2.0, n) + chain_tail_bound(
         delta / 2.0, n, c, m
     )
@@ -168,17 +174,13 @@ class TailReport(NamedTuple):
     method: str
 
 
-def weight_law(model) -> np.ndarray:
-    """Exact epoch weight law of ``model``; shape (n + 1,)."""
-    return _check_model(model).weight_law()
-
-
 def count_exceedances(model, gen: "np.random.Generator", trials: int, threshold: float) -> int:
     """How many of ``trials`` epochs drawn from ``gen`` weigh more than ``threshold``.
 
     The epochs are drawn as ``sample_weights`` calls of ``_MC_BLOCK`` epochs
     would draw them, and counted stack by stack from the model's weight
-    blocks, so no ``_MC_BLOCK``-long weight array is held.
+    blocks, so no ``_MC_BLOCK``-long weight array is held.  As in ``sample_weights``,
+    a block above 2 048 epochs of any model but a threshold spec needs a Philox ``gen``.
     """
     _check_model(model)
     if math.isnan(threshold):
@@ -243,19 +245,21 @@ def verify_bound(
 ) -> TailReport:
     """Confront the combined ceiling with the model's actual tail.
 
-    Once ``method`` is known to be ``"exact"``, or ``"mc"`` with a seed and
-    enough trials, unsupplied ingredients come from the model: ``eps`` as
-    the exact mean error rate, ``c`` as the Lipschitz constant of the
-    conditional mean error count, ``m`` as the chain mixing bound.  The
-    tail is one :class:`TailEstimate`: ``method="exact"`` reads it through
-    :func:`exact_tail` as a point with ``trials == 0``; ``method="mc"``
-    samples it through :func:`empirical_tail`.
+    Once ``method`` is known to be ``"exact"``, or ``"mc"`` with a seed and enough
+    trials, and ``delta`` and each supplied ingredient pass the ceiling's checks,
+    unsupplied ingredients come from the model: ``eps`` as the exact mean error rate,
+    ``c`` as the Lipschitz constant of the conditional mean error count, ``m`` as the
+    chain mixing bound.  The tail is one :class:`TailEstimate`: ``method="exact"``
+    reads it through :func:`exact_tail` as a point with ``trials == 0``;
+    ``method="mc"`` samples it through :func:`empirical_tail`.
     """
     n = _check_model(model).n
     if method == "mc":
         _require_mc(trials, seed)
     elif method != "exact":
         raise ValidationError(f"unknown method {method!r}")
+    # delta and each given override are checked before any model quantity is computed
+    _check_ceiling(eps, delta, c, m)
     if eps is None:
         eps = model.mean_rate()
     if c is None:

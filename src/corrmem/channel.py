@@ -223,7 +223,10 @@ class HiddenErrorModel:
     def sample_weights(self, gens, count: int) -> np.ndarray:
         """Error weights of ``count`` epochs from each of ``gens`` in turn, shape (len(gens) * count,).
 
-        Written once for every family, on top of the family's :meth:`_weight_blocks`.
+        Written once for every family, on top of the family's :meth:`_weight_blocks`.  These
+        blocks draw a ``count`` above one 2 048-epoch stack through skip-ahead cursors,
+        which need Philox generators, as ``make_generator`` returns: a PCG64 one raises
+        ValidationError at 2 049 epochs.  A threshold spec's binomial draws take any generator.
         """
         count = _integer(count, "count", 0)
         out = np.empty(len(gens) * count, dtype=np.intp)
@@ -576,5 +579,5 @@ def sampled_covariance(model: HiddenErrorModel, trials: int, seed: int) -> Covar
 
 
 def weight_distribution(model: HiddenErrorModel) -> np.ndarray:
-    """Exact law of the total error weight ``sum_i Y_i``, shape (n + 1,): ``model.weight_law()``."""
-    return model.weight_law()
+    """Exact law of the total error weight ``sum_i Y_i``, shape (n + 1,): ``model.weight_law()``, exported as ``weight_law`` too."""
+    return _check_model(model).weight_law()

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, rng
 from .adversarial import ThresholdModelSpec
-from .bounds import verify_bound
+from .bounds import _check_ceiling, verify_bound
 from .channel import (
     _MIN_MC_TRIALS,
     GlobalThresholdChannel,
@@ -214,16 +214,12 @@ def symmetric_binary_field(n: int, theta: float) -> MarkovFieldSpec:
     Every kernel keeps the current symbol with probability ``(1 + theta)/2``,
     so its mixing coefficient is exactly ``theta``.
     """
+    n, theta = rng._integer(n, "n", 1), _number(theta, "theta")
     if not 0.0 <= theta <= 1.0:
         raise ConfigError("theta must lie in [0, 1]")
     keep = (1.0 + theta) / 2.0
     kernel = np.array([[keep, 1.0 - keep], [1.0 - keep, keep]])
-    return MarkovFieldSpec(
-        n=int(n),
-        alphabet_size=2,
-        initial=np.array([0.5, 0.5]),
-        kernels=np.tile(kernel, (max(n - 1, 0), 1, 1)).reshape(n - 1, 2, 2),
-    )
+    return MarkovFieldSpec(n=n, alphabet_size=2, initial=np.array([0.5, 0.5]), kernels=np.tile(kernel, (n - 1, 1, 1)))
 
 
 def _build_field(block: dict, n: int | None = None) -> MarkovFieldSpec:
@@ -435,17 +431,15 @@ def _run_covariance(cfg, seed_tree, threads):
 
 def _run_adversarial_scan(cfg, seed_tree, threads):
     eps = _number(cfg.params["eps"], "params.eps")
-    rates = _list_of(_number, cfg.params["margin_rates"], "params.margin_rates")
-    sizes = _sizes(cfg)
+    rates = _list_of(_number, cfg.params["margin_rates"], "params.margin_rates", least=1)
+    # every spec, and so every margin rate, is checked before any moment is computed
+    specs = [ThresholdModelSpec(n=n, eps=eps, margin_rate=a) for n in _sizes(cfg) for a in rates]
 
-    def one(point):
-        n, a = point
-        spec = ThresholdModelSpec(n=n, eps=eps, margin_rate=a)
+    def one(spec):
         m = spec.moments()
-        return n, eps, a, spec.resolved_margin, spec.threshold, m.trigger_prob, m.covariance, m.retention_upper_bound
+        return spec.n, eps, spec.margin_rate, spec.resolved_margin, spec.threshold, m.trigger_prob, m.covariance, m.retention_upper_bound
 
-    points = [(n, a) for n in sizes for a in rates]
-    rows = _parallel_map(one, points, threads)
+    rows = _parallel_map(one, specs, threads)
     header = ["n", "eps", "a", "C_n", "B_n", "P_A", "cov12", "retention_bound"]
     summary = {"points": len(rows)}
     return header, rows, summary, 0
@@ -512,7 +506,9 @@ def _verify_jobs(jobs, threads, method="exact", trials=0):
 
 def _run_tails(cfg, seed_tree, threads):
     model = _build_model(cfg.model)
-    deltas = _list_of(_number, cfg.params["deltas"], "params.deltas")
+    deltas = _list_of(_number, cfg.params["deltas"], "params.deltas", least=1)
+    for delta in deltas:  # every delta is checked before any model quantity is computed
+        _check_ceiling(delta=delta)
     method = cfg.params.get("method", "mc")
     trials = _integer(cfg.budget.get("trials", 20_000), "budget.trials", least=_MIN_MC_TRIALS) if method == "mc" else 0
     model_id = cfg.params.get("model_id", "model-0")

@@ -126,6 +126,20 @@ def test_grid_sizes_must_be_a_nonempty_list():
         )
 
 
+@pytest.mark.parametrize(
+    "kind, config, key",
+    [
+        ("tails", {"model": CHAIN_MODEL, "params": {"method": "exact", "deltas": []}}, "params.deltas"),
+        ("adversarial-scan", {"grid": {"n_values": [8]}, "params": {"eps": 0.1, "margin_rates": []}}, "params.margin_rates"),
+    ],
+)
+def test_a_runs_parameter_lists_must_be_nonempty(tmp_path, capsys, kind, config, key):
+    path = write_config(tmp_path, "config.json", config)
+    assert main([kind, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {key} must be a non-empty list" in capsys.readouterr().err
+    assert not (tmp_path / "out" / f"{kind}.csv").exists()
+
+
 def test_a_config_built_directly_is_checked():
     with pytest.raises(ConfigError, match="unknown experiment kind 'warp'; expected one of"):
         run(harness.ExperimentConfig(kind="warp"))
@@ -924,6 +938,32 @@ def test_a_monte_carlo_budget_below_the_floor_exit_2_before_any_model_quantity(t
     for trials in (5, 0):
         path = write_config(tmp_path, f"exact-{trials}.json", {**config, "budget": {"trials": trials}})
         assert main([kind, "--config", path, "--out", str(tmp_path / f"exact-{trials}")]) == 0
+
+
+@pytest.mark.parametrize(
+    "kind, config, key, message",
+    [
+        ("tails", {**tails(CHAIN_MODEL, method="mc"), "budget": {"trials": 1000}}, "deltas", "delta must be positive and finite"),
+        ("adversarial-scan", scan(), "margin_rates", "margin_rate must be positive"),
+    ],
+    ids=["tails-delta", "adversarial-scan-margin-rate"],
+)
+def test_a_bad_last_list_entry_exit_2_before_any_model_quantity(tmp_path, monkeypatch, capsys, kind, config, key, message):
+    ran = []
+    for name in ("mean_rate", "lipschitz", "mixing_bound"):
+        original = getattr(HiddenErrorModel, name)
+        monkeypatch.setattr(HiddenErrorModel, name, lambda self, _f=original, _n=name: ran.append(_n) or _f(self))
+    counted, moments = bounds.count_exceedances, adversarial.ThresholdModelSpec.moments
+    monkeypatch.setattr(bounds, "count_exceedances", lambda *args: ran.append("count_exceedances") or counted(*args))
+    monkeypatch.setattr(adversarial.ThresholdModelSpec, "moments", lambda self: ran.append("moments") or moments(self))
+    path = write_config(tmp_path, "bad.json", set_in(config, "params", **{key: [*config["params"][key], -0.1]}))
+    assert main([kind, "--config", path, "--out", str(tmp_path / "bad")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert ran == [] and not (tmp_path / "bad").exists()
+    # the wrappers do record a run that gets that far
+    path = write_config(tmp_path, "good.json", config)
+    assert main([kind, "--config", path, "--out", str(tmp_path / "good")]) == 0
+    assert ran
 
 
 def test_config_root_must_be_an_object():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import corrmem
 import corrmem.memory as memory
 from corrmem import (
     CodeModel,
@@ -498,8 +499,19 @@ def test_scaling_rejects_an_unknown_method():
         (lambda model, points: verify_bound(model, 0.2, method="mc", trials=5), "trials must be an integer >= 1000"),
         (lambda model, points: scaling_experiment(points, "warp"), "unknown method 'warp'"),
         (lambda model, points: scaling_experiment(points, "mc", trials=2000), "requires a seed"),
+        (lambda model, points: verify_bound(model, -0.1, method="exact"), "delta must be positive and finite"),
+        (lambda model, points: verify_bound(model, 0.0, method="exact"), "delta must be positive and finite"),
+        (lambda model, points: verify_bound(model, math.nan, method="exact"), "delta must be positive and finite"),
+        (lambda model, points: verify_bound(model, math.inf, method="mc"), "delta must be positive and finite"),
+        (lambda model, points: verify_bound(model, 0.2, eps=1.5, method="exact"), r"eps must lie in \[0, 1\)"),
+        (lambda model, points: verify_bound(model, 0.2, c=-1.0, method="exact"), "c must be non-negative"),
+        (lambda model, points: verify_bound(model, 0.2, m=0.5, method="exact"), "m must be >= 1"),
     ],
-    ids=["verify_bound-warp", "verify_bound-mc-without-seed", "verify_bound-mc-5-trials", "scaling-warp", "scaling-mc-without-seed"],
+    ids=[
+        "verify_bound-warp", "verify_bound-mc-without-seed", "verify_bound-mc-5-trials", "scaling-warp", "scaling-mc-without-seed",
+        "verify_bound-delta-negative", "verify_bound-delta-0", "verify_bound-delta-nan", "verify_bound-mc-delta-inf",
+        "verify_bound-eps-1.5", "verify_bound-c-negative", "verify_bound-m-0.5",
+    ],
 )
 def test_a_bad_tail_method_fails_before_any_model_quantity(monkeypatch, call, message):
     ran = []
@@ -583,6 +595,7 @@ _CODE = CodeModel(n=4, k=1, d=3)
 
 ENTRY_POINTS = {
     "weight_law": weight_law,
+    "channel.weight_distribution": corrmem.channel.weight_distribution,
     "exact_tail": lambda m: exact_tail(m, 1.0),
     "empirical_tail": lambda m: empirical_tail(m, 1.0, trials=1000, seed=0),
     "count_exceedances": lambda m: count_exceedances(m, make_generator(0), 1000, 1.0),
@@ -597,3 +610,7 @@ ENTRY_POINTS = {
 def test_model_entry_points_reject_non_models(entry):
     with pytest.raises(ValidationError, match="unsupported model type"):
         ENTRY_POINTS[entry]("not a model")
+
+
+def test_the_weight_law_has_one_function_under_three_names():
+    assert weight_law is corrmem.channel.weight_distribution is memory._hidden_weight_distribution

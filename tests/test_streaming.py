@@ -36,6 +36,7 @@ from corrmem import (
     sample_field_batch,
     sampled_covariance,
     simulate_retention,
+    symmetric_binary_field,
 )
 from corrmem.field import _blocks, _skipped
 from corrmem.oracle import expected_errors
@@ -254,6 +255,7 @@ COUNTED = {
     "tail-k": lambda k: window_model(5).tail(k),
     "threshold-tail-k": lambda k: ThresholdModelSpec(n=5, eps=0.2, margin=0.5).tail(k),
     "correlation_decay_profile-site": lambda k: correlation_decay_profile(chain(5, 0.5), k),
+    "symmetric_binary_field-n": lambda k: symmetric_binary_field(k, 0.5),
 }
 
 
@@ -275,6 +277,16 @@ def test_numpy_sizes_are_accepted_as_ints():
     assert ks_critical_value(np.uint16(30)) == ks_critical_value(30)
     assert window_model(5).tail(np.int8(1)) == window_model(5).tail(1)
     assert np.array_equal(correlation_decay_profile(chain(5, 0.5), np.int32(1)), correlation_decay_profile(chain(5, 0.5), 1))
+    for size in (np.int64(5), np.uint8(5), np.int16(1)):
+        built, plain = symmetric_binary_field(size, 0.5), symmetric_binary_field(int(size), 0.5)
+        assert type(built.n) is int and built.n == plain.n
+        assert np.array_equal(built.kernels, plain.kernels) and built.kernels.shape == (int(size) - 1, 2, 2)
+
+
+@pytest.mark.parametrize("theta", [True, "0.5"], ids=repr)
+def test_a_chains_stickiness_must_be_a_number(theta):
+    with pytest.raises(ValidationError, match="^theta must be a number$"):
+        symmetric_binary_field(4, theta)
 
 
 NON_MODEL_SAMPLERS = {
